@@ -1,9 +1,9 @@
 """Pure-Python t-norm kernels.
 
-Fallback twin of the compiled extension ``riskrules._kernels``. Both
-backends perform the same IEEE-754 double operations in the same order,
-so their results are bit-identical; this module is used whenever the
-extension was not built.
+The one implementation of the operators: :mod:`riskrules.tnorms` wraps
+it for the scalar path, and the batch path in
+:mod:`riskrules.evaluation` calls :func:`tnorm_fold` directly. Folds
+take any non-empty iterable of validated scores.
 
 The Lukasiewicz path short-circuits on an operand exactly equal to 1.0:
 ``1.0 + x`` can round away the low bit of ``x``, and the boundary law
@@ -35,8 +35,8 @@ def tnorm_apply(kind: int, a: float, b: float) -> float:
     return a * b
 
 
-def tnorm_fold(kind: int, scores: list) -> float:
-    """Left fold of the binary t-norm over a non-empty list of scores."""
+def tnorm_fold(kind: int, scores) -> float:
+    """Left fold of the binary t-norm over a non-empty iterable of scores."""
     it = iter(scores)
     acc = next(it)
     if kind == LUKASIEWICZ:
@@ -57,7 +57,7 @@ def tnorm_fold(kind: int, scores: list) -> float:
     return acc
 
 
-def tnorm_fold_log(scores: list) -> float:
+def tnorm_fold_log(scores) -> float:
     """Sum of natural logs; ``LOG_ZERO`` marks an exact zero factor."""
     total = 0.0
     for x in scores:

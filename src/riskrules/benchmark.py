@@ -116,7 +116,10 @@ def validate_case_types(dataset: Dataset) -> list[str]:
 # ---------------------------------------------------------------------------
 # JSON-Lines dataset files.
 
-_CASE_KEYS = {"case_id", "description", "case_type", "expert_label", "scores"}
+_CASE_KEYS = frozenset({"case_id", "description", "case_type", "expert_label", "scores"})
+#: Enum values -> members, for the common case of a well-formed record.
+_CASE_TYPES = {t.value: t for t in CaseType}
+_LABELS = {c.value: c for c in RiskCategory}
 
 
 def _case_to_obj(case: Case) -> dict:
@@ -137,6 +140,19 @@ def save_dataset(dataset: Dataset, path) -> None:
     Path(path).write_text(dataset_to_jsonl(dataset), encoding="utf-8")
 
 
+def _enum_field(table: dict, enum_cls, value, case_id: str, field: str):
+    """The member named by a record field: string values through ``table``,
+    anything else (and the error for an unknown value) through the Enum."""
+    member = table.get(value) if type(value) is str else None
+    if member is None:
+        try:
+            member = enum_cls(value)
+        except ValueError:
+            raise DatasetValidationError(
+                f"case {case_id!r}: unknown {field} {value!r}") from None
+    return member
+
+
 def parse_case(obj: dict, vocabulary: frozenset[str] | set[str],
                where: str = "<case>") -> Case:
     """Validate one case record against the schema and vocabulary."""
@@ -145,8 +161,8 @@ def parse_case(obj: dict, vocabulary: frozenset[str] | set[str],
     case_id = obj.get("case_id")
     if not isinstance(case_id, str) or not case_id:
         raise DatasetValidationError(f"{where}: missing or empty case_id")
-    unknown = set(obj) - _CASE_KEYS
-    if unknown:
+    if not obj.keys() <= _CASE_KEYS:
+        unknown = set(obj) - _CASE_KEYS
         raise DatasetValidationError(
             f"case {case_id!r}: unknown field {sorted(unknown)[0]!r}")
     for key in ("description", "case_type", "expert_label", "scores"):
@@ -154,21 +170,17 @@ def parse_case(obj: dict, vocabulary: frozenset[str] | set[str],
             raise DatasetValidationError(f"case {case_id!r}: missing field {key!r}")
     if not isinstance(obj["description"], str):
         raise DatasetValidationError(f"case {case_id!r}: description must be a string")
-    try:
-        case_type = CaseType(obj["case_type"])
-    except ValueError:
-        raise DatasetValidationError(
-            f"case {case_id!r}: unknown case_type {obj['case_type']!r}") from None
-    try:
-        label = RiskCategory(obj["expert_label"])
-    except ValueError:
-        raise DatasetValidationError(
-            f"case {case_id!r}: unknown expert_label {obj['expert_label']!r}") from None
+    case_type = _enum_field(_CASE_TYPES, CaseType, obj["case_type"], case_id, "case_type")
+    label = _enum_field(_LABELS, RiskCategory, obj["expert_label"], case_id, "expert_label")
     raw_scores = obj["scores"]
     if not isinstance(raw_scores, dict) or not raw_scores:
         raise DatasetValidationError(f"case {case_id!r}: scores must be a non-empty object")
     scores: dict[str, float] = {}
     for cond, value in raw_scores.items():
+        # Fast path: exactly the floats unit_score accepts, unchanged.
+        if type(value) is float and 0.0 <= value <= 1.0 and cond in vocabulary:
+            scores[cond] = value
+            continue
         if cond not in vocabulary:
             raise DatasetValidationError(
                 f"case {case_id!r}: unknown condition {cond!r}")

@@ -131,9 +131,9 @@ def classify_mixed(case_scores: Mapping[str, float], ruleset: RuleSet,
 
 
 # ---------------------------------------------------------------------------
-# Lean scoring path for benchmark evaluation and threshold sweeps: chain
-# scores are theta-independent, so sweeps reuse them across thresholds.
-# Tests pin these to classify()'s results bit-for-bit.
+# Trail-free scalar scoring: chain scores are theta-independent, so they
+# can be re-thresholded. Tests pin these to classify()'s results
+# bit-for-bit; the batch path in riskrules.evaluation is pinned to them.
 
 def rule_chain_scores(case_scores: Mapping[str, float], ruleset: RuleSet,
                       kind: TNormKind) -> list[float]:

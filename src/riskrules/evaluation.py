@@ -22,11 +22,22 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
-from riskrules.benchmark import CaseType, Dataset
-from riskrules.engine import classify_mixed, predicted_category, rule_chain_scores
+from riskrules._pykernels import tnorm_fold
+from riskrules.benchmark import Case, CaseType, Dataset
+# classify_mixed, predicted_category and rule_chain_scores are the scalar
+# reference; the batch path does not call them, but perfbench's traced
+# run looks them up in this module.
+from riskrules.engine import (  # noqa: F401
+    STANDARD_OPERATORS,
+    classify_mixed,
+    predicted_category,
+    rule_chain_scores,
+)
 from riskrules.rules import CATEGORY_ORDER, RiskCategory, RuleSet
 from riskrules.tnorms import TNormKind
 
@@ -58,37 +69,55 @@ class SweepPoint:
     reports: dict  # TNormKind -> EvalReport
 
 
-def build_report(expert: Sequence[RiskCategory], predicted: Sequence[RiskCategory],
-                 case_types: Sequence[CaseType]) -> EvalReport:
-    """Aggregate aligned expert/predicted labels into an EvalReport."""
-    n = len(expert)
+#: Most thresholds one sweep may evaluate.
+MAX_SWEEP_POINTS = 10_001
+
+# ---------------------------------------------------------------------------
+# Integer tallies. A tally is a flat list of counts indexed by
+# (expert severity, case type, predicted severity); every report is
+# built from one, so there is a single aggregation code path.
+
+_CASE_TYPES = tuple(CaseType)
+_CELLS = 4 * len(_CASE_TYPES) * 4
+#: Offset of each (expert label value, case type value) block in a tally;
+#: the predicted severity is added to it.
+_BASE = {
+    (cat.value, ctype.value): (cat.severity * len(_CASE_TYPES) + t) * 4
+    for cat in RiskCategory
+    for t, ctype in enumerate(_CASE_TYPES)
+}
+#: Severity -> row/column of the confusion matrix (CATEGORY_ORDER).
+_ORDER_INDEX = {cat.severity: i for i, cat in enumerate(CATEGORY_ORDER)}
+
+
+def _report(tally: list[int]) -> EvalReport:
+    n = sum(tally)
     if n == 0:
         raise ValueError("empty dataset")
-    if not (len(predicted) == len(case_types) == n):
-        raise ValueError("expert, predicted and case_types must be aligned")
-    fp = fn = correct = 0
-    by_type_total: dict[CaseType, int] = {t: 0 for t in CaseType}
-    by_type_correct: dict[CaseType, int] = {t: 0 for t in CaseType}
-    index = {cat: i for i, cat in enumerate(CATEGORY_ORDER)}
     confusion = [[0] * 4 for _ in range(4)]
-    for exp, pred, ctype in zip(expert, predicted, case_types):
-        confusion[index[exp]][index[pred]] += 1
-        by_type_total[ctype] += 1
-        if pred is exp:
-            correct += 1
-            by_type_correct[ctype] += 1
-        elif pred.severity > exp.severity:
-            fp += 1
+    total = [0] * len(_CASE_TYPES)
+    correct = [0] * len(_CASE_TYPES)
+    fp = fn = 0
+    for i, count in enumerate(tally):
+        if not count:
+            continue
+        block, predicted = divmod(i, 4)
+        expert, t = divmod(block, len(_CASE_TYPES))
+        confusion[_ORDER_INDEX[expert]][_ORDER_INDEX[predicted]] += count
+        total[t] += count
+        if predicted == expert:
+            correct[t] += count
+        elif predicted > expert:
+            fp += count
         else:
-            fn += 1
-    accuracy_by_type = {
-        t: (by_type_correct[t] / by_type_total[t] if by_type_total[t] else None)
-        for t in CaseType
-    }
+            fn += count
     return EvalReport(
         n=n,
-        accuracy_overall=correct / n,
-        accuracy_by_type=accuracy_by_type,
+        accuracy_overall=sum(correct) / n,
+        accuracy_by_type={
+            ctype: (correct[t] / total[t] if total[t] else None)
+            for t, ctype in enumerate(_CASE_TYPES)
+        },
         fp_count=fp,
         fn_count=fn,
         fp_rate=fp / n,
@@ -97,55 +126,166 @@ def build_report(expert: Sequence[RiskCategory], predicted: Sequence[RiskCategor
     )
 
 
-def _predictions(dataset: Dataset, ruleset: RuleSet, kind: TNormKind,
-                 theta_override: float | None) -> list[RiskCategory]:
-    return [
-        predicted_category(ruleset, rule_chain_scores(c.scores, ruleset, kind), theta_override)
-        for c in dataset.cases
-    ]
+def build_report(expert: Sequence[RiskCategory], predicted: Sequence[RiskCategory],
+                 case_types: Sequence[CaseType]) -> EvalReport:
+    """Aggregate aligned expert/predicted labels into an EvalReport."""
+    n = len(expert)
+    if n == 0:
+        raise ValueError("empty dataset")
+    if not (len(predicted) == len(case_types) == n):
+        raise ValueError("expert, predicted and case_types must be aligned")
+    tally = [0] * _CELLS
+    for exp, pred, ctype in zip(expert, predicted, case_types):
+        tally[_BASE[exp.value, ctype.value] + pred.severity] += 1
+    return _report(tally)
+
+
+# ---------------------------------------------------------------------------
+# Batch path: the scalar functions in riskrules.engine stay the reference
+# (and serve the proof trail); tests pin this path to them bit for bit.
+#
+# A condition missing from a case scores 0.0, and a chain containing 0.0
+# folds to at most 0.0 under every operator for scores in [0, 1]. Every
+# threshold is in (0, 1), so such a rule never fires: each case folds only
+# its live rules, those whose conditions it all scores. Minimal-risk rules
+# never change a prediction and are not compiled at all.
+
+class _Plan:
+    """The floor-free rules of a rule set compiled for batch scoring.
+
+    Each rule carries its kernel code and its threshold grid: the rule's
+    own theta, or the thresholds shared by all rules (an override or a
+    sweep). Live rules are cached per set of scored conditions.
+    """
+
+    def __init__(self, ruleset: RuleSet, kinds: Sequence[TNormKind],
+                 thetas: tuple[float, ...] | None = None):
+        self.points = 1 if thetas is None else len(thetas)
+        self._rules = []
+        for rule, kind in zip(ruleset.rules, kinds):
+            if rule.category is RiskCategory.MINIMAL_RISK:
+                continue
+            conds = rule.conditions
+            # itemgetter returns a bare value, not a tuple, for one key.
+            chain = itemgetter(*conds) if len(conds) > 1 else (lambda s, c=conds[0]: (s[c],))
+            grid = (rule.theta,) if thetas is None else thetas
+            self._rules.append((frozenset(conds),
+                                (chain, rule.category.severity, kind.code, grid)))
+        self._live = {}
+
+    def live(self, scored: frozenset) -> tuple:
+        """Compiled rules whose conditions all appear in ``scored``."""
+        rules = self._live.get(scored)
+        if rules is None:
+            rules = self._live[scored] = tuple(
+                compiled for conds, compiled in self._rules if conds <= scored)
+        return rules
+
+
+def _batch(cases: Sequence[Case], plans: Sequence[_Plan]) -> list[tuple[list, bytearray]]:
+    """Score every case under every plan at each point of the plan's grid.
+
+    Returns per plan its tallies, one per grid point, and the predicted
+    severity of each case at the first point. A rule fires at the grid
+    points below its chain score, which bisection counts; a case is
+    predicted the highest severity that fires at a point, so along the
+    ascending grid its prediction steps down, and each step is recorded
+    in a difference array that a prefix sum turns into the tallies.
+    """
+    runs = [(plan, [[0] * _CELLS for _ in range(plan.points + 1)], bytearray())
+            for plan in plans]
+    for case in cases:
+        scores = case.scores
+        scored = frozenset(scores)
+        base = _BASE[case.expert_label.value, case.case_type.value]
+        for plan, steps, predicted in runs:
+            # reach[severity]: rules of that severity fire at points [0, reach).
+            reach = [plan.points, 0, 0, 0]
+            for chain, severity, code, grid in plan.live(scored):
+                r = bisect_left(grid, tnorm_fold(code, chain(scores)))
+                if r > reach[severity]:
+                    reach[severity] = r
+            lo = 0
+            for severity in (3, 2, 1, 0):
+                hi = reach[severity]
+                if hi > lo:
+                    if not lo:
+                        predicted.append(severity)
+                    steps[lo][base + severity] += 1
+                    steps[hi][base + severity] -= 1
+                    lo = hi
+    results = []
+    for plan, steps, predicted in runs:
+        tallies, running = [], [0] * _CELLS
+        for row in steps[:plan.points]:
+            running = [a + b for a, b in zip(running, row)]
+            tallies.append(running)
+        results.append((tallies, predicted))
+    return results
+
+
+def _override_grid(theta_override: float | None) -> tuple[float, ...] | None:
+    """The one-point grid of a threshold override; None keeps each rule's theta."""
+    if theta_override is None:
+        return None
+    if not 0.0 < theta_override < 1.0:  # also rejects NaN
+        raise ValueError(f"theta out of range (0, 1): {theta_override}")
+    return (theta_override,)
 
 
 def evaluate(dataset: Dataset, ruleset: RuleSet, kind: TNormKind,
              theta_override: float | None = None) -> EvalReport:
     """Classify every case with one operator and report accuracy and errors."""
+    grid = _override_grid(theta_override)
     if not dataset.cases:
         raise ValueError("empty dataset")
-    predicted = _predictions(dataset, ruleset, kind, theta_override)
-    return build_report([c.expert_label for c in dataset.cases], predicted,
-                        [c.case_type for c in dataset.cases])
+    plan = _Plan(ruleset, [kind] * len(ruleset.rules), grid)
+    [(tallies, _)] = _batch(dataset.cases, [plan])
+    return _report(tallies[0])
 
 
 def evaluate_mixed(dataset: Dataset, ruleset: RuleSet,
                    theta_override: float | None = None) -> EvalReport:
     """Like :func:`evaluate` but with per-rule operators (mixed mode)."""
+    grid = _override_grid(theta_override)
     if not dataset.cases:
         raise ValueError("empty dataset")
-    predicted = [
-        classify_mixed(c.scores, ruleset, theta_override, case_id=c.case_id).predicted
-        for c in dataset.cases
-    ]
-    return build_report([c.expert_label for c in dataset.cases], predicted,
-                        [c.case_type for c in dataset.cases])
+    for rule in ruleset.rules:
+        if rule.standard is None:
+            raise ValueError(f"mixed mode requires a conjunction standard on every rule; "
+                             f"rule {rule.rule_id!r} has none")
+    kinds = [STANDARD_OPERATORS[r.standard] for r in ruleset.rules]
+    plan = _Plan(ruleset, kinds, grid)
+    [(tallies, _)] = _batch(dataset.cases, [plan])
+    return _report(tallies[0])
 
 
 def mcnemar_exact(pred_a: Sequence[RiskCategory], pred_b: Sequence[RiskCategory],
                   expert: Sequence[RiskCategory]) -> McNemarResult:
-    """Exact binomial McNemar test on paired predictions."""
+    """Exact binomial McNemar test on paired predictions.
+
+    Labels are compared with ``==``, so any consistent encoding works
+    (categories, or their severities as in :func:`compare_operators`).
+    """
     if not (len(pred_a) == len(pred_b) == len(expert)):
         raise ValueError("prediction and label sequences must have equal length")
     if not expert:
         raise ValueError("empty predictions")
     b = c = 0
     for pa, pb, exp in zip(pred_a, pred_b, expert):
-        a_ok = pa is exp
-        b_ok = pb is exp
+        a_ok = pa == exp
+        b_ok = pb == exp
         if a_ok and not b_ok:
             b += 1
         elif b_ok and not a_ok:
             c += 1
     n = b + c
-    # Exact integer tail sum, then one correctly-rounded float division.
-    tail = sum(math.comb(n, k) for k in range(min(b, c) + 1))
+    # Exact integer tail sum, C(n, k+1) = C(n, k) * (n - k) // (k + 1),
+    # then one correctly-rounded float division.
+    tail = term = 1
+    for k in range(min(b, c)):
+        term = term * (n - k) // (k + 1)
+        tail += term
     p_one = tail / 2 ** n
     return McNemarResult(b, c, n, p_one, min(1.0, 2.0 * p_one))
 
@@ -164,12 +304,14 @@ def compare_operators(dataset: Dataset, ruleset: RuleSet,
         raise ValueError("need at least 2 operators to compare")
     if len(set(kinds)) != len(kinds):
         raise ValueError("duplicate operator in comparison")
+    grid = _override_grid(theta_override)
     if not dataset.cases:
         raise ValueError("empty dataset")
-    expert = [c.expert_label for c in dataset.cases]
-    case_types = [c.case_type for c in dataset.cases]
-    predictions = {k: _predictions(dataset, ruleset, k, theta_override) for k in kinds}
-    reports = {k: build_report(expert, predictions[k], case_types) for k in kinds}
+    results = _batch(dataset.cases,
+                     [_Plan(ruleset, [k] * len(ruleset.rules), grid) for k in kinds])
+    reports = {k: _report(tallies[0]) for k, (tallies, _) in zip(kinds, results)}
+    predictions = {k: predicted for k, (_, predicted) in zip(kinds, results)}
+    expert = bytes(c.expert_label.severity for c in dataset.cases)
     pairs = [
         (a, b, mcnemar_exact(predictions[a], predictions[b], expert))
         for i, a in enumerate(kinds)
@@ -178,48 +320,48 @@ def compare_operators(dataset: Dataset, ruleset: RuleSet,
     return reports, pairs
 
 
+def _theta_grid(theta_min: float, theta_max: float, step: float) -> tuple[float, ...]:
+    """The inclusive grid ``theta_min + i * step``, clamped to ``theta_max``.
+
+    A point up to ``1e-9 * step`` past ``theta_max`` is float drift and
+    becomes ``theta_max``; anything further is not part of the grid.
+    """
+    if not (0.0 < theta_min <= theta_max < 1.0):
+        raise ValueError(f"invalid theta range [{theta_min}, {theta_max}]; "
+                         "need 0 < theta_min <= theta_max < 1")
+    if not (0.0 < step < math.inf):
+        raise ValueError(f"invalid step {step}; must be positive and finite")
+    span = (theta_max - theta_min) / step + 1e-9
+    if not span < MAX_SWEEP_POINTS:
+        count = int(span) + 1 if span < math.inf else span
+        raise ValueError(f"theta grid [{theta_min}, {theta_max}] by {step} has {count} "
+                         f"points; at most {MAX_SWEEP_POINTS} are allowed")
+    return tuple(min(theta_min + i * step, theta_max) for i in range(int(span) + 1))
+
+
 def threshold_sweep(dataset: Dataset, ruleset: RuleSet,
                     kinds: TNormKind | Sequence[TNormKind],
                     theta_min: float, theta_max: float, step: float) -> list[SweepPoint]:
     """Evaluate over an inclusive arithmetic progression of thresholds.
 
-    Chain scores do not depend on theta, so they are computed once per
-    operator and re-thresholded at every point. The progression is
-    ``theta_min + i * step`` with a half-step guard so the endpoint is
-    not lost to floating-point drift.
+    Chain scores do not depend on theta, so each case's chains are
+    folded once per operator and compared with every point of the grid
+    (see :func:`_theta_grid`).
     """
     if isinstance(kinds, TNormKind):
         kinds = (kinds,)
     kinds = tuple(kinds)
     if not kinds:
         raise ValueError("need at least one operator")
-    if not (0.0 < theta_min <= theta_max < 1.0):
-        raise ValueError(f"invalid theta range [{theta_min}, {theta_max}]; "
-                         "need 0 < theta_min <= theta_max < 1")
-    if step <= 0.0:
-        raise ValueError(f"invalid step {step}; must be positive")
+    thetas = _theta_grid(theta_min, theta_max, step)
     if not dataset.cases:
         raise ValueError("empty dataset")
-
-    expert = [c.expert_label for c in dataset.cases]
-    case_types = [c.case_type for c in dataset.cases]
-    scores_by_kind = {
-        k: [rule_chain_scores(c.scores, ruleset, k) for c in dataset.cases]
-        for k in kinds
-    }
-    points = []
-    i = 0
-    while True:
-        theta = theta_min + i * step
-        if theta > theta_max + step * 0.5:
-            break
-        reports = {}
-        for k in kinds:
-            predicted = [predicted_category(ruleset, cs, theta) for cs in scores_by_kind[k]]
-            reports[k] = build_report(expert, predicted, case_types)
-        points.append(SweepPoint(theta, reports))
-        i += 1
-    return points
+    results = _batch(dataset.cases,
+                     [_Plan(ruleset, [k] * len(ruleset.rules), thetas) for k in kinds])
+    return [
+        SweepPoint(theta, {k: _report(tallies[j]) for k, (tallies, _) in zip(kinds, results)})
+        for j, theta in enumerate(thetas)
+    ]
 
 
 # ---------------------------------------------------------------------------

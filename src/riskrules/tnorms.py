@@ -16,9 +16,8 @@ of every result. All functions here are pure and safe to call from any
 number of concurrent workers. These are inference-time combinators only;
 nothing is differentiable or trainable.
 
-The backend is a compiled extension when it was built at install time,
-with a bit-identical pure-Python fallback otherwise; ``BACKEND`` names
-the active one.
+The kernels live in :mod:`riskrules._pykernels`, the one scalar
+reference implementation; ``BACKEND`` names it.
 """
 
 from __future__ import annotations
@@ -26,12 +25,9 @@ from __future__ import annotations
 import enum
 from typing import Sequence
 
-try:
-    from riskrules import _kernels as _impl
-    BACKEND = "compiled"
-except ImportError:  # extension not built; the pure twin is bit-identical
-    from riskrules import _pykernels as _impl
-    BACKEND = "pure-python"
+from riskrules import _pykernels
+
+BACKEND = "pure-python"
 
 LOG_ZERO = float("-inf")
 
@@ -58,10 +54,10 @@ class TNormKind(enum.Enum):
 
 
 _CODES = {
-    TNormKind.LUKASIEWICZ: _impl.LUKASIEWICZ,
-    TNormKind.PRODUCT: _impl.PRODUCT,
-    TNormKind.GOEDEL: _impl.GOEDEL,
-    TNormKind.LOGPRODUCT: _impl.LOGPRODUCT,
+    TNormKind.LUKASIEWICZ: _pykernels.LUKASIEWICZ,
+    TNormKind.PRODUCT: _pykernels.PRODUCT,
+    TNormKind.GOEDEL: _pykernels.GOEDEL,
+    TNormKind.LOGPRODUCT: _pykernels.LOGPRODUCT,
 }
 
 #: The three operators compared in benchmark runs (logproduct is a
@@ -89,7 +85,7 @@ def apply(kind: TNormKind, a: float, b: float) -> float:
     ``logproduct`` returns exactly the same value as ``product``. Inputs
     are assumed validated (see :func:`unit_score`).
     """
-    return _impl.tnorm_apply(kind.code, a, b)
+    return _pykernels.tnorm_apply(kind.code, a, b)
 
 
 def fold_chain(kind: TNormKind, scores: Sequence[float]) -> float:
@@ -100,9 +96,7 @@ def fold_chain(kind: TNormKind, scores: Sequence[float]) -> float:
     """
     if not scores:
         raise ValueError("empty condition chain")
-    if type(scores) is not list:
-        scores = list(scores)
-    return _impl.tnorm_fold(kind.code, scores)
+    return _pykernels.tnorm_fold(kind.code, scores)
 
 
 def fold_chain_log(scores: Sequence[float]) -> float:
@@ -115,6 +109,4 @@ def fold_chain_log(scores: Sequence[float]) -> float:
     """
     if not scores:
         raise ValueError("empty condition chain")
-    if type(scores) is not list:
-        scores = list(scores)
-    return _impl.tnorm_fold_log(scores)
+    return _pykernels.tnorm_fold_log(scores)

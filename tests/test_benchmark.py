@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 from collections import Counter
 
 import pytest
@@ -16,6 +17,7 @@ from riskrules.benchmark import (
     generate_synthetic,
     load_case,
     load_dataset,
+    parse_case,
     reference_label,
     validate_case_types,
 )
@@ -148,6 +150,38 @@ class TestLoadDataset:
         path.write_text(json.dumps({"case_id": "m1", "scores": {"public_space": 0.4}}))
         case = load_case(path)
         assert case.case_id == "m1"
+
+
+_RECORD = {"case_id": "x", "description": "", "case_type": "clear",
+           "expert_label": "minimal_risk", "scores": {"public_space": 0.5}}
+
+
+class TestParseCase:
+    @pytest.mark.parametrize("field,message", [
+        ({"extra": 1, "aaa": 2}, "case 'x': unknown field 'aaa'"),
+        ({"description": 3}, "case 'x': description must be a string"),
+        ({"case_type": "nope"}, "case 'x': unknown case_type 'nope'"),
+        ({"case_type": [1]}, "case 'x': unknown case_type [1]"),
+        ({"expert_label": {"a": 1}}, "case 'x': unknown expert_label {'a': 1}"),
+        ({"scores": {"public_space": True}}, "case 'x': score for 'public_space' must be a number"),
+        ({"scores": {"public_space": "bad", "mystery": 0.5}},
+         "case 'x': score for 'public_space' must be a number"),
+        ({"scores": {"public_space": 0.5, "mystery": 0.5}}, "case 'x': unknown condition 'mystery'"),
+        ({"scores": {"public_space": float("nan")}},
+         "case 'x': score for 'public_space' must be a finite number in [0, 1], got nan"),
+    ])
+    def test_error_messages(self, field, message):
+        with pytest.raises(DatasetValidationError) as err:
+            parse_case({**_RECORD, **field}, frozenset({"public_space"}))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("value,expected", [(1, 1.0), (0, 0.0), (-0.0, -0.0), (1.0, 1.0)])
+    def test_accepted_scores_are_floats(self, value, expected):
+        case = parse_case({**_RECORD, "scores": {"public_space": value}},
+                          frozenset({"public_space"}))
+        score = case.scores["public_space"]
+        assert type(score) is float and math.copysign(1.0, score) == math.copysign(1.0, expected)
+        assert score == expected
 
 
 def _case(case_id, case_type, scores, label=RiskCategory.MINIMAL_RISK):

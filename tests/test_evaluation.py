@@ -1,8 +1,12 @@
 """Reports, exact McNemar test with enumeration oracle, comparison, sweeps."""
 
+import dataclasses
 import json
+import math
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from riskrules.benchmark import CaseType, Dataset, load_dataset
 from riskrules.evaluation import (
@@ -16,7 +20,7 @@ from riskrules.evaluation import (
     sweep_to_csv,
     threshold_sweep,
 )
-from riskrules.rules import RiskCategory
+from riskrules.rules import ConjunctionStandard, RiskCategory, RuleSet
 from riskrules.tnorms import CANONICAL_KINDS, TNormKind
 
 from conftest import DATA_DIR
@@ -166,6 +170,27 @@ class TestMcNemar:
         res = mcnemar_exact(pred_a, pred_b, expert)
         assert 0.0 < res.p_two_sided <= 1.0
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 3000), st.integers(0, 3000))
+    def test_matches_binomial_sum(self, b, c):
+        n = b + c
+        # one concordant pair keeps b = c = 0 from being an empty input
+        res = mcnemar_exact([HIGH] * b + [MIN] * c + [MIN], [MIN] * b + [HIGH] * c + [MIN],
+                            [HIGH] * n + [MIN])
+        p_one = sum(math.comb(n, k) for k in range(min(b, c) + 1)) / 2 ** n
+        assert (res.b, res.c) == (b, c)
+        assert res.p_one_sided == p_one
+        assert res.p_two_sided == min(1.0, 2.0 * p_one)
+
+    def test_100k_discordant_pairs_finish(self):
+        half = 50_000
+        start = time.perf_counter()
+        res = mcnemar_exact([HIGH] * half + [MIN] * half, [MIN] * half + [HIGH] * half,
+                            [HIGH] * (2 * half))
+        assert time.perf_counter() - start < 10.0
+        assert res.n_discordant == 2 * half
+        assert 0.5 < res.p_one_sided < 0.51 and res.p_two_sided == 1.0
+
 
 class TestEvaluate:
     def test_appendix_lukasiewicz(self, appendix_dataset, ruleset):
@@ -199,6 +224,21 @@ class TestEvaluate:
         relaxed = evaluate(appendix_dataset, ruleset, TNormKind.PRODUCT, theta_override=0.45)
         strict = evaluate(appendix_dataset, ruleset, TNormKind.PRODUCT)
         assert relaxed.fn_count < strict.fn_count  # HRM04 at 0.499 now fires
+
+    @pytest.mark.parametrize("theta", [0.0, -0.0, 1.0, -0.5, 1.5, float("nan"), float("inf")])
+    def test_theta_override_outside_unit_interval_rejected(self, appendix_dataset, ruleset,
+                                                           theta):
+        annotated = RuleSet(ruleset.vocabulary, tuple(
+            dataclasses.replace(r, standard=ConjunctionStandard.BOTTLENECK)
+            for r in ruleset.rules))
+        calls = (
+            lambda: evaluate(appendix_dataset, ruleset, TNormKind.GOEDEL, theta),
+            lambda: evaluate_mixed(appendix_dataset, annotated, theta),
+            lambda: compare_operators(appendix_dataset, ruleset, CANONICAL_KINDS, theta),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=r"theta out of range \(0, 1\)"):
+                call()
 
 
 class TestCompareOperators:
@@ -265,6 +305,44 @@ class TestThresholdSweep:
     def test_invalid_step(self, hrm04_singleton, ruleset):
         with pytest.raises(ValueError, match="invalid step"):
             threshold_sweep(hrm04_singleton, ruleset, TNormKind.PRODUCT, 0.3, 0.6, 0.0)
+
+    @pytest.mark.parametrize("step", [-0.1, float("nan"), float("inf")])
+    def test_negative_or_non_finite_step_rejected(self, hrm04_singleton, ruleset, step):
+        with pytest.raises(ValueError, match="invalid step"):
+            threshold_sweep(hrm04_singleton, ruleset, TNormKind.PRODUCT, 0.3, 0.6, step)
+
+    def test_bench_grid_unchanged(self, hrm04_singleton, ruleset):
+        points = threshold_sweep(hrm04_singleton, ruleset, TNormKind.PRODUCT, 0.25, 0.75, 0.05)
+        assert [pt.theta for pt in points] == [0.25 + i * 0.05 for i in range(11)]
+
+    @pytest.mark.parametrize("grid,count,last", [
+        ((0.25, 0.74, 0.05), 10, 0.25 + 9 * 0.05),
+        ((0.1, 0.9, 0.3), 3, 0.1 + 2 * 0.3),
+        ((0.1, 0.3, 0.1), 3, 0.3),  # 0.1 + 2 * 0.1 drifts past 0.3
+    ])
+    def test_no_point_beyond_theta_max(self, hrm04_singleton, ruleset, grid, count, last):
+        points = threshold_sweep(hrm04_singleton, ruleset, TNormKind.PRODUCT, *grid)
+        assert len(points) == count
+        assert points[-1].theta == last
+
+    @pytest.mark.parametrize("step,count", [(1e-5, "80001"), (5e-324, "inf")])
+    def test_point_cap(self, hrm04_singleton, ruleset, step, count):
+        with pytest.raises(ValueError, match=f"has {count} points; at most 10001"):
+            threshold_sweep(hrm04_singleton, ruleset, TNormKind.PRODUCT, 0.1, 0.9, step)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           st.floats(1e-3, 2.0))
+    def test_grid_points_inside_range(self, hrm04_singleton, ruleset, lo, hi, step):
+        lo, hi = min(lo, hi), max(lo, hi)
+        thetas = [pt.theta for pt in
+                  threshold_sweep(hrm04_singleton, ruleset, TNormKind.GOEDEL, lo, hi, step)]
+        assert thetas[0] == lo
+        assert all(lo <= t <= hi for t in thetas)
+        assert 0.0 < thetas[0] and thetas[-1] < 1.0
+        assert thetas == sorted(thetas)
+        assert hi - thetas[-1] < step * (1 + 1e-6)  # the grid reaches theta_max
 
 
 class TestExports:

@@ -16,12 +16,6 @@ from riskrules.tnorms import (
     unit_score,
 )
 
-try:
-    from riskrules import _kernels
-    BACKENDS = [_pykernels, _kernels]
-except ImportError:
-    BACKENDS = [_pykernels]
-
 ALL_KINDS = tuple(TNormKind)
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -178,24 +172,11 @@ class TestThresholdIdentity:
 
 
 class TestBackends:
-    @pytest.mark.parametrize("kernels", BACKENDS, ids=lambda m: m.__name__.rsplit(".", 1)[-1])
+    @pytest.mark.parametrize("kernels", [_pykernels], ids=lambda m: m.__name__.rsplit(".", 1)[-1])
     def test_kernel_examples(self, kernels):
         assert kernels.tnorm_apply(kernels.LUKASIEWICZ, 0.3, 0.4) == 0.0
         assert kernels.tnorm_fold(kernels.GOEDEL, [0.92, 0.58, 0.63]) == 0.58
         assert kernels.tnorm_fold_log([1.0, 1.0]) == 0.0
-
-    @pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled backend not built")
-    def test_backends_bit_identical(self):
-        rng = SplitMix64(1234)
-        for _ in range(5000):
-            kind = rng.randrange(4)
-            chain = [rng.random() for _ in range(1 + rng.randrange(8))]
-            assert (_kernels.tnorm_fold(kind, chain)
-                    == _pykernels.tnorm_fold(kind, chain))
-            assert (_kernels.tnorm_apply(kind, chain[0], chain[-1])
-                    == _pykernels.tnorm_apply(kind, chain[0], chain[-1]))
-            assert (_kernels.tnorm_fold_log(chain)
-                    == _pykernels.tnorm_fold_log(chain))
 
 
 class TestUnitScore:
