@@ -177,10 +177,6 @@ def parse_case(obj: dict, vocabulary: frozenset[str] | set[str],
         raise DatasetValidationError(f"case {case_id!r}: scores must be a non-empty object")
     scores: dict[str, float] = {}
     for cond, value in raw_scores.items():
-        # Fast path: exactly the floats unit_score accepts, unchanged.
-        if type(value) is float and 0.0 <= value <= 1.0 and cond in vocabulary:
-            scores[cond] = value
-            continue
         if cond not in vocabulary:
             raise DatasetValidationError(
                 f"case {case_id!r}: unknown condition {cond!r}")

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from riskrules.rules import RiskCategory, Rule, RuleSet, ConjunctionStandard
-from riskrules.tnorms import TNormKind, apply, fold_chain
+from riskrules._pykernels import tnorm_fold
+from riskrules.tnorms import TNormKind, apply
 
 #: Operator used for a rule's conjunction standard in mixed mode.
 STANDARD_OPERATORS = {
@@ -119,40 +120,58 @@ def classify_mixed(case_scores: Mapping[str, float], ruleset: RuleSet,
     strong -> lukasiewicz, bottleneck -> goedel. Annotations are never
     inferred.
     """
-    for rule in ruleset.rules:
-        if rule.standard is None:
-            raise ValueError(f"mixed mode requires a conjunction standard on every rule; "
-                             f"rule {rule.rule_id!r} has none")
     rule_scores = [
-        score_rule(r, case_scores, STANDARD_OPERATORS[r.standard], theta_override)
-        for r in ruleset.rules
+        score_rule(r, case_scores, kind, theta_override)
+        for r, kind in zip(ruleset.rules, mixed_operators(ruleset))
     ]
     return _finish(case_id, rule_scores, "mixed", theta_override, ruleset)
 
 
+def mixed_operators(ruleset: RuleSet) -> list[TNormKind]:
+    """Each rule's mixed-mode operator, from its conjunction standard.
+
+    Raises ValueError naming the first rule without a standard.
+    """
+    for rule in ruleset.rules:
+        if rule.standard is None:
+            raise ValueError(f"mixed mode requires a conjunction standard on every rule; "
+                             f"rule {rule.rule_id!r} has none")
+    return [STANDARD_OPERATORS[r.standard] for r in ruleset.rules]
+
+
 # ---------------------------------------------------------------------------
-# Trail-free scalar scoring: chain scores are theta-independent, so they
-# can be re-thresholded. Tests pin these to classify()'s results
-# bit-for-bit; the batch path in riskrules.evaluation is pinned to them.
+# Trail-free scoring, the per-case steps of the batch path in
+# riskrules.evaluation: chain scores are theta-independent, so they can be
+# re-thresholded. Tests pin these to classify()'s results.
 
 def rule_chain_scores(case_scores: Mapping[str, float], ruleset: RuleSet,
-                      kind: TNormKind) -> list[float]:
-    """Chain score per rule, aligned with ``ruleset.rules`` order."""
-    return [
-        fold_chain(kind, [case_scores.get(c, 0.0) for c in r.conditions])
-        for r in ruleset.rules
-    ]
+                      kind: TNormKind | Sequence[TNormKind]) -> list[float]:
+    """Chain score per rule, aligned with ``ruleset.rules`` order.
+
+    ``kind`` is one operator for every rule, or one per rule (mixed mode,
+    see :func:`mixed_operators`). Only the case's live rules, those whose
+    conditions it all scores, are folded. Any other rule scores 0.0: its
+    missing condition counts as 0.0, and a chain holding 0.0 folds to zero
+    under every operator (the trail's fold may keep the sign of a -0.0
+    score). Every theta is in (0, 1), so such a rule never fires.
+    """
+    rules = ruleset.rules
+    out = [0.0] * len(rules)
+    for i in ruleset.live_rules(frozenset(case_scores)):
+        conds = rules[i].conditions
+        k = kind if isinstance(kind, TNormKind) else kind[i]
+        out[i] = tnorm_fold(k.code, map(case_scores.__getitem__, conds))
+    return out
 
 
-def predicted_category(ruleset: RuleSet, chain_scores: list[float],
+def predicted_category(ruleset: RuleSet, chain_scores: Sequence[float],
                        theta_override: float | None = None) -> RiskCategory:
-    """Final category implied by per-rule chain scores at the given threshold."""
-    best = RiskCategory.MINIMAL_RISK
-    for rule, score in zip(ruleset.rules, chain_scores):
-        theta = rule.theta if theta_override is None else theta_override
-        if score > theta and rule.category.severity > best.severity:
-            best = rule.category
-    return best
+    """Final category implied by per-rule chain scores at the given threshold:
+    the category of the most severe rule whose score exceeds its theta."""
+    for i, theta, category in ruleset.ranked:
+        if chain_scores[i] > (theta if theta_override is None else theta_override):
+            return category
+    return RiskCategory.MINIMAL_RISK
 
 
 # ---------------------------------------------------------------------------

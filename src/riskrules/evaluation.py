@@ -22,22 +22,13 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Sequence
 
-from riskrules._pykernels import tnorm_fold
-from riskrules.benchmark import Case, CaseType, Dataset
-# classify_mixed, predicted_category and rule_chain_scores are the scalar
-# reference; the batch path does not call them, but perfbench's traced
-# run looks them up in this module.
-from riskrules.engine import (  # noqa: F401
-    STANDARD_OPERATORS,
-    classify_mixed,
-    predicted_category,
-    rule_chain_scores,
-)
+from riskrules.benchmark import CaseType, Dataset
+from riskrules.engine import mixed_operators, predicted_category, rule_chain_scores
+# Not called here; perfbench's traced run patches the name on this module.
+from riskrules.engine import classify_mixed  # noqa: F401
 from riskrules.rules import CATEGORY_ORDER, RiskCategory, RuleSet
 from riskrules.tnorms import TNormKind
 
@@ -72,58 +63,9 @@ class SweepPoint:
 #: Most thresholds one sweep may evaluate.
 MAX_SWEEP_POINTS = 10_001
 
-# ---------------------------------------------------------------------------
-# Integer tallies. A tally is a flat list of counts indexed by
-# (expert severity, case type, predicted severity); every report is
-# built from one, so there is a single aggregation code path.
-
-_CASE_TYPES = tuple(CaseType)
-_CELLS = 4 * len(_CASE_TYPES) * 4
-#: Offset of each (expert label value, case type value) block in a tally;
-#: the predicted severity is added to it.
-_BASE = {
-    (cat.value, ctype.value): (cat.severity * len(_CASE_TYPES) + t) * 4
-    for cat in RiskCategory
-    for t, ctype in enumerate(_CASE_TYPES)
-}
+_TYPE_INDEX = {t: i for i, t in enumerate(CaseType)}
 #: Severity -> row/column of the confusion matrix (CATEGORY_ORDER).
 _ORDER_INDEX = {cat.severity: i for i, cat in enumerate(CATEGORY_ORDER)}
-
-
-def _report(tally: list[int]) -> EvalReport:
-    n = sum(tally)
-    if n == 0:
-        raise ValueError("empty dataset")
-    confusion = [[0] * 4 for _ in range(4)]
-    total = [0] * len(_CASE_TYPES)
-    correct = [0] * len(_CASE_TYPES)
-    fp = fn = 0
-    for i, count in enumerate(tally):
-        if not count:
-            continue
-        block, predicted = divmod(i, 4)
-        expert, t = divmod(block, len(_CASE_TYPES))
-        confusion[_ORDER_INDEX[expert]][_ORDER_INDEX[predicted]] += count
-        total[t] += count
-        if predicted == expert:
-            correct[t] += count
-        elif predicted > expert:
-            fp += count
-        else:
-            fn += count
-    return EvalReport(
-        n=n,
-        accuracy_overall=sum(correct) / n,
-        accuracy_by_type={
-            ctype: (correct[t] / total[t] if total[t] else None)
-            for t, ctype in enumerate(_CASE_TYPES)
-        },
-        fp_count=fp,
-        fn_count=fn,
-        fp_rate=fp / n,
-        fn_rate=fn / n,
-        confusion=tuple(tuple(row) for row in confusion),
-    )
 
 
 def build_report(expert: Sequence[RiskCategory], predicted: Sequence[RiskCategory],
@@ -134,130 +76,90 @@ def build_report(expert: Sequence[RiskCategory], predicted: Sequence[RiskCategor
         raise ValueError("empty dataset")
     if not (len(predicted) == len(case_types) == n):
         raise ValueError("expert, predicted and case_types must be aligned")
-    tally = [0] * _CELLS
+    # Count the cases per (expert severity, case type, predicted severity)
+    # first; every figure of the report is a sum over these 48 cells.
+    types = len(_TYPE_INDEX)
+    tally = [0] * (4 * types * 4)
     for exp, pred, ctype in zip(expert, predicted, case_types):
-        tally[_BASE[exp.value, ctype.value] + pred.severity] += 1
-    return _report(tally)
+        tally[(exp.severity * types + _TYPE_INDEX[ctype]) * 4 + pred.severity] += 1
+    confusion = [[0] * 4 for _ in range(4)]
+    total = [0] * types
+    correct = [0] * types
+    fp = fn = 0
+    for i, count in enumerate(tally):
+        if not count:
+            continue
+        block, pred = divmod(i, 4)
+        exp, t = divmod(block, types)
+        confusion[_ORDER_INDEX[exp]][_ORDER_INDEX[pred]] += count
+        total[t] += count
+        if pred == exp:
+            correct[t] += count
+        elif pred > exp:
+            fp += count
+        else:
+            fn += count
+    return EvalReport(
+        n=n,
+        accuracy_overall=sum(correct) / n,
+        accuracy_by_type={t: (correct[i] / total[i] if total[i] else None)
+                          for t, i in _TYPE_INDEX.items()},
+        fp_count=fp,
+        fn_count=fn,
+        fp_rate=fp / n,
+        fn_rate=fn / n,
+        confusion=tuple(tuple(row) for row in confusion),
+    )
 
 
 # ---------------------------------------------------------------------------
-# Batch path: the scalar functions in riskrules.engine stay the reference
-# (and serve the proof trail); tests pin this path to them bit for bit.
-#
-# A condition missing from a case scores 0.0, and a chain containing 0.0
-# folds to at most 0.0 under every operator for scores in [0, 1]. Every
-# threshold is in (0, 1), so such a rule never fires: each case folds only
-# its live rules, those whose conditions it all scores. Minimal-risk rules
-# never change a prediction and are not compiled at all.
+# Batch path: one pass over the cases per operator. Each case's chain
+# scores are folded once, for its live rules only (see
+# rule_chain_scores), and decided at every threshold; build_report then
+# aggregates the predictions of each threshold.
 
-class _Plan:
-    """The floor-free rules of a rule set compiled for batch scoring.
+def _predictions(dataset: Dataset, ruleset: RuleSet, kind: TNormKind | Sequence[TNormKind],
+                 thetas: Sequence[float | None]) -> list[list[RiskCategory]]:
+    """Per threshold, the predicted category of every case.
 
-    Each rule carries its kernel code and its threshold grid: the rule's
-    own theta, or the thresholds shared by all rules (an override or a
-    sweep). Live rules are cached per set of scored conditions.
+    ``kind`` is one operator, or one per rule in mixed mode; a threshold
+    of None keeps each rule's own theta.
     """
-
-    def __init__(self, ruleset: RuleSet, kinds: Sequence[TNormKind],
-                 thetas: tuple[float, ...] | None = None):
-        self.points = 1 if thetas is None else len(thetas)
-        self._rules = []
-        for rule, kind in zip(ruleset.rules, kinds):
-            if rule.category is RiskCategory.MINIMAL_RISK:
-                continue
-            conds = rule.conditions
-            # itemgetter returns a bare value, not a tuple, for one key.
-            chain = itemgetter(*conds) if len(conds) > 1 else (lambda s, c=conds[0]: (s[c],))
-            grid = (rule.theta,) if thetas is None else thetas
-            self._rules.append((frozenset(conds),
-                                (chain, rule.category.severity, kind.code, grid)))
-        self._live = {}
-
-    def live(self, scored: frozenset) -> tuple:
-        """Compiled rules whose conditions all appear in ``scored``."""
-        rules = self._live.get(scored)
-        if rules is None:
-            rules = self._live[scored] = tuple(
-                compiled for conds, compiled in self._rules if conds <= scored)
-        return rules
+    per_theta = [[] for _ in thetas]
+    for case in dataset.cases:
+        chains = rule_chain_scores(case.scores, ruleset, kind)
+        for predicted, theta in zip(per_theta, thetas):
+            predicted.append(predicted_category(ruleset, chains, theta))
+    return per_theta
 
 
-def _batch(cases: Sequence[Case], plans: Sequence[_Plan]) -> list[tuple[list, bytearray]]:
-    """Score every case under every plan at each point of the plan's grid.
-
-    Returns per plan its tallies, one per grid point, and the predicted
-    severity of each case at the first point. A rule fires at the grid
-    points below its chain score, which bisection counts; a case is
-    predicted the highest severity that fires at a point, so along the
-    ascending grid its prediction steps down, and each step is recorded
-    in a difference array that a prefix sum turns into the tallies.
-    """
-    runs = [(plan, [[0] * _CELLS for _ in range(plan.points + 1)], bytearray())
-            for plan in plans]
-    for case in cases:
-        scores = case.scores
-        scored = frozenset(scores)
-        base = _BASE[case.expert_label.value, case.case_type.value]
-        for plan, steps, predicted in runs:
-            # reach[severity]: rules of that severity fire at points [0, reach).
-            reach = [plan.points, 0, 0, 0]
-            for chain, severity, code, grid in plan.live(scored):
-                r = bisect_left(grid, tnorm_fold(code, chain(scores)))
-                if r > reach[severity]:
-                    reach[severity] = r
-            lo = 0
-            for severity in (3, 2, 1, 0):
-                hi = reach[severity]
-                if hi > lo:
-                    if not lo:
-                        predicted.append(severity)
-                    steps[lo][base + severity] += 1
-                    steps[hi][base + severity] -= 1
-                    lo = hi
-    results = []
-    for plan, steps, predicted in runs:
-        tallies, running = [], [0] * _CELLS
-        for row in steps[:plan.points]:
-            running = [a + b for a, b in zip(running, row)]
-            tallies.append(running)
-        results.append((tallies, predicted))
-    return results
+def _labels(dataset: Dataset) -> tuple[list[RiskCategory], list[CaseType]]:
+    if not dataset.cases:
+        raise ValueError("empty dataset")
+    return [c.expert_label for c in dataset.cases], [c.case_type for c in dataset.cases]
 
 
-def _override_grid(theta_override: float | None) -> tuple[float, ...] | None:
-    """The one-point grid of a threshold override; None keeps each rule's theta."""
-    if theta_override is None:
-        return None
-    if not 0.0 < theta_override < 1.0:  # also rejects NaN
+def _check_override(theta_override: float | None) -> None:
+    if theta_override is not None and not 0.0 < theta_override < 1.0:  # also rejects NaN
         raise ValueError(f"theta out of range (0, 1): {theta_override}")
-    return (theta_override,)
 
 
 def evaluate(dataset: Dataset, ruleset: RuleSet, kind: TNormKind,
              theta_override: float | None = None) -> EvalReport:
     """Classify every case with one operator and report accuracy and errors."""
-    grid = _override_grid(theta_override)
-    if not dataset.cases:
-        raise ValueError("empty dataset")
-    plan = _Plan(ruleset, [kind] * len(ruleset.rules), grid)
-    [(tallies, _)] = _batch(dataset.cases, [plan])
-    return _report(tallies[0])
+    _check_override(theta_override)
+    expert, case_types = _labels(dataset)
+    [predicted] = _predictions(dataset, ruleset, kind, (theta_override,))
+    return build_report(expert, predicted, case_types)
 
 
 def evaluate_mixed(dataset: Dataset, ruleset: RuleSet,
                    theta_override: float | None = None) -> EvalReport:
     """Like :func:`evaluate` but with per-rule operators (mixed mode)."""
-    grid = _override_grid(theta_override)
-    if not dataset.cases:
-        raise ValueError("empty dataset")
-    for rule in ruleset.rules:
-        if rule.standard is None:
-            raise ValueError(f"mixed mode requires a conjunction standard on every rule; "
-                             f"rule {rule.rule_id!r} has none")
-    kinds = [STANDARD_OPERATORS[r.standard] for r in ruleset.rules]
-    plan = _Plan(ruleset, kinds, grid)
-    [(tallies, _)] = _batch(dataset.cases, [plan])
-    return _report(tallies[0])
+    _check_override(theta_override)
+    expert, case_types = _labels(dataset)
+    [predicted] = _predictions(dataset, ruleset, mixed_operators(ruleset), (theta_override,))
+    return build_report(expert, predicted, case_types)
 
 
 def mcnemar_exact(pred_a: Sequence[RiskCategory], pred_b: Sequence[RiskCategory],
@@ -265,7 +167,7 @@ def mcnemar_exact(pred_a: Sequence[RiskCategory], pred_b: Sequence[RiskCategory]
     """Exact binomial McNemar test on paired predictions.
 
     Labels are compared with ``==``, so any consistent encoding works
-    (categories, or their severities as in :func:`compare_operators`).
+    (categories, or their severities).
     """
     if not (len(pred_a) == len(pred_b) == len(expert)):
         raise ValueError("prediction and label sequences must have equal length")
@@ -304,14 +206,10 @@ def compare_operators(dataset: Dataset, ruleset: RuleSet,
         raise ValueError("need at least 2 operators to compare")
     if len(set(kinds)) != len(kinds):
         raise ValueError("duplicate operator in comparison")
-    grid = _override_grid(theta_override)
-    if not dataset.cases:
-        raise ValueError("empty dataset")
-    results = _batch(dataset.cases,
-                     [_Plan(ruleset, [k] * len(ruleset.rules), grid) for k in kinds])
-    reports = {k: _report(tallies[0]) for k, (tallies, _) in zip(kinds, results)}
-    predictions = {k: predicted for k, (_, predicted) in zip(kinds, results)}
-    expert = bytes(c.expert_label.severity for c in dataset.cases)
+    _check_override(theta_override)
+    expert, case_types = _labels(dataset)
+    predictions = {k: _predictions(dataset, ruleset, k, (theta_override,))[0] for k in kinds}
+    reports = {k: build_report(expert, predictions[k], case_types) for k in kinds}
     pairs = [
         (a, b, mcnemar_exact(predictions[a], predictions[b], expert))
         for i, a in enumerate(kinds)
@@ -354,14 +252,12 @@ def threshold_sweep(dataset: Dataset, ruleset: RuleSet,
     if not kinds:
         raise ValueError("need at least one operator")
     thetas = _theta_grid(theta_min, theta_max, step)
-    if not dataset.cases:
-        raise ValueError("empty dataset")
-    results = _batch(dataset.cases,
-                     [_Plan(ruleset, [k] * len(ruleset.rules), thetas) for k in kinds])
-    return [
-        SweepPoint(theta, {k: _report(tallies[j]) for k, (tallies, _) in zip(kinds, results)})
-        for j, theta in enumerate(thetas)
-    ]
+    expert, case_types = _labels(dataset)
+    reports = [{} for _ in thetas]
+    for k in kinds:
+        for point, predicted in zip(reports, _predictions(dataset, ruleset, k, thetas)):
+            point[k] = build_report(expert, predicted, case_types)
+    return [SweepPoint(theta, point) for theta, point in zip(thetas, reports)]
 
 
 # ---------------------------------------------------------------------------

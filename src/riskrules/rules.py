@@ -21,6 +21,9 @@ class RuleValidationError(ValueError):
     """A rule or rule file failed validation; the message names the culprit."""
 
 
+_SEVERITY = {"minimal_risk": 0, "limited_risk": 1, "high_risk": 2, "prohibited": 3}
+
+
 @functools.total_ordering
 class RiskCategory(enum.Enum):
     """Risk categories, totally ordered by severity (prohibited highest)."""
@@ -30,22 +33,15 @@ class RiskCategory(enum.Enum):
     LIMITED_RISK = "limited_risk"
     MINIMAL_RISK = "minimal_risk"
 
-    @property
-    def severity(self) -> int:
-        return _SEVERITY[self]
+    def __init__(self, value: str):
+        # A plain attribute, not a property: decisions and report tallies
+        # read it once per case.
+        self.severity: int = _SEVERITY[value]
 
     def __lt__(self, other: object):
         if not isinstance(other, RiskCategory):
             return NotImplemented
         return self.severity < other.severity
-
-
-_SEVERITY = {
-    RiskCategory.MINIMAL_RISK: 0,
-    RiskCategory.LIMITED_RISK: 1,
-    RiskCategory.HIGH_RISK: 2,
-    RiskCategory.PROHIBITED: 3,
-}
 
 #: Categories in descending severity; the fixed ordering used by reports.
 CATEGORY_ORDER = (
@@ -103,6 +99,10 @@ class Rule:
             raise RuleValidationError(f"rule {self.rule_id!r}: theta out of range (0, 1): {self.theta}")
 
 
+#: Most condition sets one rule set memoises in :meth:`RuleSet.live_rules`.
+LIVE_MEMO_SIZE = 4096
+
+
 @dataclass(frozen=True)
 class RuleSet:
     """A closed vocabulary plus the rules defined over it."""
@@ -110,6 +110,10 @@ class RuleSet:
     vocabulary: frozenset[str]
     rules: tuple[Rule, ...]
     _by_id: dict = field(default_factory=dict, repr=False, compare=False)
+    #: (index, theta, category) of the rules above the minimal-risk floor,
+    #: most severe first; declared order within a severity.
+    ranked: tuple = field(default=(), init=False, repr=False, compare=False)
+    _live: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "vocabulary", frozenset(self.vocabulary))
@@ -128,6 +132,25 @@ class RuleSet:
                         f"rule {rule.rule_id!r}: unknown condition {cond!r}")
             by_id[rule.rule_id] = rule
         object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "ranked", tuple(sorted(
+            ((i, r.theta, r.category) for i, r in enumerate(self.rules)
+             if r.category is not RiskCategory.MINIMAL_RISK),
+            key=lambda ranked: -ranked[2].severity)))
+
+    def live_rules(self, scored: frozenset[str]) -> tuple[int, ...]:
+        """Indices of the rules whose conditions all appear in ``scored``.
+
+        Only these rules can fire on a case that scores exactly ``scored``
+        (see :func:`riskrules.engine.rule_chain_scores`). Memoised for the
+        first :data:`LIVE_MEMO_SIZE` sets: a dataset repeats a few condition
+        patterns many times, and the cap bounds what the rule set keeps.
+        """
+        live = self._live.get(scored)
+        if live is None:
+            live = tuple(i for i, r in enumerate(self.rules) if scored.issuperset(r.conditions))
+            if len(self._live) < LIVE_MEMO_SIZE:
+                self._live[scored] = live
+        return live
 
     def rule(self, rule_id: str) -> Rule:
         try:

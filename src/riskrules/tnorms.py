@@ -23,6 +23,7 @@ reference implementation; ``BACKEND`` names it.
 from __future__ import annotations
 
 import enum
+import math
 from typing import Sequence
 
 from riskrules import _pykernels
@@ -30,6 +31,13 @@ from riskrules import _pykernels
 BACKEND = "pure-python"
 
 LOG_ZERO = float("-inf")
+
+_CODES = {
+    "lukasiewicz": _pykernels.LUKASIEWICZ,
+    "product": _pykernels.PRODUCT,
+    "goedel": _pykernels.GOEDEL,
+    "logproduct": _pykernels.LOGPRODUCT,
+}
 
 
 class TNormKind(enum.Enum):
@@ -40,9 +48,10 @@ class TNormKind(enum.Enum):
     GOEDEL = "goedel"
     LOGPRODUCT = "logproduct"
 
-    @property
-    def code(self) -> int:
-        return _CODES[self]
+    def __init__(self, value: str):
+        #: The operator's code in :mod:`riskrules._pykernels`; a plain
+        #: attribute because every fold reads it.
+        self.code: int = _CODES[value]
 
     @classmethod
     def from_name(cls, name: str) -> "TNormKind":
@@ -52,13 +61,6 @@ class TNormKind(enum.Enum):
             names = ", ".join(k.value for k in cls)
             raise ValueError(f"unknown t-norm {name!r}; expected one of: {names}") from None
 
-
-_CODES = {
-    TNormKind.LUKASIEWICZ: _pykernels.LUKASIEWICZ,
-    TNormKind.PRODUCT: _pykernels.PRODUCT,
-    TNormKind.GOEDEL: _pykernels.GOEDEL,
-    TNormKind.LOGPRODUCT: _pykernels.LOGPRODUCT,
-}
 
 #: The three operators compared in benchmark runs (logproduct is a
 #: numerical alias of product, not a fourth behaviour).
@@ -73,7 +75,10 @@ def unit_score(value: float, label: str = "score") -> float:
     (rule files, dataset files, CLI arguments); the operators below then
     assume validated inputs.
     """
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an int too large for a double is out of range too
+        v = math.inf
     if not 0.0 <= v <= 1.0:  # also rejects NaN, which fails every comparison
         raise ValueError(f"{label} must be a finite number in [0, 1], got {value!r}")
     return v

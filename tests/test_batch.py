@@ -2,18 +2,23 @@
 scalar reference in riskrules.engine, on random rule sets and cases.
 
 The batch path folds only each case's live rules (those whose conditions
-the case all scores) and tallies integer counts; these tests require it
-to reproduce, case for case, what classify/classify_mixed predict, and
-build_report over those predictions field for field.
+the case all scores), decides each case at every threshold and tallies
+integer counts; these tests require it to reproduce, case for case, what
+classify/classify_mixed predict, and build_report over those predictions
+field for field.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from riskrules.benchmark import Case, CaseType, Dataset
-from riskrules.engine import classify, classify_mixed, rule_chain_scores
+from riskrules.engine import (
+    classify,
+    classify_mixed,
+    predicted_category,
+    rule_chain_scores,
+    score_rule,
+)
 from riskrules.evaluation import (
-    _batch,
-    _Plan,
     build_report,
     compare_operators,
     evaluate,
@@ -22,7 +27,7 @@ from riskrules.evaluation import (
     threshold_sweep,
 )
 from riskrules.rules import ConjunctionStandard, RiskCategory, Rule, RuleSet
-from riskrules.tnorms import TNormKind
+from riskrules.tnorms import TNormKind, fold_chain
 
 VOCAB = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta")
 ALL_KINDS = tuple(TNormKind)
@@ -94,10 +99,32 @@ def test_evaluate_matches_classify(data):
     kind = data.draw(st.sampled_from(ALL_KINDS))
     override = data.draw(overrides(dataset, ruleset))
     scalar = [classify(c.scores, ruleset, kind, override).predicted for c in dataset.cases]
-    plan = _Plan(ruleset, [kind] * len(ruleset.rules), None if override is None else (override,))
-    [(_, predicted)] = _batch(dataset.cases, [plan])
-    assert list(predicted) == [p.severity for p in scalar]
+    batch = [predicted_category(ruleset, rule_chain_scores(c.scores, ruleset, kind), override)
+             for c in dataset.cases]
+    assert batch == scalar
     assert evaluate(dataset, ruleset, kind, override) == _scalar_report(dataset, scalar)
+
+
+@SETTINGS
+@given(st.data())
+def test_chain_scores_are_the_full_fold(data):
+    # A live rule's score is fold_chain over its chain, bit for bit; any
+    # other rule is 0.0, which the full fold (missing conditions as 0.0)
+    # equals up to the sign of zero. Both equal the proof trail's score.
+    ruleset = data.draw(rulesets())
+    dataset = data.draw(datasets(ruleset))
+    kinds = [data.draw(st.sampled_from(ALL_KINDS)) for _ in ruleset.rules]
+    for case in dataset.cases:
+        for per_rule in (kinds, kinds[0]):
+            scores = rule_chain_scores(case.scores, ruleset, per_rule)
+            for i, rule in enumerate(ruleset.rules):
+                kind = kinds[i] if per_rule is kinds else per_rule
+                full = fold_chain(kind, [case.scores.get(c, 0.0) for c in rule.conditions])
+                if set(rule.conditions) <= case.scores.keys():
+                    assert scores[i].hex() == full.hex()
+                else:
+                    assert scores[i].hex() == (0.0).hex() and full == 0.0
+                assert scores[i] == score_rule(rule, case.scores, kind).score
 
 
 @SETTINGS
@@ -164,7 +191,7 @@ def test_missing_condition_never_fires_even_at_tiny_theta():
 
 
 def test_mcnemar_counts_any_consistent_label_encoding():
-    # compare_operators passes severities as ints; categories give the same result.
+    # Severities as ints give the same result as the categories themselves.
     cats = [RiskCategory.HIGH_RISK, RiskCategory.MINIMAL_RISK, RiskCategory.PROHIBITED]
     a, b, e = cats, cats[::-1], [RiskCategory.HIGH_RISK] * 3
     as_ints = mcnemar_exact([c.severity for c in a], [c.severity for c in b],

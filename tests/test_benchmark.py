@@ -169,6 +169,8 @@ class TestParseCase:
         ({"scores": {"public_space": 0.5, "mystery": 0.5}}, "case 'x': unknown condition 'mystery'"),
         ({"scores": {"public_space": float("nan")}},
          "case 'x': score for 'public_space' must be a finite number in [0, 1], got nan"),
+        ({"scores": {"public_space": 10 ** 400}},
+         f"case 'x': score for 'public_space' must be a finite number in [0, 1], got {10 ** 400}"),
     ])
     def test_error_messages(self, field, message):
         with pytest.raises(DatasetValidationError) as err:

@@ -99,6 +99,33 @@ class TestDefaultRuleset:
         assert ruleset_to_json(default_ruleset()) == ruleset_to_json(default_ruleset())
 
 
+class TestLiveRules:
+    def test_live_rules_have_every_condition_scored(self):
+        ruleset = default_ruleset()
+        sets = [frozenset(c) for c in itertools.combinations(sorted(ruleset.vocabulary), 3)]
+        for scored in sets[:500] + [frozenset(ruleset.vocabulary), frozenset()]:
+            want = tuple(i for i, r in enumerate(ruleset.rules) if set(r.conditions) <= scored)
+            assert ruleset.live_rules(scored) == want
+
+    def test_memo_is_capped(self, monkeypatch):
+        monkeypatch.setattr("riskrules.rules.LIVE_MEMO_SIZE", 3)
+        ruleset = default_ruleset()
+        for cond in sorted(ruleset.vocabulary):
+            assert ruleset.live_rules(frozenset({cond})) == ()
+        assert len(ruleset._live) == 3
+
+    def test_ranked_is_most_severe_first_without_the_floor(self):
+        ruleset = RuleSet(frozenset({"a", "b"}), (
+            Rule("low", RiskCategory.LIMITED_RISK, ("a",), theta=0.3),
+            Rule("floor", RiskCategory.MINIMAL_RISK, ("a",)),
+            Rule("top", RiskCategory.PROHIBITED, ("b",), theta=0.7),
+            Rule("low2", RiskCategory.LIMITED_RISK, ("b",)),
+        ))
+        assert ruleset.ranked == ((2, 0.7, RiskCategory.PROHIBITED),
+                                  (0, 0.3, RiskCategory.LIMITED_RISK),
+                                  (3, 0.5, RiskCategory.LIMITED_RISK))
+
+
 class TestRoundTrip:
     def test_fixed_point(self, tmp_path, ruleset):
         path = tmp_path / "rules.json"
