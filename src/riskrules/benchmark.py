@@ -18,15 +18,18 @@ bottleneck reading that a condition at or above 0.55 is "present enough"
 for an expert.
 
 Generation is single-threaded on purpose; loaded datasets are immutable
-and shareable across workers.
+(each case's ``scores`` is a read-only mapping) and shareable across
+workers.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from riskrules.rules import CATEGORY_ORDER, RiskCategory, Rule, RuleSet, default_ruleset
@@ -45,11 +48,22 @@ class CaseType(Enum):
 
 @dataclass(frozen=True)
 class Case:
+    """One annotated case. ``scores`` is a read-only copy of the mapping
+    passed in, so a loaded case cannot be changed through it."""
+
     case_id: str
     description: str
-    scores: dict[str, float]
+    scores: Mapping[str, float]
     expert_label: RiskCategory
     case_type: CaseType
+
+    def __post_init__(self):
+        object.__setattr__(self, "scores", MappingProxyType(dict(self.scores)))
+
+    def __reduce__(self):
+        # A mappingproxy cannot be pickled; the constructor wraps the copy again.
+        return (Case, (self.case_id, self.description, dict(self.scores),
+                       self.expert_label, self.case_type))
 
 
 @dataclass(frozen=True)
@@ -128,7 +142,7 @@ def _case_to_obj(case: Case) -> dict:
         "description": case.description,
         "case_type": case.case_type.value,
         "expert_label": case.expert_label.value,
-        "scores": case.scores,
+        "scores": dict(case.scores),
     }
 
 
@@ -153,21 +167,26 @@ def _enum_field(table: dict, enum_cls, value, case_id: str, field: str):
     return member
 
 
-def parse_case(obj: dict, vocabulary: frozenset[str] | set[str],
-               where: str = "<case>") -> Case:
-    """Validate one case record against the schema and vocabulary."""
+class _Unplaced(Exception):
+    """A record error whose message the caller prefixes with the record's
+    location, so the location text is built only when a record fails."""
+
+
+def _parse_record(obj, vocabulary) -> Case:
     if not isinstance(obj, dict):
-        raise DatasetValidationError(f"{where}: case records must be JSON objects")
+        raise _Unplaced("case records must be JSON objects")
     case_id = obj.get("case_id")
     if not isinstance(case_id, str) or not case_id:
-        raise DatasetValidationError(f"{where}: missing or empty case_id")
-    if not obj.keys() <= _CASE_KEYS:
-        unknown = set(obj) - _CASE_KEYS
-        raise DatasetValidationError(
-            f"case {case_id!r}: unknown field {sorted(unknown)[0]!r}")
-    for key in ("description", "case_type", "expert_label", "scores"):
-        if key not in obj:
-            raise DatasetValidationError(f"case {case_id!r}: missing field {key!r}")
+        raise _Unplaced("missing or empty case_id")
+    keys = obj.keys()
+    if keys != _CASE_KEYS:  # a record with exactly the known keys needs no probe
+        unknown = keys - _CASE_KEYS
+        if unknown:
+            raise DatasetValidationError(
+                f"case {case_id!r}: unknown field {sorted(unknown)[0]!r}")
+        for key in ("description", "case_type", "expert_label", "scores"):
+            if key not in obj:
+                raise DatasetValidationError(f"case {case_id!r}: missing field {key!r}")
     if not isinstance(obj["description"], str):
         raise DatasetValidationError(f"case {case_id!r}: description must be a string")
     case_type = _enum_field(_CASE_TYPES, CaseType, obj["case_type"], case_id, "case_type")
@@ -180,14 +199,32 @@ def parse_case(obj: dict, vocabulary: frozenset[str] | set[str],
         if cond not in vocabulary:
             raise DatasetValidationError(
                 f"case {case_id!r}: unknown condition {cond!r}")
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
+        if type(value) is not float and (
+                not isinstance(value, (int, float)) or isinstance(value, bool)):
             raise DatasetValidationError(
                 f"case {case_id!r}: score for {cond!r} must be a number")
         try:
-            scores[cond] = unit_score(value, label=f"score for {cond!r}")
+            scores[cond] = unit_score(value)
         except ValueError as exc:
-            raise DatasetValidationError(f"case {case_id!r}: {exc}") from None
+            # unit_score's message starts with its default label, "score".
+            raise DatasetValidationError(
+                f"case {case_id!r}: score for {cond!r}{str(exc).removeprefix('score')}"
+            ) from None
     return Case(case_id, obj["description"], scores, label, case_type)
+
+
+def parse_case(obj: dict, vocabulary: frozenset[str] | set[str],
+               where: str = "<case>") -> Case:
+    """Validate one case record against the schema and vocabulary."""
+    try:
+        return _parse_record(obj, vocabulary)
+    except _Unplaced as exc:
+        raise DatasetValidationError(f"{where}: {exc}") from None
+
+
+#: The characters that undecodable bytes become under ``surrogateescape``.
+#: Valid UTF-8 never decodes to a surrogate.
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
 def load_dataset(path, vocabulary: Iterable[str] | None = None) -> Dataset:
@@ -195,23 +232,41 @@ def load_dataset(path, vocabulary: Iterable[str] | None = None) -> Dataset:
 
     ``vocabulary`` defaults to the built-in condition vocabulary; pass
     ``ruleset.vocabulary`` when using a custom rule file.
+
+    The file is UTF-8 and is read one line at a time: records end at LF,
+    CRLF or CR only, and blank lines are skipped. Beyond the cases,
+    memory is bounded by the longest line.
     """
     p = Path(path)
     vocab = frozenset(vocabulary) if vocabulary is not None else default_ruleset().vocabulary
     cases: list[Case] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DatasetValidationError(f"{p}:{lineno}: not valid JSON: {exc}") from None
-        case = parse_case(obj, vocab, where=f"{p}:{lineno}")
-        if case.case_id in seen:
-            raise DatasetValidationError(f"{p}:{lineno}: duplicate case_id {case.case_id!r}")
-        seen.add(case.case_id)
-        cases.append(case)
+    # surrogateescape keeps decoding going past a bad byte, so the error
+    # below names the line it is on rather than a position in a read chunk.
+    with open(p, encoding="utf-8", errors="surrogateescape") as lines:
+        for lineno, line in enumerate(lines, start=1):
+            if line.isspace():
+                continue
+            # Without its terminator, a JSON error's column is the line's.
+            line = line.rstrip("\n")
+            if not line.isascii():
+                bad = _ESCAPED_BYTE.search(line)
+                if bad:
+                    raise DatasetValidationError(
+                        f"{p}:{lineno}: not valid UTF-8: byte "
+                        f"0x{ord(bad.group()) - 0xDC00:02x} at column {bad.start() + 1}")
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DatasetValidationError(f"{p}:{lineno}: not valid JSON: {exc}") from None
+            try:
+                case = _parse_record(obj, vocab)
+            except _Unplaced as exc:
+                raise DatasetValidationError(f"{p}:{lineno}: {exc}") from None
+            if case.case_id in seen:
+                raise DatasetValidationError(f"{p}:{lineno}: duplicate case_id {case.case_id!r}")
+            seen.add(case.case_id)
+            cases.append(case)
     if not cases:
         raise DatasetValidationError(f"{p}: no cases")
     return Dataset(tuple(cases), provenance=str(p))

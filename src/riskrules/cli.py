@@ -154,7 +154,7 @@ def _cmd_compare(args) -> int:
 def _cmd_sweep(args) -> int:
     ruleset = _load_rules(args.rules)
     dataset = benchmark.load_dataset(args.dataset, ruleset.vocabulary)
-    kinds = args.tnorms if args.tnorms else [TNormKind.from_name(args.tnorm)]
+    kinds = args.tnorms if args.tnorms is not None else [TNormKind.from_name(args.tnorm)]
     points = evaluation.threshold_sweep(dataset, ruleset, kinds,
                                         args.theta_min, args.theta_max, args.theta_step)
     _emit(evaluation.sweep_to_csv(points), args.out)

@@ -107,6 +107,10 @@ class TestSweep:
                        "--theta-min", "0.6", "--theta-max", "0.4") == 1
         assert "invalid theta range" in capsys.readouterr().err
 
+    def test_empty_operator_list_is_validation_error(self, capsys):
+        assert run_cli("sweep", "--dataset", APPENDIX, "--tnorms", ",") == 1
+        assert capsys.readouterr().err == "error: need at least one operator\n"
+
 
 class TestGenerate:
     def test_byte_identical_runs(self, tmp_path):
