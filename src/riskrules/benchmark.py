@@ -25,14 +25,14 @@ workers.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from riskrules.rules import CATEGORY_ORDER, RiskCategory, Rule, RuleSet, default_ruleset
+from riskrules.rules import (CATEGORY_ORDER, RiskCategory, Rule, RuleSet, default_ruleset,
+                             read_utf8, utf8_fault)
 from riskrules.tnorms import unit_score
 
 
@@ -222,11 +222,6 @@ def parse_case(obj: dict, vocabulary: frozenset[str] | set[str],
         raise DatasetValidationError(f"{where}: {exc}") from None
 
 
-#: The characters that undecodable bytes become under ``surrogateescape``.
-#: Valid UTF-8 never decodes to a surrogate.
-_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
-
-
 def load_dataset(path, vocabulary: Iterable[str] | None = None) -> Dataset:
     """Load and validate a JSON-Lines dataset.
 
@@ -249,12 +244,9 @@ def load_dataset(path, vocabulary: Iterable[str] | None = None) -> Dataset:
                 continue
             # Without its terminator, a JSON error's column is the line's.
             line = line.rstrip("\n")
-            if not line.isascii():
-                bad = _ESCAPED_BYTE.search(line)
-                if bad:
-                    raise DatasetValidationError(
-                        f"{p}:{lineno}: not valid UTF-8: byte "
-                        f"0x{ord(bad.group()) - 0xDC00:02x} at column {bad.start() + 1}")
+            fault = utf8_fault(line)
+            if fault:
+                raise DatasetValidationError(f"{p}:{lineno}: {fault[1]}")
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
@@ -277,7 +269,7 @@ def load_case(path, vocabulary: Iterable[str] | None = None) -> Case:
     p = Path(path)
     vocab = frozenset(vocabulary) if vocabulary is not None else default_ruleset().vocabulary
     try:
-        obj = json.loads(p.read_text(encoding="utf-8"))
+        obj = json.loads(read_utf8(p, DatasetValidationError))
     except json.JSONDecodeError as exc:
         raise DatasetValidationError(f"{p}: not valid JSON: {exc}") from None
     # Classification inputs may omit the benchmark-only fields.

@@ -10,7 +10,11 @@ or input error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
+import stat
 import sys
+import tempfile
 from pathlib import Path
 
 from riskrules import benchmark, evaluation, rules
@@ -33,21 +37,38 @@ def _load_rules(source: str) -> rules.RuleSet:
     return rules.load_ruleset(source)
 
 
-def _theta(value: float | None) -> float | None:
-    if value is None:
-        return None
-    if not 0.0 < value < 1.0:
-        raise ValueError(f"theta out of range (0, 1): {value}")
-    return float(value)
-
-
 def _emit(text: str, out: str | None) -> None:
+    """Write ``text`` to stdout, or to a temp file beside ``out`` that is
+    then renamed over it: a failed write leaves an old output whole."""
     if not text.endswith("\n"):
         text += "\n"
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        st = os.stat(out)
+    except FileNotFoundError:
+        st = None
+    tmp = None
+    if st is None or stat.S_ISREG(st.st_mode):  # not /dev/stdout, a FIFO, ...
+        # Replace the file a symlink names, not the link.
+        target = os.path.realpath(out) if os.path.islink(out) else out
+        with contextlib.suppress(OSError):  # a missing or read-only directory
+            fd, tmp = tempfile.mkstemp(prefix=".riskrules-", dir=os.path.dirname(target))
+    if tmp is None:  # write in place; an error then names the output
+        Path(out).write_text(text, encoding="utf-8")
+        return
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as f:
+            f.write(text)
+        # The mode writing in place gives: the old file's, or 0666 & ~umask.
+        if st is None:
+            os.umask(umask := os.umask(0))
+        os.chmod(tmp, 0o666 & ~umask if st is None else stat.S_IMODE(st.st_mode))
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -120,12 +141,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_classify(args) -> int:
     ruleset = _load_rules(args.rules)
     case = benchmark.load_case(args.case, ruleset.vocabulary)
-    theta = _theta(args.theta)
     if args.mixed:
-        outcome = classify_mixed(case.scores, ruleset, theta, case_id=case.case_id)
+        outcome = classify_mixed(case.scores, ruleset, args.theta, case_id=case.case_id)
     else:
         outcome = classify(case.scores, ruleset, TNormKind.from_name(args.tnorm),
-                           theta, case_id=case.case_id)
+                           args.theta, case_id=case.case_id)
     _emit(outcome_to_json(outcome), args.out)
     return 0
 
@@ -133,11 +153,11 @@ def _cmd_classify(args) -> int:
 def _cmd_evaluate(args) -> int:
     ruleset = _load_rules(args.rules)
     dataset = benchmark.load_dataset(args.dataset, ruleset.vocabulary)
-    theta = _theta(args.theta)
     if args.mixed:
-        report = evaluation.evaluate_mixed(dataset, ruleset, theta)
+        report = evaluation.evaluate_mixed(dataset, ruleset, args.theta)
     else:
-        report = evaluation.evaluate(dataset, ruleset, TNormKind.from_name(args.tnorm), theta)
+        report = evaluation.evaluate(dataset, ruleset, TNormKind.from_name(args.tnorm),
+                                     args.theta)
     _emit(evaluation.report_to_json(report), args.out)
     return 0
 
@@ -145,8 +165,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_compare(args) -> int:
     ruleset = _load_rules(args.rules)
     dataset = benchmark.load_dataset(args.dataset, ruleset.vocabulary)
-    kinds = args.tnorms if isinstance(args.tnorms, list) else _tnorm_csv(args.tnorms)
-    reports, pairs = evaluation.compare_operators(dataset, ruleset, kinds, _theta(args.theta))
+    reports, pairs = evaluation.compare_operators(dataset, ruleset, args.tnorms, args.theta)
     _emit(evaluation.comparison_to_json(reports, pairs), args.out)
     return 0
 

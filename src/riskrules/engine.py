@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from riskrules.rules import RiskCategory, Rule, RuleSet, ConjunctionStandard
-from riskrules._pykernels import tnorm_fold
-from riskrules.tnorms import TNormKind, apply
+from riskrules.tnorms import TNormKind, apply, fold_chain
 
 #: Operator used for a rule's conjunction standard in mixed mode.
 STANDARD_OPERATORS = {
@@ -65,6 +64,12 @@ class ClassificationOutcome:
     winning_rule: str | None
 
 
+def check_theta(theta_override: float | None) -> None:
+    """Reject a global threshold override outside (0, 1), NaN included."""
+    if theta_override is not None and not 0.0 < theta_override < 1.0:
+        raise ValueError(f"theta out of range (0, 1): {theta_override}")
+
+
 def score_rule(rule: Rule, case_scores: Mapping[str, float], kind: TNormKind,
                theta_override: float | None = None) -> RuleScore:
     """Fold the rule's condition chain in declared order, recording each step."""
@@ -81,21 +86,14 @@ def score_rule(rule: Rule, case_scores: Mapping[str, float], kind: TNormKind,
 
 
 def _finish(case_id, rule_scores, tnorm_name, theta_override, ruleset):
-    fired_above_floor = [
-        rs for rs in rule_scores
-        if rs.fired and rs.category.severity > RiskCategory.MINIMAL_RISK.severity
-    ]
-    if fired_above_floor:
-        top = max(rs.category.severity for rs in fired_above_floor)
-        contenders = [rs for rs in fired_above_floor if rs.category.severity == top]
-        # Highest score wins; exact ties break to the lexicographically
-        # smallest rule_id so outcomes are reproducible.
-        winner = sorted(contenders, key=lambda rs: (-rs.score, rs.rule_id))[0]
-        predicted = winner.category
-        winning_rule = winner.rule_id
-    else:
-        predicted = RiskCategory.MINIMAL_RISK
-        winning_rule = None
+    # The most severe fired rule above the floor wins; within a severity
+    # the highest score, and exact ties break to the lexicographically
+    # smallest rule_id so outcomes are reproducible.
+    winner = min((rs for rs in rule_scores
+                  if rs.fired and rs.category is not RiskCategory.MINIMAL_RISK),
+                 key=lambda rs: (-rs.category.severity, -rs.score, rs.rule_id), default=None)
+    predicted = RiskCategory.MINIMAL_RISK if winner is None else winner.category
+    winning_rule = None if winner is None else winner.rule_id
     if theta_override is not None:
         theta_used = theta_override
     else:
@@ -108,6 +106,7 @@ def _finish(case_id, rule_scores, tnorm_name, theta_override, ruleset):
 def classify(case_scores: Mapping[str, float], ruleset: RuleSet, kind: TNormKind,
              theta_override: float | None = None, case_id: str = "case") -> ClassificationOutcome:
     """Score every rule with one operator and pick the final category."""
+    check_theta(theta_override)
     rule_scores = [score_rule(r, case_scores, kind, theta_override) for r in ruleset.rules]
     return _finish(case_id, rule_scores, kind.value, theta_override, ruleset)
 
@@ -120,6 +119,7 @@ def classify_mixed(case_scores: Mapping[str, float], ruleset: RuleSet,
     strong -> lukasiewicz, bottleneck -> goedel. Annotations are never
     inferred.
     """
+    check_theta(theta_override)
     rule_scores = [
         score_rule(r, case_scores, kind, theta_override)
         for r, kind in zip(ruleset.rules, mixed_operators(ruleset))
@@ -160,7 +160,7 @@ def rule_chain_scores(case_scores: Mapping[str, float], ruleset: RuleSet,
     for i in ruleset.live_rules(frozenset(case_scores)):
         conds = rules[i].conditions
         k = kind if isinstance(kind, TNormKind) else kind[i]
-        out[i] = tnorm_fold(k.code, map(case_scores.__getitem__, conds))
+        out[i] = fold_chain(k, map(case_scores.__getitem__, conds))
     return out
 
 

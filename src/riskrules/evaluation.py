@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from riskrules.benchmark import CaseType, Dataset
-from riskrules.engine import mixed_operators, predicted_category, rule_chain_scores
+from riskrules.engine import check_theta, mixed_operators, predicted_category, rule_chain_scores
 # Not called here; perfbench's traced run patches the name on this module.
 from riskrules.engine import classify_mixed  # noqa: F401
 from riskrules.rules import CATEGORY_ORDER, RiskCategory, RuleSet
@@ -139,15 +139,10 @@ def _labels(dataset: Dataset) -> tuple[list[RiskCategory], list[CaseType]]:
     return [c.expert_label for c in dataset.cases], [c.case_type for c in dataset.cases]
 
 
-def _check_override(theta_override: float | None) -> None:
-    if theta_override is not None and not 0.0 < theta_override < 1.0:  # also rejects NaN
-        raise ValueError(f"theta out of range (0, 1): {theta_override}")
-
-
 def evaluate(dataset: Dataset, ruleset: RuleSet, kind: TNormKind,
              theta_override: float | None = None) -> EvalReport:
     """Classify every case with one operator and report accuracy and errors."""
-    _check_override(theta_override)
+    check_theta(theta_override)
     expert, case_types = _labels(dataset)
     [predicted] = _predictions(dataset, ruleset, kind, (theta_override,))
     return build_report(expert, predicted, case_types)
@@ -156,7 +151,7 @@ def evaluate(dataset: Dataset, ruleset: RuleSet, kind: TNormKind,
 def evaluate_mixed(dataset: Dataset, ruleset: RuleSet,
                    theta_override: float | None = None) -> EvalReport:
     """Like :func:`evaluate` but with per-rule operators (mixed mode)."""
-    _check_override(theta_override)
+    check_theta(theta_override)
     expert, case_types = _labels(dataset)
     [predicted] = _predictions(dataset, ruleset, mixed_operators(ruleset), (theta_override,))
     return build_report(expert, predicted, case_types)
@@ -201,12 +196,12 @@ def compare_operators(dataset: Dataset, ruleset: RuleSet,
     and a list of ``(kind_a, kind_b, McNemarResult)`` for every unordered
     pair, in the order given.
     """
+    check_theta(theta_override)
     kinds = list(kinds)
     if len(kinds) < 2:
         raise ValueError("need at least 2 operators to compare")
     if len(set(kinds)) != len(kinds):
         raise ValueError("duplicate operator in comparison")
-    _check_override(theta_override)
     expert, case_types = _labels(dataset)
     predictions = {k: _predictions(dataset, ruleset, k, (theta_override,))[0] for k in kinds}
     reports = {k: build_report(expert, predictions[k], case_types) for k in kinds}

@@ -339,7 +339,33 @@ def _rule_from_obj(obj: dict, where: str) -> Rule:
 def load_ruleset(path) -> RuleSet:
     """Load and validate a rule file; errors name the offending rule and field."""
     p = Path(path)
-    return parse_ruleset(p.read_text(encoding="utf-8"), where=str(p))
+    return parse_ruleset(read_utf8(p, RuleValidationError), where=str(p))
+
+
+#: What undecodable bytes become under ``surrogateescape``; valid UTF-8
+#: never decodes to a surrogate.
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+def utf8_fault(text: str) -> tuple[int, str] | None:
+    """Line and message for the first byte of ``text``, decoded with
+    ``surrogateescape``, that is not UTF-8; None if every byte is."""
+    bad = None if text.isascii() else _ESCAPED_BYTE.search(text)
+    if bad is None:
+        return None
+    start = text.rfind("\n", 0, bad.start()) + 1
+    return (text.count("\n", 0, start) + 1, f"not valid UTF-8: byte "
+            f"0x{ord(bad.group()) - 0xDC00:02x} at column {bad.start() - start + 1}")
+
+
+def read_utf8(path: Path, error: type[ValueError]) -> str:
+    """A UTF-8 file's text as ``Path.read_text`` gives it; a byte that is
+    not UTF-8 raises ``error`` naming the file, line and column."""
+    text = path.read_text(encoding="utf-8", errors="surrogateescape")
+    fault = utf8_fault(text)
+    if fault:
+        raise error(f"{path}:{fault[0]}: {fault[1]}")
+    return text
 
 
 def save_ruleset(ruleset: RuleSet, path) -> None:

@@ -16,28 +16,21 @@ of every result. All functions here are pure and safe to call from any
 number of concurrent workers. These are inference-time combinators only;
 nothing is differentiable or trainable.
 
-The kernels live in :mod:`riskrules._pykernels`, the one scalar
-reference implementation; ``BACKEND`` names it.
+The Lukasiewicz operator short-circuits on an operand exactly equal to
+1.0: ``1.0 + x`` can round away the low bit of ``x``, and the boundary
+law T(1, x) = x must hold bit-for-bit. ``BACKEND`` names this, the one
+implementation.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from typing import Sequence
-
-from riskrules import _pykernels
+from typing import Iterable
 
 BACKEND = "pure-python"
 
 LOG_ZERO = float("-inf")
-
-_CODES = {
-    "lukasiewicz": _pykernels.LUKASIEWICZ,
-    "product": _pykernels.PRODUCT,
-    "goedel": _pykernels.GOEDEL,
-    "logproduct": _pykernels.LOGPRODUCT,
-}
 
 
 class TNormKind(enum.Enum):
@@ -47,11 +40,6 @@ class TNormKind(enum.Enum):
     PRODUCT = "product"
     GOEDEL = "goedel"
     LOGPRODUCT = "logproduct"
-
-    def __init__(self, value: str):
-        #: The operator's code in :mod:`riskrules._pykernels`; a plain
-        #: attribute because every fold reads it.
-        self.code: int = _CODES[value]
 
     @classmethod
     def from_name(cls, name: str) -> "TNormKind":
@@ -65,6 +53,9 @@ class TNormKind(enum.Enum):
 #: The three operators compared in benchmark runs (logproduct is a
 #: numerical alias of product, not a fourth behaviour).
 CANONICAL_KINDS = (TNormKind.LUKASIEWICZ, TNormKind.PRODUCT, TNormKind.GOEDEL)
+
+_LUKASIEWICZ = TNormKind.LUKASIEWICZ
+_GOEDEL = TNormKind.GOEDEL
 
 
 def unit_score(value: float, label: str = "score") -> float:
@@ -90,28 +81,61 @@ def apply(kind: TNormKind, a: float, b: float) -> float:
     ``logproduct`` returns exactly the same value as ``product``. Inputs
     are assumed validated (see :func:`unit_score`).
     """
-    return _pykernels.tnorm_apply(kind.code, a, b)
+    if kind is _LUKASIEWICZ:
+        if a == 1.0:
+            return b
+        if b == 1.0:
+            return a
+        t = a + b - 1.0
+        return t if t > 0.0 else 0.0
+    if kind is _GOEDEL:
+        return a if a < b else b
+    return a * b
 
 
-def fold_chain(kind: TNormKind, scores: Sequence[float]) -> float:
+def fold_chain(kind: TNormKind, scores: Iterable[float]) -> float:
     """Left-associated t-norm fold over a non-empty score chain.
 
-    A single-element chain returns that element unchanged. An empty
-    chain is rejected: a rule with no conditions has no meaning.
+    ``scores`` may be any iterable. A single-element chain returns that
+    element unchanged. An empty chain is rejected: a rule with no
+    conditions has no meaning.
     """
-    if not scores:
+    it = iter(scores)
+    acc = next(it, None)
+    if acc is None:
         raise ValueError("empty condition chain")
-    return _pykernels.tnorm_fold(kind.code, scores)
+    if kind is _LUKASIEWICZ:
+        for x in it:
+            if acc == 1.0:
+                acc = x
+            elif x != 1.0:
+                acc = acc + x - 1.0
+                if acc < 0.0:
+                    acc = 0.0
+    elif kind is _GOEDEL:
+        for x in it:
+            if x < acc:
+                acc = x
+    else:
+        for x in it:
+            acc = acc * x
+    return acc
 
 
-def fold_chain_log(scores: Sequence[float]) -> float:
+def fold_chain_log(scores: Iterable[float]) -> float:
     """Product chain accumulated in log space: the sum of natural logs.
 
     Returns :data:`LOG_ZERO` when any factor is exactly zero; exp() of
     the result matches ``fold_chain(PRODUCT, scores)`` up to rounding,
     while staying finite for long chains of strictly positive scores
-    whose direct product would underflow.
+    whose direct product would underflow. Like :func:`fold_chain`, it
+    takes any iterable and rejects an empty one.
     """
-    if not scores:
+    total = None
+    for x in scores:
+        if x == 0.0:
+            return LOG_ZERO
+        total = (0.0 if total is None else total) + math.log(x)
+    if total is None:
         raise ValueError("empty condition chain")
-    return _pykernels.tnorm_fold_log(scores)
+    return total

@@ -1,8 +1,10 @@
 """CLI behaviour: commands, determinism, exit codes, output framing."""
 
 import json
+import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -53,6 +55,10 @@ class TestClassify:
                        "--mixed") == 0
         assert json.loads(capsys.readouterr().out)["predicted"] == "high_risk"
 
+    def test_mixed_theta_checked_before_annotations(self, capsys):
+        assert run_cli("classify", "--case", HRM04, "--mixed", "--theta", "1.5") == 1
+        assert capsys.readouterr().err == "error: theta out of range (0, 1): 1.5\n"
+
     def test_tnorm_and_mixed_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("classify", "--case", HRM04, "--tnorm", "goedel", "--mixed")
@@ -84,6 +90,11 @@ class TestCompare:
                        "--tnorms", "product,logproduct") == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["pairs"][0]["b"] == 0 and doc["pairs"][0]["c"] == 0
+
+    def test_theta_checked_before_operator_count(self, capsys):
+        assert run_cli("compare", "--dataset", APPENDIX, "--tnorms", "goedel",
+                       "--theta", "1.5") == 1
+        assert capsys.readouterr().err == "error: theta out of range (0, 1): 1.5\n"
 
     def test_unknown_operator_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -160,6 +171,21 @@ class TestErrorHandling:
         assert run_cli("validate", "--dataset", str(path)) == 1
         assert "missing field" in capsys.readouterr().err
 
+    def test_case_file_not_utf8_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "case.json"
+        path.write_bytes(b'{"case_id": "x",\n "scores": {"public_space": 0.5}, "d\xff": 1}\n')
+        assert run_cli("classify", "--case", str(path), "--tnorm", "goedel") == 1
+        assert capsys.readouterr().err == \
+            f"error: {path}:2: not valid UTF-8: byte 0xff at column 37\n"
+
+    def test_rule_file_not_utf8_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "rules.json"
+        path.write_bytes(b'{"vocabulary": ["caf\xc3\xa9", "b\xe9"], "rules": []}\n')
+        assert run_cli("classify", "--case", HRM04, "--rules", str(path),
+                       "--tnorm", "goedel") == 1
+        assert capsys.readouterr().err == \
+            f"error: {path}:1: not valid UTF-8: byte 0xe9 at column 27\n"
+
     def test_no_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run_cli()
@@ -169,6 +195,71 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as exc:
             run_cli("classify", "--case", HRM04, "--tnorm", "frank")
         assert exc.value.code == 2
+
+
+class TestOut:
+    ARGS = ("classify", "--case", HRM04, "--tnorm", "goedel")
+
+    def test_failed_replace_keeps_the_old_output(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "trail.json"
+        out.write_text("old\n")
+
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        assert run_cli(*self.ARGS, "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: rename failed\n"
+        assert out.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["trail.json"]
+
+    def test_replaces_the_output(self, tmp_path, capsys):
+        out = tmp_path / "trail.json"
+        out.write_text("old\n")
+        out.chmod(0o640)
+        assert run_cli(*self.ARGS, "--out", str(out)) == 0
+        run_cli(*self.ARGS)
+        assert out.read_text() == capsys.readouterr().out
+        assert out.stat().st_mode & 0o777 == 0o640
+        assert os.listdir(tmp_path) == ["trail.json"]
+
+    def test_new_file_mode_follows_the_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            assert run_cli(*self.ARGS, "--out", str(tmp_path / "trail.json")) == 0
+        finally:
+            os.umask(old)
+        assert (tmp_path / "trail.json").stat().st_mode & 0o777 == 0o640
+
+    def test_symlink_target_is_replaced(self, tmp_path):
+        target = tmp_path / "real.json"
+        target.write_text("old\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        assert run_cli(*self.ARGS, "--out", str(link)) == 0
+        assert link.is_symlink()
+        assert json.loads(target.read_text())["case_id"] == "HRM04"
+        assert sorted(os.listdir(tmp_path)) == ["link.json", "real.json"]
+
+    def test_fifo_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "trail.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+        reader.start()
+        try:
+            assert run_cli(*self.ARGS, "--out", str(fifo)) == 0
+        finally:
+            reader.join(10)
+        assert not reader.is_alive()
+        assert json.loads(got[0])["case_id"] == "HRM04"
+        assert os.listdir(tmp_path) == ["trail.fifo"]
+
+    def test_missing_directory_error_names_the_output(self, tmp_path, capsys):
+        out = tmp_path / "no" / "trail.json"
+        assert run_cli(*self.ARGS, "--out", str(out)) == 1
+        assert capsys.readouterr().err == \
+            f"error: [Errno 2] No such file or directory: '{out}'\n"
 
 
 def test_module_entry_point(tmp_path):

@@ -2,11 +2,14 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from riskrules.benchmark import SplitMix64
 from riskrules.engine import (
+    check_theta,
     classify,
     classify_mixed,
     outcome_to_json,
@@ -175,6 +178,82 @@ class TestClassify:
         assert outcome.rule_scores[0].fired  # scored and trailed like any rule
         assert outcome.predicted is RiskCategory.MINIMAL_RISK
         assert outcome.winning_rule is None
+
+
+def _two_step_winner(rule_scores):
+    """The winner selection classify used before its single ``min``: the
+    top fired severity above the floor, then the highest score, then the
+    smallest rule_id."""
+    fired_above_floor = [
+        rs for rs in rule_scores
+        if rs.fired and rs.category.severity > RiskCategory.MINIMAL_RISK.severity
+    ]
+    if not fired_above_floor:
+        return RiskCategory.MINIMAL_RISK, None
+    top = max(rs.category.severity for rs in fired_above_floor)
+    contenders = [rs for rs in fired_above_floor if rs.category.severity == top]
+    winner = sorted(contenders, key=lambda rs: (-rs.score, rs.rule_id))[0]
+    return winner.category, winner.rule_id
+
+
+#: Few distinct values, so chain scores and thetas tie often.
+_tie_values = st.sampled_from([0.0, -0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+@st.composite
+def _tied_classifications(draw):
+    vocab = ("a", "b", "c")
+    ids = draw(st.lists(st.text("xyz", min_size=1, max_size=3), min_size=1, max_size=8,
+                        unique=True))
+    rules = tuple(
+        Rule(rule_id, draw(st.sampled_from(RiskCategory)),
+             tuple(draw(st.lists(st.sampled_from(vocab), min_size=1, max_size=2, unique=True))),
+             draw(st.sampled_from([0.25, 0.5, 0.75])),
+             standard=draw(st.sampled_from(ConjunctionStandard)))
+        for rule_id in ids)
+    scores = draw(st.dictionaries(st.sampled_from(vocab), _tie_values))
+    theta = draw(st.sampled_from([None, 0.2, 0.25, 0.5]))
+    return RuleSet(frozenset(vocab), rules), scores, theta
+
+
+@given(_tied_classifications(), st.sampled_from([*TNormKind, None]))
+def test_winner_matches_two_step_selection(drawn, kind):
+    ruleset, scores, theta = drawn
+    if kind is None:
+        outcome = classify_mixed(scores, ruleset, theta)
+    else:
+        outcome = classify(scores, ruleset, kind, theta)
+    assert (outcome.predicted, outcome.winning_rule) == _two_step_winner(outcome.rule_scores)
+
+
+BAD_THETAS = [0.0, 1.0, -1.0, 1.5, math.nan]
+
+
+class TestThetaOverrideRange:
+    @pytest.mark.parametrize("theta", BAD_THETAS)
+    def test_check_theta_rejects(self, theta):
+        with pytest.raises(ValueError) as exc:
+            check_theta(theta)
+        assert str(exc.value) == f"theta out of range (0, 1): {theta}"
+
+    @pytest.mark.parametrize("theta", [None, 5e-324, 0.5, 1 - 2 ** -53])
+    def test_check_theta_accepts(self, theta):
+        check_theta(theta)
+
+    @pytest.mark.parametrize("theta", BAD_THETAS)
+    def test_classify_rejects(self, ruleset, theta):
+        # One scored condition: -1.0 used to fire every rule that scores it.
+        with pytest.raises(ValueError, match=r"^theta out of range \(0, 1\): "):
+            classify({"public_space": 0.4}, ruleset, TNormKind.GOEDEL, theta)
+
+    @pytest.mark.parametrize("theta", BAD_THETAS)
+    def test_classify_mixed_rejects(self, ruleset, theta):
+        with pytest.raises(ValueError, match=r"^theta out of range \(0, 1\): "):
+            classify_mixed({"public_space": 0.4}, _annotated(ruleset), theta)
+
+    def test_classify_mixed_checks_theta_before_annotations(self, ruleset):
+        with pytest.raises(ValueError, match="theta out of range"):
+            classify_mixed(HRM04, ruleset, 1.5)
 
 
 def _annotated(ruleset, bottleneck=()):

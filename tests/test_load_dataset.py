@@ -19,10 +19,11 @@ from riskrules.benchmark import (
     DatasetValidationError,
     dataset_to_jsonl,
     generate_synthetic,
+    load_case,
     load_dataset,
     parse_case,
 )
-from riskrules.rules import RiskCategory
+from riskrules.rules import RiskCategory, RuleValidationError, load_ruleset, read_utf8
 
 
 def rec(case_id, ensure_ascii=True, **fields):
@@ -162,6 +163,38 @@ class TestDecoding:
         path = tmp_path / "crlf.jsonl"
         path.write_bytes(f"{A}\r\n".encode() + b"\xe2\x82\r\n")
         assert _outcome(path) == "{path}:2: not valid UTF-8: byte 0xe2 at column 1"
+
+
+class TestWholeFileDecoding:
+    """load_case and load_ruleset read a whole file; a bad byte is placed
+    by line and column as load_dataset places it."""
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_case_file(self, tmp_path, newline):
+        path = tmp_path / "case.json"
+        path.write_bytes(newline.join(['{"case_id": "x",', '', ' "d": "\xe9\xff"}'])
+                         .encode("latin-1"))
+        with pytest.raises(DatasetValidationError) as exc:
+            load_case(path)
+        assert str(exc.value) == f"{path}:3: not valid UTF-8: byte 0xe9 at column 8"
+
+    def test_rule_file_far_beyond_the_first_read(self, tmp_path):
+        path = tmp_path / "rules.json"
+        path.write_bytes(b'{"vocabulary": [],' + b" \n" * 20000 + b'"rules": ["\x80"]}')
+        with pytest.raises(RuleValidationError) as exc:
+            load_ruleset(path)
+        assert str(exc.value) == f"{path}:20001: not valid UTF-8: byte 0x80 at column 12"
+
+    @pytest.mark.parametrize("data", [b"a\r\nb\rc\n", "\ufeff\u00e9\u2028x\r".encode(), b""])
+    def test_valid_text_reads_as_read_text_does(self, tmp_path, data):
+        path = tmp_path / "any.json"
+        path.write_bytes(data)
+        assert read_utf8(path, ValueError) == path.read_text(encoding="utf-8")
+
+    def test_non_ascii_case_file_loads(self, tmp_path):
+        path = tmp_path / "case.json"
+        path.write_bytes(rec("\u00e9t\u00e9", ensure_ascii=False).encode("utf-8"))
+        assert load_case(path).case_id == "\u00e9t\u00e9"
 
 
 def test_load_holds_no_copy_of_the_file(tmp_path):

@@ -5,7 +5,6 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from riskrules import _pykernels
 from riskrules.benchmark import SplitMix64
 from riskrules.tnorms import (
     LOG_ZERO,
@@ -117,6 +116,11 @@ class TestAxioms:
         assert apply(kind, x, 1.0) == x
         assert apply(kind, 0.0, x) == 0.0
 
+    @given(st.sampled_from(ALL_KINDS), unit_floats)
+    def test_fold_boundary_bit_for_bit(self, kind, x):
+        assert fold_chain(kind, [1.0, x]).hex() == x.hex()
+        assert fold_chain(kind, [x, 1.0]).hex() == x.hex()
+
     @given(st.sampled_from(ALL_KINDS), unit_floats, unit_floats, unit_floats)
     def test_monotonicity(self, kind, a, a2, b):
         lo, hi = min(a, a2), max(a, a2)
@@ -171,12 +175,30 @@ class TestThresholdIdentity:
                     assert (fold <= 0.5 + 1e-12) == (i + j + k <= 50)
 
 
-class TestBackends:
-    @pytest.mark.parametrize("kernels", [_pykernels], ids=lambda m: m.__name__.rsplit(".", 1)[-1])
-    def test_kernel_examples(self, kernels):
-        assert kernels.tnorm_apply(kernels.LUKASIEWICZ, 0.3, 0.4) == 0.0
-        assert kernels.tnorm_fold(kernels.GOEDEL, [0.92, 0.58, 0.63]) == 0.58
-        assert kernels.tnorm_fold_log([1.0, 1.0]) == 0.0
+class TestFoldIterables:
+    chains = st.lists(st.sampled_from([0.0, -0.0, 1.0]) | unit_floats, min_size=1, max_size=8)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @given(chain=chains)
+    def test_iterator_fold_is_the_list_fold(self, kind, chain):
+        folded = fold_chain(kind, map(float, chain))
+        assert folded.hex() == fold_chain(kind, chain).hex()
+        assert folded.hex() == fold_chain(kind, tuple(chain)).hex()
+
+    @given(chain=chains)
+    def test_iterator_log_fold_is_the_list_fold(self, chain):
+        assert fold_chain_log(map(float, chain)).hex() == fold_chain_log(chain).hex()
+
+    def test_empty_iterator_rejected_by_log_fold(self):
+        with pytest.raises(ValueError, match="empty condition chain"):
+            fold_chain_log(map(float, []))
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_empty_iterator_rejected(self, kind):
+        with pytest.raises(ValueError, match="empty condition chain"):
+            fold_chain(kind, map(float, []))
+        with pytest.raises(ValueError, match="empty condition chain"):
+            fold_chain(kind, iter(()))
 
 
 class TestUnitScore:
