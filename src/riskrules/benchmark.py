@@ -12,7 +12,8 @@ The synthetic generator reproduces the published composition of the
 benchmark (630 clear / 325 marginal / 80 borderline per 1035 cases,
 label mass 32/28/27/13 across minimal/high/limited/prohibited) from a
 documented portable RNG, so runs with equal (n, seed, ruleset) are
-byte-identical. Expert labels come from :func:`reference_label`, a
+byte-identical; ``_ARCHETYPES`` holds the score bands each kind of case
+draws from. Expert labels come from :func:`reference_label`, a
 min-score stand-in for the published human annotations: it encodes the
 bottleneck reading that a condition at or above 0.55 is "present enough"
 for an expert.
@@ -31,8 +32,8 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from riskrules.rules import (CATEGORY_ORDER, RiskCategory, Rule, RuleSet, default_ruleset,
-                             read_utf8, utf8_fault)
+from riskrules.rules import (CATEGORY_ORDER, RiskCategory, RuleSet, default_ruleset, read_utf8,
+                             utf8_fault)
 from riskrules.tnorms import unit_score
 
 
@@ -249,7 +250,7 @@ def load_dataset(path, vocabulary: Iterable[str] | None = None) -> Dataset:
                 raise DatasetValidationError(f"{p}:{lineno}: {fault[1]}")
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also an integer literal too long to convert
                 raise DatasetValidationError(f"{p}:{lineno}: not valid JSON: {exc}") from None
             try:
                 case = _parse_record(obj, vocab)
@@ -268,9 +269,10 @@ def load_case(path, vocabulary: Iterable[str] | None = None) -> Case:
     """Load a single case record (a one-object JSON file) for classification."""
     p = Path(path)
     vocab = frozenset(vocabulary) if vocabulary is not None else default_ruleset().vocabulary
+    text = read_utf8(p, DatasetValidationError)
     try:
-        obj = json.loads(read_utf8(p, DatasetValidationError))
-    except json.JSONDecodeError as exc:
+        obj = json.loads(text)
+    except ValueError as exc:  # also an integer literal too long to convert
         raise DatasetValidationError(f"{p}: not valid JSON: {exc}") from None
     # Classification inputs may omit the benchmark-only fields.
     if isinstance(obj, dict):
@@ -336,23 +338,27 @@ _LABEL_SHARES = (
     (RiskCategory.LIMITED_RISK, 0.27),
     (RiskCategory.PROHIBITED, 0.13),
 )
+#: The categories a clear-positive or borderline case targets, most severe first.
+_POSITIVE = tuple(c for c in CATEGORY_ORDER if c is not RiskCategory.MINIMAL_RISK)
 # Fraction of marginal cases whose weakest condition lands just above
 # theta = 0.5, so min-semantics over-classifies them (about 0.8% of a
 # full-size dataset, matching the observed false-positive mass).
 _TRAP_FRACTION = 0.025
 
-# Score recipes per archetype. Marginal low scores stop at 0.499 and
-# borderline high scores at 0.92 so that, by construction, regular
-# marginal cases never fire under min-semantics and borderline cases
-# (three-condition sums capped at 2.49) never fire under the Lukasiewicz
-# chain at theta = 0.5.
-_CLEAR_POS_BAND = (0.82, 0.99)
-_CLEAR_NEG_BAND = (0.01, 0.11)
-_MARGINAL_LOW_BAND = (0.12, 0.499)
-_TRAP_LOW_BAND = (0.501, 0.549)
-_MARGINAL_REST_BAND = (0.70, 0.95)
-_BORDERLINE_LOW_BAND = (0.551, 0.65)
-_BORDERLINE_REST_BAND = (0.75, 0.92)
+# Archetype -> (case type, description text, band of the one low
+# condition or None, band of every other condition). Marginal low scores
+# stop at 0.499 and borderline high scores at 0.92 so that, by
+# construction, regular marginal cases never fire under min-semantics and
+# borderline cases (three-condition sums capped at 2.49) never fire under
+# the Lukasiewicz chain at theta = 0.5.
+_ARCHETYPES = {
+    "clear_pos": (CaseType.CLEAR, "clear positive", None, (0.82, 0.99)),
+    "clear_neg": (CaseType.CLEAR, "clear negative", None, (0.01, 0.11)),
+    "marginal": (CaseType.MARGINAL, "marginal", (0.12, 0.499), (0.70, 0.95)),
+    "marginal_trap": (CaseType.MARGINAL, "marginal (weakest condition just above threshold)",
+                      (0.501, 0.549), (0.70, 0.95)),
+    "borderline": (CaseType.BORDERLINE, "borderline", (0.551, 0.65), (0.75, 0.92)),
+}
 
 
 def _round_half_up(x: float) -> int:
@@ -377,23 +383,9 @@ def _largest_remainder(total: int, weights: list[float]) -> list[int]:
     return alloc
 
 
-def _capped_apportion(total: int, weights: list[float], caps: list[int]) -> list[int]:
-    alloc = _largest_remainder(total, weights)
-    alloc = [min(a, c) for a, c in zip(alloc, caps)]
-    deficit = total - sum(alloc)
-    order = sorted(range(len(alloc)), key=lambda i: (-(caps[i] - alloc[i]), i))
-    k = 0
-    while deficit > 0 and any(alloc[i] < caps[i] for i in range(len(alloc))):
-        i = order[k % len(order)]
-        if alloc[i] < caps[i]:
-            alloc[i] += 1
-            deficit -= 1
-        k += 1
-    return alloc
-
-
-def _composition(n: int) -> dict:
-    """Slot counts per (case type, category); deterministic arithmetic."""
+def _slots(n: int) -> list[tuple[str, RiskCategory | None]]:
+    """The unshuffled (archetype, target category) of each of ``n`` cases;
+    deterministic arithmetic. A category of None targets any rule."""
     n_marginal = _round_half_up(n * _TYPE_RATIO["marginal"])
     n_borderline = _round_half_up(n * _TYPE_RATIO["borderline"])
     n_clear = n - n_marginal - n_borderline
@@ -404,55 +396,28 @@ def _composition(n: int) -> dict:
         [cat for cat, _ in _LABEL_SHARES],
         _largest_remainder(n, [share for _, share in _LABEL_SHARES]),
     ))
-    positive = [c for c in CATEGORY_ORDER if c is not RiskCategory.MINIMAL_RISK]
-    pos_counts = [label_counts[c] for c in positive]
+    pos_counts = [label_counts[c] for c in _POSITIVE]
     if n_borderline > sum(pos_counts):
         raise ValueError(f"cannot allocate {n_borderline} borderline cases "
                          f"against {sum(pos_counts)} positive labels")
-    bord = _capped_apportion(n_borderline, [float(c) for c in pos_counts], pos_counts)
+    # Each share is at most its label count and rounds by at most one, so
+    # no category gets more borderline cases than it has labels.
+    bord = _largest_remainder(n_borderline, [float(c) for c in pos_counts])
 
     clear_neg = min(n_clear, max(0, label_counts[RiskCategory.MINIMAL_RISK] - n_marginal))
-    clear_pos_total = n_clear - clear_neg
     cp_weights = [float(max(0, pc - b)) for pc, b in zip(pos_counts, bord)]
-    clear_pos = _largest_remainder(clear_pos_total, cp_weights)
+    clear_pos = _largest_remainder(n_clear - clear_neg, cp_weights)
+    n_trap = _round_half_up(n_marginal * _TRAP_FRACTION)
 
-    return {
-        "n_marginal": n_marginal,
-        "n_borderline": n_borderline,
-        "n_trap": _round_half_up(n_marginal * _TRAP_FRACTION),
-        "clear_neg": clear_neg,
-        "clear_pos": dict(zip(positive, clear_pos)),
-        "borderline": dict(zip(positive, bord)),
-    }
-
-
-def _draw_scores(rng: SplitMix64, rule: Rule, archetype: str) -> dict[str, float]:
-    k = len(rule.conditions)
-    if archetype == "clear_pos":
-        return {c: rng.uniform(*_CLEAR_POS_BAND) for c in rule.conditions}
-    if archetype == "clear_neg":
-        return {c: rng.uniform(*_CLEAR_NEG_BAND) for c in rule.conditions}
-    if archetype in ("marginal", "marginal_trap"):
-        low_band = _TRAP_LOW_BAND if archetype == "marginal_trap" else _MARGINAL_LOW_BAND
-        low_at = rng.randrange(k)
-        return {
-            c: rng.uniform(*(low_band if i == low_at else _MARGINAL_REST_BAND))
-            for i, c in enumerate(rule.conditions)
-        }
-    low_at = rng.randrange(k)  # borderline
-    return {
-        c: rng.uniform(*(_BORDERLINE_LOW_BAND if i == low_at else _BORDERLINE_REST_BAND))
-        for i, c in enumerate(rule.conditions)
-    }
-
-
-_ARCHETYPE_TEXT = {
-    "clear_pos": "clear positive",
-    "clear_neg": "clear negative",
-    "marginal": "marginal",
-    "marginal_trap": "marginal (weakest condition just above threshold)",
-    "borderline": "borderline",
-}
+    slots: list[tuple[str, RiskCategory | None]] = []
+    for cat, count in zip(_POSITIVE, clear_pos):
+        slots += [("clear_pos", cat)] * count
+    slots += [("clear_neg", None)] * clear_neg
+    slots += [("marginal_trap", None)] * n_trap
+    slots += [("marginal", None)] * (n_marginal - n_trap)
+    for cat, count in zip(_POSITIVE, bord):
+        slots += [("borderline", cat)] * count
+    return slots
 
 
 def generate_synthetic(n: int, seed: int, ruleset: RuleSet | None = None) -> Dataset:
@@ -466,21 +431,13 @@ def generate_synthetic(n: int, seed: int, ruleset: RuleSet | None = None) -> Dat
         raise ValueError(f"need at least 4 cases, got {n}")
     if ruleset is None:
         ruleset = default_ruleset()
-    comp = _composition(n)
-    positive = [c for c in CATEGORY_ORDER if c is not RiskCategory.MINIMAL_RISK]
-    for cat in positive:
-        if (comp["clear_pos"][cat] or comp["borderline"][cat]) and not ruleset.rules_for(cat):
+    slots = _slots(n)
+    pools = {cat: ruleset.rules_for(cat) for cat in _POSITIVE}
+    for cat in _POSITIVE:
+        if not pools[cat] and any(target is cat for _, target in slots):
             raise ValueError(f"ruleset has no {cat.value} rules; cannot generate "
                              "the fixed label composition")
-
-    slots: list[tuple[str, RiskCategory | None]] = []
-    for cat in positive:
-        slots += [("clear_pos", cat)] * comp["clear_pos"][cat]
-    slots += [("clear_neg", None)] * comp["clear_neg"]
-    slots += [("marginal_trap", None)] * comp["n_trap"]
-    slots += [("marginal", None)] * (comp["n_marginal"] - comp["n_trap"])
-    for cat in positive:
-        slots += [("borderline", cat)] * comp["borderline"][cat]
+    pools[None] = ruleset.rules
 
     rng = SplitMix64(seed)
     rng.shuffle(slots)
@@ -488,20 +445,16 @@ def generate_synthetic(n: int, seed: int, ruleset: RuleSet | None = None) -> Dat
     width = max(6, len(str(n)))
     cases = []
     for i, (archetype, cat) in enumerate(slots, start=1):
-        pool = ruleset.rules_for(cat) if cat is not None else ruleset.rules
-        rule = rng.choice(pool)
-        scores = _draw_scores(rng, rule, archetype)
-        label = reference_label(scores, ruleset)
-        case_type = {
-            "clear_pos": CaseType.CLEAR, "clear_neg": CaseType.CLEAR,
-            "marginal": CaseType.MARGINAL, "marginal_trap": CaseType.MARGINAL,
-            "borderline": CaseType.BORDERLINE,
-        }[archetype]
+        case_type, text, low, rest = _ARCHETYPES[archetype]
+        rule = rng.choice(pools[cat])
+        low_at = rng.randrange(len(rule.conditions)) if low else -1
+        scores = {c: rng.uniform(*(low if j == low_at else rest))
+                  for j, c in enumerate(rule.conditions)}
         cases.append(Case(
             case_id=f"syn-{i:0{width}d}",
-            description=f"Synthetic {_ARCHETYPE_TEXT[archetype]} case targeting rule {rule.rule_id}",
+            description=f"Synthetic {text} case targeting rule {rule.rule_id}",
             scores=scores,
-            expert_label=label,
+            expert_label=reference_label(scores, ruleset),
             case_type=case_type,
         ))
     return Dataset(tuple(cases), provenance=f"generate_synthetic(n={n}, seed={seed})")

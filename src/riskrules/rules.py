@@ -281,7 +281,7 @@ def _rule_to_obj(rule: Rule) -> dict:
 def parse_ruleset(text: str, where: str = "<ruleset>") -> RuleSet:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal too long to convert
         raise RuleValidationError(f"{where}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise RuleValidationError(f"{where}: expected a JSON object")
@@ -319,6 +319,10 @@ def _rule_from_obj(obj: dict, where: str) -> Rule:
     theta = obj["theta"]
     if not isinstance(theta, (int, float)) or isinstance(theta, bool):
         raise RuleValidationError(f"rule {rule_id!r}: theta must be a number")
+    try:
+        theta = float(theta)
+    except OverflowError:  # an int too large for a double is out of range too
+        theta = float("inf")
     standard = None
     if "standard" in obj:
         try:
@@ -332,7 +336,7 @@ def _rule_from_obj(obj: dict, where: str) -> Rule:
     article = obj.get("article", "")
     if not isinstance(article, str):
         raise RuleValidationError(f"rule {rule_id!r}: article must be a string")
-    return Rule(rule_id, category, tuple(conditions), float(theta), article,
+    return Rule(rule_id, category, tuple(conditions), theta, article,
                 standard, synthetic)
 
 

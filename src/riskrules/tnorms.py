@@ -62,9 +62,8 @@ def unit_score(value: float, label: str = "score") -> float:
     """Validate a confidence value and return it as a float in [0, 1].
 
     Raises ValueError for non-finite values or anything outside the
-    closed interval. All scores enter the system through this check
-    (rule files, dataset files, CLI arguments); the operators below then
-    assume validated inputs.
+    closed interval. Dataset and case scores enter the system through
+    this check; the operators below then assume validated inputs.
     """
     try:
         v = float(value)
@@ -89,7 +88,7 @@ def apply(kind: TNormKind, a: float, b: float) -> float:
         t = a + b - 1.0
         return t if t > 0.0 else 0.0
     if kind is _GOEDEL:
-        return a if a < b else b
+        return b if b < a else a  # a tie keeps ``a``, as fold_chain does
     return a * b
 
 

@@ -13,6 +13,9 @@ from riskrules.benchmark import (
     Dataset,
     DatasetValidationError,
     SplitMix64,
+    _LABEL_SHARES,
+    _largest_remainder,
+    _slots,
     dataset_to_jsonl,
     generate_synthetic,
     load_case,
@@ -30,6 +33,10 @@ from conftest import BENCH_SEED, DATA_DIR
 # Frozen implementation artifacts: the generator's output format and RNG
 # consumption order are part of the reproducibility contract.
 GOLDEN_SHA256_1035_SEED42 = "4c07a973b7df727822cab376cf61d7341e8faa1230cd4a082e172a6353cb81a4"
+#: One SHA-256 over every generated dataset of GRID_NS x GRID_SEEDS, n outer.
+GRID_NS = (*range(4, 80), 1035, 5000)
+GRID_SEEDS = (0, 1, 7, 2 ** 64 - 1)
+GRID_SHA256 = "0ddbb7da7fe18e0f259d603427165b38ff7628edc000d70c4707749d8bd5201e"
 
 
 class TestSplitMix64:
@@ -263,6 +270,27 @@ class TestGenerateSynthetic:
     def test_golden_hash(self, bench1035):
         digest = hashlib.sha256(dataset_to_jsonl(bench1035).encode()).hexdigest()
         assert digest == GOLDEN_SHA256_1035_SEED42
+
+    def test_grid_hash(self):
+        digest = hashlib.sha256()
+        for n in GRID_NS:
+            for seed in GRID_SEEDS:
+                digest.update(dataset_to_jsonl(generate_synthetic(n, seed)).encode())
+        assert digest.hexdigest() == GRID_SHA256
+
+    def test_slot_composition(self):
+        # Rounding the borderline split never gives a category more
+        # borderline cases than it has labels.
+        for n in (*range(4, 3001), 10 ** 5, 10 ** 6):
+            slots = _slots(n)
+            assert len(slots) == n
+            types = Counter(archetype for archetype, _ in slots)
+            assert types["marginal"] + types["marginal_trap"] == int(n * 325 / 1035 + 0.5)
+            assert types["borderline"] == int(n * 80 / 1035 + 0.5)
+            labels = dict(zip([cat for cat, _ in _LABEL_SHARES],
+                              _largest_remainder(n, [share for _, share in _LABEL_SHARES])))
+            borderline = Counter(cat for archetype, cat in slots if archetype == "borderline")
+            assert all(count <= labels[cat] for cat, count in borderline.items())
 
     def test_different_seed_differs(self, bench1035, ruleset):
         assert generate_synthetic(1035, BENCH_SEED + 1, ruleset) != bench1035

@@ -186,6 +186,40 @@ class TestErrorHandling:
         assert capsys.readouterr().err == \
             f"error: {path}:1: not valid UTF-8: byte 0xe9 at column 27\n"
 
+    def test_rule_theta_too_large_for_a_float_names_the_rule(self, tmp_path, capsys):
+        path = tmp_path / "rules.json"
+        path.write_text('{"vocabulary": ["a"], "rules": [{"rule_id": "big", '
+                        '"category": "high_risk", "conditions": ["a"], "theta": 1'
+                        + "0" * 400 + "}]}")
+        assert run_cli("classify", "--case", HRM04, "--rules", str(path),
+                       "--tnorm", "goedel") == 1
+        assert capsys.readouterr().err == \
+            "error: rule 'big': theta out of range (0, 1): inf\n"
+
+    @pytest.mark.parametrize("kind", ["rules", "case", "dataset"])
+    def test_integer_literal_too_long_names_the_file(self, tmp_path, capsys, kind):
+        number = "1" + "0" * 5000
+        if kind == "rules":
+            path = tmp_path / "rules.json"
+            path.write_text('{"vocabulary": [], "rules": [], "n": %s}' % number)
+            argv = ("classify", "--case", HRM04, "--rules", str(path), "--tnorm", "goedel")
+            where = f"{path}: "
+        elif kind == "case":
+            path = tmp_path / "case.json"
+            path.write_text('{"case_id": "x", "scores": {"public_space": %s}}' % number)
+            argv = ("classify", "--case", str(path), "--tnorm", "goedel")
+            where = f"{path}: "
+        else:
+            path = tmp_path / "cases.jsonl"
+            first = (DATA_DIR / "cases_appendix.jsonl").read_text().splitlines(keepends=True)[0]
+            path.write_text(first + '{"case_id": "x", "scores": {"public_space": %s}}\n' % number)
+            argv = ("evaluate", "--dataset", str(path), "--tnorm", "goedel")
+            where = f"{path}:2: "
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}not valid JSON: Exceeds the limit")
+        assert err.count("\n") == 1
+
     def test_no_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run_cli()

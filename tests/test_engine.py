@@ -12,6 +12,7 @@ from riskrules.engine import (
     check_theta,
     classify,
     classify_mixed,
+    mixed_operators,
     outcome_to_json,
     predicted_category,
     rule_chain_scores,
@@ -56,6 +57,15 @@ class TestScoreRule:
         assert len(rs.steps) == 3
         assert all(st.missing_condition for st in rs.steps)
         assert all(st.condition_score == 0.0 for st in rs.steps)
+
+    def test_goedel_tie_keeps_the_accumulated_score(self, ruleset):
+        # min(0.0, -0.0) is a tie: the trail keeps 0.0, as the batch fold does.
+        scores = {"education_context": 0.9, "determines_access": 0.0, "affects_life_path": -0.0}
+        outcome = classify(scores, ruleset, TNormKind.GOEDEL)
+        rs = next(r for r in outcome.rule_scores if r.rule_id == "high_risk_education")
+        assert rs.score.hex() == (0.0).hex()
+        assert rs.steps[-1].accumulated.hex() == (0.0).hex()
+        assert '"score": -0.0' not in outcome_to_json(outcome)
 
     def test_missing_conditions_are_recorded_not_raised(self, ruleset):
         rule = ruleset.rule("prohibited_rt_biometric")
@@ -224,6 +234,30 @@ def test_winner_matches_two_step_selection(drawn, kind):
     else:
         outcome = classify(scores, ruleset, kind, theta)
     assert (outcome.predicted, outcome.winning_rule) == _two_step_winner(outcome.rule_scores)
+
+
+@st.composite
+def _tie_heavy_chains(draw):
+    vocab = ("a", "b", "c", "d")
+    rules = tuple(
+        Rule(f"r{i}", RiskCategory.HIGH_RISK,
+             tuple(draw(st.lists(st.sampled_from(vocab), min_size=1, max_size=4, unique=True))),
+             standard=draw(st.sampled_from(ConjunctionStandard)))
+        for i in range(draw(st.integers(1, 4))))
+    scores = draw(st.dictionaries(st.sampled_from(vocab),
+                                  st.one_of(_tie_values, st.floats(0.0, 1.0))))
+    return RuleSet(frozenset(vocab), rules), scores
+
+
+@given(_tie_heavy_chains(), st.sampled_from([*TNormKind, None]))
+def test_live_trail_scores_are_the_batch_scores_bit_for_bit(drawn, kind):
+    # The trail applies the operator step by step and the batch path folds
+    # the chain; on ties, signed zeros and ones both keep the same operand.
+    ruleset, scores = drawn
+    kinds = mixed_operators(ruleset) if kind is None else [kind] * len(ruleset.rules)
+    batch = rule_chain_scores(scores, ruleset, kinds if kind is None else kind)
+    for i in ruleset.live_rules(frozenset(scores)):
+        assert score_rule(ruleset.rules[i], scores, kinds[i]).score.hex() == batch[i].hex()
 
 
 BAD_THETAS = [0.0, 1.0, -1.0, 1.5, math.nan]
