@@ -32,8 +32,8 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from riskrules.rules import (CATEGORY_ORDER, RiskCategory, RuleSet, default_ruleset, read_utf8,
-                             utf8_fault)
+from riskrules.rules import (CATEGORY_ORDER, RiskCategory, RuleSet, decode_json, default_ruleset,
+                             read_utf8, utf8_fault)
 from riskrules.tnorms import unit_score
 
 
@@ -168,17 +168,14 @@ def _enum_field(table: dict, enum_cls, value, case_id: str, field: str):
     return member
 
 
-class _Unplaced(Exception):
-    """A record error whose message the caller prefixes with the record's
-    location, so the location text is built only when a record fails."""
-
-
-def _parse_record(obj, vocabulary) -> Case:
+def parse_case(obj: dict, vocabulary: frozenset[str] | set[str],
+               where: str = "<case>") -> Case:
+    """Validate one case record against the schema and vocabulary."""
     if not isinstance(obj, dict):
-        raise _Unplaced("case records must be JSON objects")
+        raise DatasetValidationError(f"{where}: case records must be JSON objects")
     case_id = obj.get("case_id")
     if not isinstance(case_id, str) or not case_id:
-        raise _Unplaced("missing or empty case_id")
+        raise DatasetValidationError(f"{where}: missing or empty case_id")
     keys = obj.keys()
     if keys != _CASE_KEYS:  # a record with exactly the known keys needs no probe
         unknown = keys - _CASE_KEYS
@@ -214,15 +211,6 @@ def _parse_record(obj, vocabulary) -> Case:
     return Case(case_id, obj["description"], scores, label, case_type)
 
 
-def parse_case(obj: dict, vocabulary: frozenset[str] | set[str],
-               where: str = "<case>") -> Case:
-    """Validate one case record against the schema and vocabulary."""
-    try:
-        return _parse_record(obj, vocabulary)
-    except _Unplaced as exc:
-        raise DatasetValidationError(f"{where}: {exc}") from None
-
-
 def load_dataset(path, vocabulary: Iterable[str] | None = None) -> Dataset:
     """Load and validate a JSON-Lines dataset.
 
@@ -234,6 +222,7 @@ def load_dataset(path, vocabulary: Iterable[str] | None = None) -> Dataset:
     memory is bounded by the longest line.
     """
     p = Path(path)
+    name = str(p)
     vocab = frozenset(vocabulary) if vocabulary is not None else default_ruleset().vocabulary
     cases: list[Case] = []
     seen: set[str] = set()
@@ -245,41 +234,32 @@ def load_dataset(path, vocabulary: Iterable[str] | None = None) -> Dataset:
                 continue
             # Without its terminator, a JSON error's column is the line's.
             line = line.rstrip("\n")
+            where = f"{name}:{lineno}"
             fault = utf8_fault(line)
             if fault:
-                raise DatasetValidationError(f"{p}:{lineno}: {fault[1]}")
-            try:
-                obj = json.loads(line)
-            except ValueError as exc:  # also an integer literal too long to convert
-                raise DatasetValidationError(f"{p}:{lineno}: not valid JSON: {exc}") from None
-            try:
-                case = _parse_record(obj, vocab)
-            except _Unplaced as exc:
-                raise DatasetValidationError(f"{p}:{lineno}: {exc}") from None
+                raise DatasetValidationError(f"{where}: {fault[1]}")
+            case = parse_case(decode_json(line, DatasetValidationError, where), vocab, where)
             if case.case_id in seen:
-                raise DatasetValidationError(f"{p}:{lineno}: duplicate case_id {case.case_id!r}")
+                raise DatasetValidationError(f"{where}: duplicate case_id {case.case_id!r}")
             seen.add(case.case_id)
             cases.append(case)
     if not cases:
-        raise DatasetValidationError(f"{p}: no cases")
-    return Dataset(tuple(cases), provenance=str(p))
+        raise DatasetValidationError(f"{name}: no cases")
+    return Dataset(tuple(cases), provenance=name)
 
 
 def load_case(path, vocabulary: Iterable[str] | None = None) -> Case:
     """Load a single case record (a one-object JSON file) for classification."""
     p = Path(path)
     vocab = frozenset(vocabulary) if vocabulary is not None else default_ruleset().vocabulary
-    text = read_utf8(p, DatasetValidationError)
-    try:
-        obj = json.loads(text)
-    except ValueError as exc:  # also an integer literal too long to convert
-        raise DatasetValidationError(f"{p}: not valid JSON: {exc}") from None
+    where = str(p)
+    obj = decode_json(read_utf8(p, DatasetValidationError), DatasetValidationError, where)
     # Classification inputs may omit the benchmark-only fields.
     if isinstance(obj, dict):
         obj.setdefault("description", "")
         obj.setdefault("case_type", CaseType.MARGINAL.value)
         obj.setdefault("expert_label", RiskCategory.MINIMAL_RISK.value)
-    return parse_case(obj, vocab, where=str(p))
+    return parse_case(obj, vocab, where)
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +350,6 @@ def _largest_remainder(total: int, weights: list[float]) -> list[int]:
     if total <= 0:
         return [0] * len(weights)
     wsum = sum(weights)
-    if wsum <= 0:
-        alloc = [0] * len(weights)
-        alloc[0] = total
-        return alloc
     shares = [total * w / wsum for w in weights]
     alloc = [int(s) for s in shares]
     leftovers = sorted(range(len(weights)),

@@ -177,31 +177,27 @@ def predicted_category(ruleset: RuleSet, chain_scores: Sequence[float],
 # ---------------------------------------------------------------------------
 # Proof-trail export.
 
-def _r6(x: float) -> float:
-    return round(x, 6)
-
-
 def outcome_to_obj(outcome: ClassificationOutcome) -> dict:
     return {
         "case_id": outcome.case_id,
         "tnorm": outcome.tnorm,
-        "theta": None if outcome.theta_used is None else _r6(outcome.theta_used),
+        "theta": None if outcome.theta_used is None else round(outcome.theta_used, 6),
         "predicted": outcome.predicted.value,
         "winning_rule": outcome.winning_rule,
         "rules": [
             {
                 "rule_id": rs.rule_id,
                 "category": rs.category.value,
-                "score": _r6(rs.score),
+                "score": round(rs.score, 6),
                 "fired": rs.fired,
                 "steps": [
                     {
                         "step_index": st.step_index,
                         "rule_id": st.rule_id,
                         "condition_id": st.condition_id,
-                        "condition_score": _r6(st.condition_score),
+                        "condition_score": round(st.condition_score, 6),
                         "operator": st.operator.value,
-                        "accumulated": _r6(st.accumulated),
+                        "accumulated": round(st.accumulated, 6),
                         "missing_condition": st.missing_condition,
                     }
                     for st in rs.steps

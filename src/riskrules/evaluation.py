@@ -258,23 +258,19 @@ def threshold_sweep(dataset: Dataset, ruleset: RuleSet,
 # ---------------------------------------------------------------------------
 # Exports.
 
-def _r6(x: float) -> float:
-    return round(x, 6)
-
-
 def report_to_obj(report: EvalReport) -> dict:
     return {
         "n": report.n,
-        "accuracy_overall": _r6(report.accuracy_overall),
+        "accuracy_overall": round(report.accuracy_overall, 6),
         "accuracy_by_type": {
             t.value: (None if report.accuracy_by_type[t] is None
-                      else _r6(report.accuracy_by_type[t]))
+                      else round(report.accuracy_by_type[t], 6))
             for t in CaseType
         },
         "fp_count": report.fp_count,
         "fn_count": report.fn_count,
-        "fp_rate": _r6(report.fp_rate),
-        "fn_rate": _r6(report.fn_rate),
+        "fp_rate": round(report.fp_rate, 6),
+        "fn_rate": round(report.fn_rate, 6),
         "categories": [c.value for c in CATEGORY_ORDER],
         "confusion": [list(row) for row in report.confusion],
     }

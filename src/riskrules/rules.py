@@ -279,10 +279,7 @@ def _rule_to_obj(rule: Rule) -> dict:
 
 
 def parse_ruleset(text: str, where: str = "<ruleset>") -> RuleSet:
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # also an integer literal too long to convert
-        raise RuleValidationError(f"{where}: not valid JSON: {exc}") from None
+    doc = decode_json(text, RuleValidationError, where)
     if not isinstance(doc, dict):
         raise RuleValidationError(f"{where}: expected a JSON object")
     for key in ("vocabulary", "rules"):
@@ -360,6 +357,16 @@ def utf8_fault(text: str) -> tuple[int, str] | None:
     start = text.rfind("\n", 0, bad.start()) + 1
     return (text.count("\n", 0, start) + 1, f"not valid UTF-8: byte "
             f"0x{ord(bad.group()) - 0xDC00:02x} at column {bad.start() - start + 1}")
+
+
+def decode_json(text: str, error: type[ValueError], where: str):
+    """``json.loads(text)``; text that is not JSON raises ``error`` prefixed
+    with ``where``. That covers an integer literal too long to convert and
+    nesting too deep for the decoder."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{where}: not valid JSON: {exc}") from None
 
 
 def read_utf8(path: Path, error: type[ValueError]) -> str:

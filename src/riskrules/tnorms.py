@@ -12,9 +12,12 @@ Three canonical operators plus a log-space product variant:
   on chains long enough to underflow a direct product.
 
 Chains fold left-associated, which fixes the floating-point bit pattern
-of every result. All functions here are pure and safe to call from any
-number of concurrent workers. These are inference-time combinators only;
-nothing is differentiable or trainable.
+of every result. :func:`fold_chain` holds the one definition of each
+operator and :func:`apply` is its two-element chain, so the proof
+trail's step-by-step fold and the batch path's fold cannot drift apart.
+All functions here are pure and safe to call from any number of
+concurrent workers. These are inference-time combinators only; nothing
+is differentiable or trainable.
 
 The Lukasiewicz operator short-circuits on an operand exactly equal to
 1.0: ``1.0 + x`` can round away the low bit of ``x``, and the boundary
@@ -75,21 +78,14 @@ def unit_score(value: float, label: str = "score") -> float:
 
 
 def apply(kind: TNormKind, a: float, b: float) -> float:
-    """Combine two unit-interval scores with the selected t-norm.
+    """Combine two unit-interval scores with the selected t-norm: the
+    two-element :func:`fold_chain`, which holds the one definition of each
+    operator.
 
     ``logproduct`` returns exactly the same value as ``product``. Inputs
     are assumed validated (see :func:`unit_score`).
     """
-    if kind is _LUKASIEWICZ:
-        if a == 1.0:
-            return b
-        if b == 1.0:
-            return a
-        t = a + b - 1.0
-        return t if t > 0.0 else 0.0
-    if kind is _GOEDEL:
-        return b if b < a else a  # a tie keeps ``a``, as fold_chain does
-    return a * b
+    return fold_chain(kind, (a, b))
 
 
 def fold_chain(kind: TNormKind, scores: Iterable[float]) -> float:
@@ -113,7 +109,7 @@ def fold_chain(kind: TNormKind, scores: Iterable[float]) -> float:
                     acc = 0.0
     elif kind is _GOEDEL:
         for x in it:
-            if x < acc:
+            if x < acc:  # a tie keeps the accumulator and its sign
                 acc = x
     else:
         for x in it:

@@ -9,15 +9,36 @@ import threading
 import pytest
 
 from riskrules.cli import main
+from riskrules.rules import RuleValidationError, parse_ruleset
 
 from conftest import DATA_DIR
 
 APPENDIX = str(DATA_DIR / "cases_appendix.jsonl")
 HRM04 = str(DATA_DIR / "hrm04.json")
+#: JSON nested deeper than the decoder's recursion limit.
+DEEP = "[" * 100_000 + "]" * 100_000
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def _bad_json_input(tmp_path, kind, text):
+    """CLI arguments that read ``text`` as a rule file, a case file or line 2
+    of a dataset (after a valid record), and the location its error names."""
+    if kind == "rules":
+        path = tmp_path / "rules.json"
+        argv = ("classify", "--case", HRM04, "--rules", str(path), "--tnorm", "goedel")
+    elif kind == "case":
+        path = tmp_path / "case.json"
+        argv = ("classify", "--case", str(path), "--tnorm", "goedel")
+    else:
+        path = tmp_path / "cases.jsonl"
+        first = (DATA_DIR / "cases_appendix.jsonl").read_text().splitlines(keepends=True)[0]
+        text = first + text + "\n"
+        argv = ("evaluate", "--dataset", str(path), "--tnorm", "goedel")
+    path.write_text(text)
+    return argv, f"{path}:2: " if kind == "dataset" else f"{path}: "
 
 
 class TestClassify:
@@ -199,26 +220,26 @@ class TestErrorHandling:
     @pytest.mark.parametrize("kind", ["rules", "case", "dataset"])
     def test_integer_literal_too_long_names_the_file(self, tmp_path, capsys, kind):
         number = "1" + "0" * 5000
-        if kind == "rules":
-            path = tmp_path / "rules.json"
-            path.write_text('{"vocabulary": [], "rules": [], "n": %s}' % number)
-            argv = ("classify", "--case", HRM04, "--rules", str(path), "--tnorm", "goedel")
-            where = f"{path}: "
-        elif kind == "case":
-            path = tmp_path / "case.json"
-            path.write_text('{"case_id": "x", "scores": {"public_space": %s}}' % number)
-            argv = ("classify", "--case", str(path), "--tnorm", "goedel")
-            where = f"{path}: "
-        else:
-            path = tmp_path / "cases.jsonl"
-            first = (DATA_DIR / "cases_appendix.jsonl").read_text().splitlines(keepends=True)[0]
-            path.write_text(first + '{"case_id": "x", "scores": {"public_space": %s}}\n' % number)
-            argv = ("evaluate", "--dataset", str(path), "--tnorm", "goedel")
-            where = f"{path}:2: "
+        text = ('{"vocabulary": [], "rules": [], "n": %s}' if kind == "rules"
+                else '{"case_id": "x", "scores": {"public_space": %s}}') % number
+        argv, where = _bad_json_input(tmp_path, kind, text)
         assert run_cli(*argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {where}not valid JSON: Exceeds the limit")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", ["rules", "case", "dataset"])
+    def test_deeply_nested_json_names_the_file(self, tmp_path, capsys, kind):
+        argv, where = _bad_json_input(tmp_path, kind, DEEP)
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}not valid JSON: maximum recursion depth exceeded")
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    def test_deeply_nested_rule_text_names_the_source(self):
+        with pytest.raises(RuleValidationError,
+                           match=r"^r\.json: not valid JSON: maximum recursion depth"):
+            parse_ruleset(DEEP, where="r.json")
 
     def test_no_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

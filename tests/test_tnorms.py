@@ -37,6 +37,16 @@ class TestApplyExamples:
     def test_product(self):
         assert apply(TNormKind.PRODUCT, 0.50, 0.50) == 0.25
 
+    @pytest.mark.parametrize("kind, a, b, expected", [
+        (TNormKind.GOEDEL, 0.0, -0.0, "0x0.0p+0"),  # a tie keeps the first operand
+        (TNormKind.GOEDEL, -0.0, 0.0, "-0x0.0p+0"),
+        (TNormKind.LUKASIEWICZ, 1.0, 0.30000000000000004, "0x1.3333333333334p-2"),
+        (TNormKind.LUKASIEWICZ, 0.30000000000000004, 1.0, "0x1.3333333333334p-2"),
+        (TNormKind.PRODUCT, -0.0, 0.5, "-0x0.0p+0"),
+    ])
+    def test_bit_pattern(self, kind, a, b, expected):
+        assert apply(kind, a, b).hex() == expected
+
     def test_logproduct_equals_product(self):
         for a, b in _uniform_pairs(500):
             assert apply(TNormKind.LOGPRODUCT, a, b) == apply(TNormKind.PRODUCT, a, b)
