@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: classify, evaluate, compare, sweep, generate, validate.
-Outputs go to --out or stdout, always ending in a newline, and contain
-no timestamps or other nondeterminism: identical arguments and input
+:func:`main` loads --rules, runs the command, then writes its output to
+--out or stdout, always ending in a newline. Outputs contain no
+timestamps or other nondeterminism: identical arguments and input
 files give byte-identical output. Exit codes: 0 success, 1 validation
 or input error, 2 usage error.
 """
@@ -29,12 +30,6 @@ def _tnorm_csv(text: str) -> list[TNormKind]:
         return [TNormKind.from_name(part.strip()) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _load_rules(source: str) -> rules.RuleSet:
-    if source == "default":
-        return rules.default_ruleset()
-    return rules.load_ruleset(source)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -82,9 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rules", default="default", metavar="PATH|default",
                        help="rule file, or 'default' for the built-in rule set")
 
-    def add_out(p):
-        p.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
-
     def add_operator_choice(p):
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--tnorm", choices=_TNORM_NAMES, help="conjunction operator")
@@ -96,14 +88,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_rules(p)
     add_operator_choice(p)
     p.add_argument("--theta", type=float, help="global threshold override")
-    add_out(p)
 
     p = sub.add_parser("evaluate", help="score a dataset and report accuracy/errors")
     p.add_argument("--dataset", required=True, metavar="PATH", help="JSON-Lines dataset")
     add_rules(p)
     add_operator_choice(p)
     p.add_argument("--theta", type=float, help="global threshold override")
-    add_out(p)
 
     p = sub.add_parser("compare", help="compare operators with pairwise McNemar tests")
     p.add_argument("--dataset", required=True, metavar="PATH")
@@ -111,7 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tnorms", type=_tnorm_csv, default="lukasiewicz,product,goedel",
                    metavar="CSV", help="comma-separated operators (default: %(default)s)")
     p.add_argument("--theta", type=float, help="global threshold override")
-    add_out(p)
 
     p = sub.add_parser("sweep", help="threshold sensitivity sweep, CSV output")
     p.add_argument("--dataset", required=True, metavar="PATH")
@@ -122,78 +111,63 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-min", type=float, default=0.25)
     p.add_argument("--theta-max", type=float, default=0.75)
     p.add_argument("--theta-step", type=float, default=0.05)
-    add_out(p)
 
     p = sub.add_parser("generate", help="generate a deterministic synthetic dataset")
     p.add_argument("--n", type=int, default=1035, help="number of cases (default: %(default)s)")
     p.add_argument("--seed", type=int, default=0, help="64-bit generator seed")
     add_rules(p)
-    add_out(p)
 
     p = sub.add_parser("validate", help="check dataset case-type score bands")
     p.add_argument("--dataset", required=True, metavar="PATH")
     add_rules(p)
-    add_out(p)
 
+    for p in sub.choices.values():  # every subcommand's last option
+        p.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
     return parser
 
 
-def _cmd_classify(args) -> int:
-    ruleset = _load_rules(args.rules)
+def _cmd_classify(args, ruleset) -> str:
     case = benchmark.load_case(args.case, ruleset.vocabulary)
     if args.mixed:
         outcome = classify_mixed(case.scores, ruleset, args.theta, case_id=case.case_id)
     else:
         outcome = classify(case.scores, ruleset, TNormKind.from_name(args.tnorm),
                            args.theta, case_id=case.case_id)
-    _emit(outcome_to_json(outcome), args.out)
-    return 0
+    return outcome_to_json(outcome)
 
 
-def _cmd_evaluate(args) -> int:
-    ruleset = _load_rules(args.rules)
+def _cmd_evaluate(args, ruleset) -> str:
     dataset = benchmark.load_dataset(args.dataset, ruleset.vocabulary)
     if args.mixed:
         report = evaluation.evaluate_mixed(dataset, ruleset, args.theta)
     else:
         report = evaluation.evaluate(dataset, ruleset, TNormKind.from_name(args.tnorm),
                                      args.theta)
-    _emit(evaluation.report_to_json(report), args.out)
-    return 0
+    return evaluation.report_to_json(report)
 
 
-def _cmd_compare(args) -> int:
-    ruleset = _load_rules(args.rules)
+def _cmd_compare(args, ruleset) -> str:
     dataset = benchmark.load_dataset(args.dataset, ruleset.vocabulary)
     reports, pairs = evaluation.compare_operators(dataset, ruleset, args.tnorms, args.theta)
-    _emit(evaluation.comparison_to_json(reports, pairs), args.out)
-    return 0
+    return evaluation.comparison_to_json(reports, pairs)
 
 
-def _cmd_sweep(args) -> int:
-    ruleset = _load_rules(args.rules)
+def _cmd_sweep(args, ruleset) -> str:
     dataset = benchmark.load_dataset(args.dataset, ruleset.vocabulary)
     kinds = args.tnorms if args.tnorms is not None else [TNormKind.from_name(args.tnorm)]
     points = evaluation.threshold_sweep(dataset, ruleset, kinds,
                                         args.theta_min, args.theta_max, args.theta_step)
-    _emit(evaluation.sweep_to_csv(points), args.out)
-    return 0
+    return evaluation.sweep_to_csv(points)
 
 
-def _cmd_generate(args) -> int:
-    ruleset = _load_rules(args.rules)
-    dataset = benchmark.generate_synthetic(args.n, args.seed, ruleset)
-    _emit(benchmark.dataset_to_jsonl(dataset), args.out)
-    return 0
+def _cmd_generate(args, ruleset) -> str:
+    return benchmark.dataset_to_jsonl(benchmark.generate_synthetic(args.n, args.seed, ruleset))
 
 
-def _cmd_validate(args) -> int:
-    ruleset = _load_rules(args.rules)
+def _cmd_validate(args, ruleset) -> str:
     dataset = benchmark.load_dataset(args.dataset, ruleset.vocabulary)
     warnings = benchmark.validate_case_types(dataset)
-    lines = warnings + [f"{len(warnings)} warning(s)"]
-    _emit("\n".join(lines), args.out)
-    return 0
+    return "\n".join(warnings + [f"{len(warnings)} warning(s)"])
 
 
 _COMMANDS = {
@@ -209,10 +183,13 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        ruleset = (rules.default_ruleset() if args.rules == "default"
+                   else rules.load_ruleset(args.rules))
+        _emit(_COMMANDS[args.command](args, ruleset), args.out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def run_main() -> None:

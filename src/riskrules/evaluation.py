@@ -243,7 +243,7 @@ def threshold_sweep(dataset: Dataset, ruleset: RuleSet,
     """
     if isinstance(kinds, TNormKind):
         kinds = (kinds,)
-    kinds = tuple(kinds)
+    kinds = tuple(dict.fromkeys(kinds))  # a repeated operator is swept once
     if not kinds:
         raise ValueError("need at least one operator")
     thetas = _theta_grid(theta_min, theta_max, step)

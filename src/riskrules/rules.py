@@ -109,7 +109,7 @@ class RuleSet:
 
     vocabulary: frozenset[str]
     rules: tuple[Rule, ...]
-    _by_id: dict = field(default_factory=dict, repr=False, compare=False)
+    _by_id: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     #: (index, theta, category) of the rules above the minimal-risk floor,
     #: most severe first; declared order within a severity.
     ranked: tuple = field(default=(), init=False, repr=False, compare=False)
@@ -288,6 +288,8 @@ def parse_ruleset(text: str, where: str = "<ruleset>") -> RuleSet:
     vocab = doc["vocabulary"]
     if not isinstance(vocab, list) or not all(isinstance(v, str) for v in vocab):
         raise RuleValidationError(f"{where}: vocabulary must be an array of strings")
+    if not isinstance(doc["rules"], list):
+        raise RuleValidationError(f"{where}: rules must be an array")
     rules = [_rule_from_obj(obj, where) for obj in doc["rules"]]
     return RuleSet(frozenset(vocab), tuple(rules))
 

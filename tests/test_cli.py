@@ -1,5 +1,7 @@
 """CLI behaviour: commands, determinism, exit codes, output framing."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,9 +9,17 @@ import sys
 import threading
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from riskrules.benchmark import CaseType
 from riskrules.cli import main
-from riskrules.rules import RuleValidationError, parse_ruleset
+from riskrules.rules import (
+    CONDITION_VOCABULARY,
+    ConjunctionStandard,
+    RiskCategory,
+    RuleValidationError,
+    parse_ruleset,
+)
 
 from conftest import DATA_DIR
 
@@ -241,6 +251,25 @@ class TestErrorHandling:
                            match=r"^r\.json: not valid JSON: maximum recursion depth"):
             parse_ruleset(DEEP, where="r.json")
 
+    @pytest.mark.parametrize("rules", ["null", "5", "false", "{}", '"r"'])
+    def test_rules_not_an_array_names_the_file(self, tmp_path, capsys, rules):
+        argv, where = _bad_json_input(tmp_path, "rules", '{"vocabulary": [], "rules": %s}' % rules)
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err == f"error: {where}rules must be an array\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("evaluate", "--dataset", "missing.jsonl", "--tnorm", "goedel"),
+        ("classify", "--case", "missing.json", "--tnorm", "goedel"),
+        ("generate",),
+    ])
+    def test_rule_error_comes_first(self, tmp_path, capsys, argv):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"vocabulary": ["a"], "rules": [{"rule_id": "r", '
+                       '"category": "x", "conditions": ["a"], "theta": 0.5}]}')
+        argv = [str(tmp_path / arg) if arg.startswith("missing") else arg for arg in argv]
+        assert run_cli(*argv, "--rules", str(bad)) == 1
+        assert capsys.readouterr().err == "error: rule 'r': unknown category 'x'\n"
+
     def test_no_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run_cli()
@@ -250,6 +279,80 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as exc:
             run_cli("classify", "--case", HRM04, "--tnorm", "frank")
         assert exc.value.code == 2
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+_TERMS = sorted(CONDITION_VOCABULARY)
+
+
+@st.composite
+def _record(draw, fields):
+    """An object over a schema's own keys with plausible values and at most
+    one fault: a field holding any JSON value, a missing field or an
+    unknown field."""
+    record = {key: draw(value) for key, value in fields.items()}
+    fault = draw(st.none() | st.sampled_from(["any", "missing", "unknown"]))
+    key = draw(st.sampled_from(sorted(fields)))
+    if fault == "any":
+        record[key] = draw(_JSON)
+    elif fault == "missing":
+        del record[key]
+    elif fault == "unknown":
+        record["zz"] = draw(_JSON)
+    return record
+
+
+_RULE = _record({
+    "rule_id": st.text(min_size=1, max_size=3),
+    "category": st.sampled_from([c.value for c in RiskCategory]),
+    "conditions": st.lists(st.sampled_from(_TERMS), min_size=1, max_size=3, unique=True),
+    "theta": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    "article": st.text(max_size=3),
+    "standard": st.sampled_from([s.value for s in ConjunctionStandard]),
+    "synthetic": st.booleans(),
+})
+_CASE = _record({
+    "case_id": st.text(min_size=1, max_size=3),
+    "description": st.text(max_size=3),
+    "case_type": st.sampled_from([t.value for t in CaseType]),
+    "expert_label": st.sampled_from([c.value for c in RiskCategory]),
+    "scores": st.dictionaries(st.sampled_from(_TERMS), st.floats(0.0, 1.0),
+                              min_size=1, max_size=3),
+})
+_DOCS = {
+    "rules": _record({"vocabulary": st.just(_TERMS), "rules": st.lists(_RULE, max_size=3)}),
+    "case": _CASE,
+    "dataset": _CASE,
+}
+
+
+class TestFuzzedInputs:
+    """Any JSON written as a rule file, a case file or a dataset line ends in
+    a result or a one-line exit-1 error, never an escaped exception."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(sorted(_DOCS)).flatmap(
+               lambda kind: st.tuples(st.just(kind), _DOCS[kind] | _JSON)),
+           st.sampled_from([("--mixed",)] + [("--tnorm", k) for k in ("goedel", "product")]))
+    @example(("rules", {"vocabulary": [], "rules": None}), ("--tnorm", "goedel"))
+    @example(("rules", {"vocabulary": [], "rules": 5}), ("--tnorm", "goedel"))
+    @example(("rules", {"vocabulary": [], "rules": False}), ("--tnorm", "goedel"))
+    def test_exit_0_or_one_error_line(self, tmp_path, kind_doc, operator):
+        kind, doc = kind_doc
+        argv, _ = _bad_json_input(tmp_path, kind, json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli(*argv[:-2], *operator)  # in place of "--tnorm", "goedel"
+        assert code in (0, 1)
+        if code:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        else:
+            assert err.getvalue() == "" and out.getvalue().endswith("\n")
 
 
 class TestOut:

@@ -8,6 +8,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from riskrules import evaluation
 from riskrules.benchmark import CaseType, Dataset, load_dataset
 from riskrules.evaluation import (
     build_report,
@@ -329,6 +330,21 @@ class TestThresholdSweep:
     def test_point_cap(self, hrm04_singleton, ruleset, step, count):
         with pytest.raises(ValueError, match=f"has {count} points; at most 10001"):
             threshold_sweep(hrm04_singleton, ruleset, TNormKind.PRODUCT, 0.1, 0.9, step)
+
+    def test_repeated_operator_is_swept_once(self, appendix_dataset, ruleset, monkeypatch):
+        calls = []
+        fold = evaluation.rule_chain_scores
+
+        def counted(*args):
+            calls.append(args)
+            return fold(*args)
+
+        monkeypatch.setattr(evaluation, "rule_chain_scores", counted)
+        twice = threshold_sweep(appendix_dataset, ruleset, [TNormKind.GOEDEL] * 2,
+                                0.25, 0.75, 0.05)
+        assert len(calls) == len(appendix_dataset.cases)
+        once = threshold_sweep(appendix_dataset, ruleset, [TNormKind.GOEDEL], 0.25, 0.75, 0.05)
+        assert sweep_to_csv(twice) == sweep_to_csv(once)
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),

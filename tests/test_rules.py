@@ -201,6 +201,11 @@ class TestValidation:
         with pytest.raises(RuleValidationError, match="thresh"):
             parse_ruleset(_doc([_rule_obj(thresh=0.5)]))
 
+    @pytest.mark.parametrize("rules", [None, 5, False, {"rule_id": "r"}, "rules"])
+    def test_rules_not_an_array(self, rules):
+        with pytest.raises(RuleValidationError, match=r"^r\.json: rules must be an array$"):
+            parse_ruleset(_doc(rules), where="r.json")
+
     def test_malformed_json(self):
         with pytest.raises(RuleValidationError, match="not valid JSON"):
             parse_ruleset("{nope")
@@ -221,6 +226,10 @@ class TestValidation:
             Rule("r", RiskCategory.HIGH_RISK, ("a", "a"))
         with pytest.raises(RuleValidationError):
             Rule("r", RiskCategory.HIGH_RISK, ("a",), theta=1.0)
+
+    def test_ruleset_takes_two_fields(self, ruleset):
+        with pytest.raises(TypeError):
+            RuleSet(ruleset.vocabulary, ruleset.rules, {"junk": 1})
 
     def test_ruleset_lookup(self, ruleset):
         with pytest.raises(KeyError):
