@@ -399,12 +399,14 @@ def _slots(n: int) -> list[tuple[str, RiskCategory | None]]:
 def generate_synthetic(n: int, seed: int, ruleset: RuleSet | None = None) -> Dataset:
     """Generate a deterministic synthetic benchmark of ``n`` cases.
 
-    Equal (n, seed, ruleset) always produce identical datasets. Each case
-    draws scores for exactly one target rule; expert labels come from
-    :func:`reference_label`.
+    Equal (n, seed, ruleset) always produce identical datasets; ``seed``
+    is a 64-bit unsigned integer. Each case draws scores for exactly one
+    target rule; expert labels come from :func:`reference_label`.
     """
     if n < 4:
         raise ValueError(f"need at least 4 cases, got {n}")
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     if ruleset is None:
         ruleset = default_ruleset()
     slots = _slots(n)

@@ -2,10 +2,11 @@
 
 Subcommands: classify, evaluate, compare, sweep, generate, validate.
 :func:`main` loads --rules, runs the command, then writes its output to
---out or stdout, always ending in a newline. Outputs contain no
-timestamps or other nondeterminism: identical arguments and input
-files give byte-identical output. Exit codes: 0 success, 1 validation
-or input error, 2 usage error.
+--out or stdout, always ending in a newline. It builds its argument
+parser on its first call and reuses it for every later call in the
+process. Outputs contain no timestamps or other nondeterminism:
+identical arguments and input files give byte-identical output. Exit
+codes: 0 success, 1 validation or input error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -180,8 +181,15 @@ _COMMANDS = {
 }
 
 
+#: The parser of every :func:`main` call in this process, built by the first.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         ruleset = (rules.default_ruleset() if args.rules == "default"
                    else rules.load_ruleset(args.rules))

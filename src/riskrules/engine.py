@@ -13,6 +13,11 @@ Rules that target the minimal-risk category are scored and trailed like
 any other but never "win": the floor category needs no trigger, which
 keeps "no winning rule" and "predicted minimal risk" synonymous.
 
+:func:`outcome_to_json` writes the trail's fixed ``indent=2`` layout
+itself. ``tests/test_engine.py::TestTrailWriter`` holds the object it
+stands for (``outcome_to_obj``) and checks the writer against
+``json.dumps(outcome_to_obj(o), indent=2) + "\\n"`` on random outcomes.
+
 All functions are pure; cases may be classified concurrently.
 """
 
@@ -177,37 +182,59 @@ def predicted_category(ruleset: RuleSet, chain_scores: Sequence[float],
 # ---------------------------------------------------------------------------
 # Proof-trail export.
 
-def outcome_to_obj(outcome: ClassificationOutcome) -> dict:
-    return {
-        "case_id": outcome.case_id,
-        "tnorm": outcome.tnorm,
-        "theta": None if outcome.theta_used is None else round(outcome.theta_used, 6),
-        "predicted": outcome.predicted.value,
-        "winning_rule": outcome.winning_rule,
-        "rules": [
-            {
-                "rule_id": rs.rule_id,
-                "category": rs.category.value,
-                "score": round(rs.score, 6),
-                "fired": rs.fired,
-                "steps": [
-                    {
-                        "step_index": st.step_index,
-                        "rule_id": st.rule_id,
-                        "condition_id": st.condition_id,
-                        "condition_score": round(st.condition_score, 6),
-                        "operator": st.operator.value,
-                        "accumulated": round(st.accumulated, 6),
-                        "missing_condition": st.missing_condition,
-                    }
-                    for st in rs.steps
-                ],
-            }
-            for rs in outcome.rule_scores
-        ],
-    }
+_str = json.encoder.encode_basestring_ascii  # json.dumps's string encoder
+#: json.dumps's spelling of the floats ``repr`` writes as nan and inf.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _num(x: float) -> str:
+    text = repr(round(x, 6))
+    return _NON_FINITE.get(text, text)
+
+
+def _array(items: list[str], indent: str) -> str:
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
+
+
+def _bool(flag: bool) -> str:
+    return "true" if flag else "false"
 
 
 def outcome_to_json(outcome: ClassificationOutcome) -> str:
-    """Proof-trail JSON; scores carry six decimal digits."""
-    return json.dumps(outcome_to_obj(outcome), indent=2) + "\n"
+    """Proof-trail JSON; scores carry six decimal digits.
+
+    Writes the layout of ``json.dumps(obj, indent=2) + "\\n"`` directly,
+    byte for byte: an ``indent`` forces json's pure-Python encoder.
+    """
+    rules = []
+    for rs in outcome.rule_scores:
+        steps = [
+            f'        {{\n'
+            f'          "step_index": {st.step_index},\n'
+            f'          "rule_id": {_str(st.rule_id)},\n'
+            f'          "condition_id": {_str(st.condition_id)},\n'
+            f'          "condition_score": {_num(st.condition_score)},\n'
+            f'          "operator": "{st.operator.value}",\n'
+            f'          "accumulated": {_num(st.accumulated)},\n'
+            f'          "missing_condition": {_bool(st.missing_condition)}\n'
+            f'        }}'
+            for st in rs.steps
+        ]
+        rules.append(
+            f'    {{\n'
+            f'      "rule_id": {_str(rs.rule_id)},\n'
+            f'      "category": "{rs.category.value}",\n'
+            f'      "score": {_num(rs.score)},\n'
+            f'      "fired": {_bool(rs.fired)},\n'
+            f'      "steps": {_array(steps, "      ")}\n'
+            f'    }}')
+    theta = "null" if outcome.theta_used is None else _num(outcome.theta_used)
+    winner = "null" if outcome.winning_rule is None else _str(outcome.winning_rule)
+    return (f'{{\n'
+            f'  "case_id": {_str(outcome.case_id)},\n'
+            f'  "tnorm": {_str(outcome.tnorm)},\n'
+            f'  "theta": {theta},\n'
+            f'  "predicted": "{outcome.predicted.value}",\n'
+            f'  "winning_rule": {winner},\n'
+            f'  "rules": {_array(rules, "  ")}\n'
+            f'}}\n')

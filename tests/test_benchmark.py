@@ -325,6 +325,11 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError, match="at least 4"):
             generate_synthetic(3, 1)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ValueError, match=rf"seed must be in \[0, 2\*\*64\), got {seed}$"):
+            generate_synthetic(4, seed)
+
     def test_ruleset_missing_category_rejected(self):
         vocab = frozenset({"a", "b", "c"})
         only_high = RuleSet(vocab, (Rule("h", RiskCategory.HIGH_RISK, ("a", "b", "c")),))

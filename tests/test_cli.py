@@ -1,6 +1,7 @@
 """CLI behaviour: commands, determinism, exit codes, output framing."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -11,6 +12,7 @@ import threading
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from riskrules import cli
 from riskrules.benchmark import CaseType
 from riskrules.cli import main
 from riskrules.rules import (
@@ -168,6 +170,22 @@ class TestGenerate:
         assert run_cli("validate", "--dataset", str(out)) == 0
         assert capsys.readouterr().out == "0 warning(s)\n"
         assert run_cli("evaluate", "--dataset", str(out), "--tnorm", "lukasiewicz") == 0
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "18446744073709551617"])
+    def test_seed_outside_64_bits_is_rejected(self, tmp_path, capsys, seed):
+        # SplitMix64 masks its seed: 2**64 + 1 would alias 1, and -1 alias 2**64 - 1.
+        out = tmp_path / "d.jsonl"
+        assert run_cli("generate", "--n", "5", "--seed", seed, "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: seed must be in [0, 2**64), got {seed}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed, digest", [
+        ("0", "bc573c0eeed8fae0b444741cf191f3f6f692aa6e3283b578edc6e1d5162fa4bd"),
+        ("18446744073709551615", "97d548291239ad439607bfdcaebe11adb1162064d74d7e20300b40112174e094"),
+    ])
+    def test_seeds_at_the_ends_of_the_range(self, capsys, seed, digest):
+        assert run_cli("generate", "--n", "5", "--seed", seed) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestValidate:
@@ -418,6 +436,55 @@ class TestOut:
         assert run_cli(*self.ARGS, "--out", str(out)) == 1
         assert capsys.readouterr().err == \
             f"error: [Errno 2] No such file or directory: '{out}'\n"
+
+
+def _fresh_process(argv):
+    proc = subprocess.run([sys.executable, "-m", "riskrules", *argv], capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "COLUMNS": "80"})
+    return proc.stdout, proc.stderr, proc.returncode
+
+
+class TestSharedParser:
+    """``main`` reuses one parser: no call may see what an earlier call parsed."""
+
+    SEQUENCE = (
+        ("sweep", "--dataset", APPENDIX, "--tnorms", "goedel,product"),
+        ("sweep", "--dataset", APPENDIX, "--tnorm", "lukasiewicz"),
+        ("compare", "--dataset", APPENDIX, "--tnorms", "goedel,product"),
+        ("compare", "--dataset", APPENDIX),
+        ("classify", "--case", HRM04, "--tnorm", "product", "--theta", "0.4"),
+        ("classify", "--case", HRM04, "--tnorm", "product"),
+        ("classify", "--case", HRM04, "--tnorm", "frank"),
+        ("sweep", "--dataset", APPENDIX, "--tnorm", "goedel", "--tnorms", "product"),
+        ("classify", "--help"),
+        ("--help",),
+        ("evaluate", "--dataset", APPENDIX, "--mixed"),
+        ("evaluate", "--dataset", APPENDIX, "--tnorm", "goedel"),
+    )
+
+    def test_each_call_matches_a_fresh_process(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        for argv in self.SEQUENCE:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            assert (out, err, code) == _fresh_process(argv), argv
+
+    def test_parser_is_built_at_most_once(self, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        monkeypatch.setattr(cli, "_parser", None)
+        for argv in self.SEQUENCE[:6] * 3:
+            assert main(list(argv)) == 0
+        assert built == [1]
+
+    def test_import_builds_no_parser(self):
+        proc = subprocess.run([sys.executable, "-c", "import riskrules.cli as c; print(c._parser)"],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.stdout == "None\n", proc.stderr
 
 
 def test_module_entry_point(tmp_path):

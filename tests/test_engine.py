@@ -5,10 +5,13 @@ import json
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from riskrules.benchmark import SplitMix64
 from riskrules.engine import (
+    ClassificationOutcome,
+    ProofStep,
+    RuleScore,
     check_theta,
     classify,
     classify_mixed,
@@ -400,3 +403,99 @@ class TestOutcomeExport:
         doc = json.loads(outcome_to_json(classify_mixed(HRM04, varied, case_id="x")))
         assert doc["tnorm"] == "mixed"
         assert doc["theta"] is None  # no single threshold applies
+
+
+# ---------------------------------------------------------------------------
+# Trail writer parity: outcome_to_json writes the layout json.dumps gives
+# this object, without building it.
+
+def outcome_to_obj(outcome):
+    """The proof trail as the object ``outcome_to_json`` writes; the oracle."""
+    return {
+        "case_id": outcome.case_id,
+        "tnorm": outcome.tnorm,
+        "theta": None if outcome.theta_used is None else round(outcome.theta_used, 6),
+        "predicted": outcome.predicted.value,
+        "winning_rule": outcome.winning_rule,
+        "rules": [
+            {
+                "rule_id": rs.rule_id,
+                "category": rs.category.value,
+                "score": round(rs.score, 6),
+                "fired": rs.fired,
+                "steps": [
+                    {
+                        "step_index": st.step_index,
+                        "rule_id": st.rule_id,
+                        "condition_id": st.condition_id,
+                        "condition_score": round(st.condition_score, 6),
+                        "operator": st.operator.value,
+                        "accumulated": round(st.accumulated, 6),
+                        "missing_condition": st.missing_condition,
+                    }
+                    for st in rs.steps
+                ],
+            }
+            for rs in outcome.rule_scores
+        ],
+    }
+
+
+#: Ids with non-ASCII, quote, backslash and control characters.
+_ids = st.text(st.sampled_from('aé€\U0001f600"\\\x00\x1f\n '), max_size=4) | st.text(max_size=4)
+#: Scores that print specially or round at the sixth decimal.
+_trail_scores = (st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1 / 3, 0.1234565, 0.4999995, 0.9999995,
+                                  1e-7, 5e-7])
+                 | st.floats(0.0, 1.0))
+_thetas = st.sampled_from([0.5, 0.4999995, 1 / 3]) | st.floats(0.0, 1.0, exclude_min=True,
+                                                                exclude_max=True)
+
+
+@st.composite
+def _trail_cases(draw):
+    vocab = ("a", "b", "c", "d")
+    shared = draw(_thetas) if draw(st.booleans()) else None
+    rules = tuple(
+        Rule(rule_id, draw(st.sampled_from(RiskCategory)),
+             tuple(draw(st.lists(st.sampled_from(vocab), min_size=1, max_size=4, unique=True))),
+             shared if shared is not None else draw(_thetas),
+             standard=draw(st.sampled_from(ConjunctionStandard)))
+        for rule_id in draw(st.lists(_ids.filter(bool), max_size=4, unique=True)))
+    scores = draw(st.dictionaries(st.sampled_from(vocab), _trail_scores))
+    return RuleSet(frozenset(vocab), rules), scores, draw(st.none() | _thetas), draw(_ids)
+
+
+def _dumps(outcome):
+    return json.dumps(outcome_to_obj(outcome), indent=2) + "\n"
+
+
+class TestTrailWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(_trail_cases(), st.sampled_from([*TNormKind, None]))
+    def test_matches_json_dumps(self, drawn, kind):
+        ruleset, scores, theta, case_id = drawn
+        if kind is None:
+            outcome = classify_mixed(scores, ruleset, theta, case_id=case_id)
+        else:
+            outcome = classify(scores, ruleset, kind, theta, case_id=case_id)
+        assert outcome_to_json(outcome) == _dumps(outcome)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_json_dumps_on_any_field_values(self, data):
+        # Outcomes built field by field: any string, any float, no steps.
+        numbers = _trail_scores | st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats()
+        text = _ids | st.text()
+        rule_scores = tuple(
+            RuleScore(data.draw(text), data.draw(st.sampled_from(RiskCategory)),
+                      data.draw(numbers), data.draw(st.booleans()),
+                      tuple(ProofStep(i, data.draw(text), data.draw(text), data.draw(numbers),
+                                      data.draw(st.sampled_from(TNormKind)), data.draw(numbers),
+                                      data.draw(st.booleans()))
+                            for i in range(data.draw(st.integers(0, 3)))))
+            for _ in range(data.draw(st.integers(0, 3))))
+        outcome = ClassificationOutcome(
+            data.draw(text), data.draw(st.sampled_from(RiskCategory)),
+            data.draw(st.sampled_from([*(k.value for k in TNormKind), "mixed"])),
+            data.draw(st.none() | numbers), rule_scores, data.draw(st.none() | text))
+        assert outcome_to_json(outcome) == _dumps(outcome)
