@@ -132,7 +132,7 @@ def validate_case_types(dataset: Dataset) -> list[str]:
 # JSON-Lines dataset files.
 
 _CASE_KEYS = frozenset({"case_id", "description", "case_type", "expert_label", "scores"})
-#: Enum values -> members, for the common case of a well-formed record.
+#: Enum values -> members: the strings a record may name them by.
 _CASE_TYPES = {t.value: t for t in CaseType}
 _LABELS = {c.value: c for c in RiskCategory}
 
@@ -155,16 +155,12 @@ def save_dataset(dataset: Dataset, path) -> None:
     Path(path).write_text(dataset_to_jsonl(dataset), encoding="utf-8")
 
 
-def _enum_field(table: dict, enum_cls, value, case_id: str, field: str):
-    """The member named by a record field: string values through ``table``,
-    anything else (and the error for an unknown value) through the Enum."""
+def _enum_field(table: dict, value, case_id: str, field: str):
+    """The member a record field names. ``table`` holds every member's
+    string value, and no other JSON value equals one."""
     member = table.get(value) if type(value) is str else None
     if member is None:
-        try:
-            member = enum_cls(value)
-        except ValueError:
-            raise DatasetValidationError(
-                f"case {case_id!r}: unknown {field} {value!r}") from None
+        raise DatasetValidationError(f"case {case_id!r}: unknown {field} {value!r}")
     return member
 
 
@@ -187,8 +183,8 @@ def parse_case(obj: dict, vocabulary: frozenset[str] | set[str],
                 raise DatasetValidationError(f"case {case_id!r}: missing field {key!r}")
     if not isinstance(obj["description"], str):
         raise DatasetValidationError(f"case {case_id!r}: description must be a string")
-    case_type = _enum_field(_CASE_TYPES, CaseType, obj["case_type"], case_id, "case_type")
-    label = _enum_field(_LABELS, RiskCategory, obj["expert_label"], case_id, "expert_label")
+    case_type = _enum_field(_CASE_TYPES, obj["case_type"], case_id, "case_type")
+    label = _enum_field(_LABELS, obj["expert_label"], case_id, "expert_label")
     raw_scores = obj["scores"]
     if not isinstance(raw_scores, dict) or not raw_scores:
         raise DatasetValidationError(f"case {case_id!r}: scores must be a non-empty object")
@@ -359,23 +355,19 @@ def _largest_remainder(total: int, weights: list[float]) -> list[int]:
     return alloc
 
 
-def _slots(n: int) -> list[tuple[str, RiskCategory | None]]:
-    """The unshuffled (archetype, target category) of each of ``n`` cases;
-    deterministic arithmetic. A category of None targets any rule."""
+def _slot_counts(n: int) -> list[tuple[str, RiskCategory | None, int]]:
+    """How many of ``n`` cases get each (archetype, target category), in
+    the unshuffled order; deterministic arithmetic. A category of None
+    targets any rule."""
     n_marginal = _round_half_up(n * _TYPE_RATIO["marginal"])
     n_borderline = _round_half_up(n * _TYPE_RATIO["borderline"])
     n_clear = n - n_marginal - n_borderline
-    if n_clear < 0:
-        raise ValueError(f"cannot split {n} cases into the fixed type ratio")
 
     label_counts = dict(zip(
         [cat for cat, _ in _LABEL_SHARES],
         _largest_remainder(n, [share for _, share in _LABEL_SHARES]),
     ))
     pos_counts = [label_counts[c] for c in _POSITIVE]
-    if n_borderline > sum(pos_counts):
-        raise ValueError(f"cannot allocate {n_borderline} borderline cases "
-                         f"against {sum(pos_counts)} positive labels")
     # Each share is at most its label count and rounds by at most one, so
     # no category gets more borderline cases than it has labels.
     bord = _largest_remainder(n_borderline, [float(c) for c in pos_counts])
@@ -384,15 +376,17 @@ def _slots(n: int) -> list[tuple[str, RiskCategory | None]]:
     cp_weights = [float(max(0, pc - b)) for pc, b in zip(pos_counts, bord)]
     clear_pos = _largest_remainder(n_clear - clear_neg, cp_weights)
     n_trap = _round_half_up(n_marginal * _TRAP_FRACTION)
+    return [*(("clear_pos", cat, k) for cat, k in zip(_POSITIVE, clear_pos)),
+            ("clear_neg", None, clear_neg), ("marginal_trap", None, n_trap),
+            ("marginal", None, n_marginal - n_trap),
+            *(("borderline", cat, k) for cat, k in zip(_POSITIVE, bord))]
 
+
+def _slots(n: int) -> list[tuple[str, RiskCategory | None]]:
+    """The unshuffled (archetype, target category) of each of ``n`` cases."""
     slots: list[tuple[str, RiskCategory | None]] = []
-    for cat, count in zip(_POSITIVE, clear_pos):
-        slots += [("clear_pos", cat)] * count
-    slots += [("clear_neg", None)] * clear_neg
-    slots += [("marginal_trap", None)] * n_trap
-    slots += [("marginal", None)] * (n_marginal - n_trap)
-    for cat, count in zip(_POSITIVE, bord):
-        slots += [("borderline", cat)] * count
+    for archetype, cat, count in _slot_counts(n):
+        slots += [(archetype, cat)] * count
     return slots
 
 

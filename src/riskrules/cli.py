@@ -21,7 +21,7 @@ from pathlib import Path
 
 from riskrules import benchmark, evaluation, rules
 from riskrules.engine import classify, classify_mixed, outcome_to_json
-from riskrules.tnorms import TNormKind
+from riskrules.tnorms import CANONICAL_KINDS, TNormKind
 
 _TNORM_NAMES = [k.value for k in TNormKind]
 
@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="compare operators with pairwise McNemar tests")
     p.add_argument("--dataset", required=True, metavar="PATH")
     add_rules(p)
-    p.add_argument("--tnorms", type=_tnorm_csv, default="lukasiewicz,product,goedel",
+    p.add_argument("--tnorms", type=_tnorm_csv, default=",".join(k.value for k in CANONICAL_KINDS),
                    metavar="CSV", help="comma-separated operators (default: %(default)s)")
     p.add_argument("--theta", type=float, help="global threshold override")
 

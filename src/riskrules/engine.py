@@ -99,11 +99,7 @@ def _finish(case_id, rule_scores, tnorm_name, theta_override, ruleset):
                  key=lambda rs: (-rs.category.severity, -rs.score, rs.rule_id), default=None)
     predicted = RiskCategory.MINIMAL_RISK if winner is None else winner.category
     winning_rule = None if winner is None else winner.rule_id
-    if theta_override is not None:
-        theta_used = theta_override
-    else:
-        thetas = {r.theta for r in ruleset.rules}
-        theta_used = thetas.pop() if len(thetas) == 1 else None
+    theta_used = ruleset.shared_theta if theta_override is None else theta_override
     return ClassificationOutcome(case_id, predicted, tnorm_name, theta_used,
                                  tuple(rule_scores), winning_rule)
 

@@ -302,7 +302,7 @@ def sweep_to_csv(points: list[SweepPoint]) -> str:
     lines = ["theta,kind,accuracy,fp_rate,fn_rate"]
     for pt in points:
         for kind, report in pt.reports.items():
-            lines.append(f"{round(pt.theta, 6):g},{kind.value},"
+            lines.append(f"{pt.theta:.15g},{kind.value},"
                          f"{report.accuracy_overall:.6f},"
                          f"{report.fp_rate:.6f},{report.fn_rate:.6f}")
     return "\n".join(lines) + "\n"

@@ -43,13 +43,9 @@ class RiskCategory(enum.Enum):
             return NotImplemented
         return self.severity < other.severity
 
-#: Categories in descending severity; the fixed ordering used by reports.
-CATEGORY_ORDER = (
-    RiskCategory.PROHIBITED,
-    RiskCategory.HIGH_RISK,
-    RiskCategory.LIMITED_RISK,
-    RiskCategory.MINIMAL_RISK,
-)
+#: Categories in descending severity, the enum's declaration order; the
+#: fixed ordering used by reports.
+CATEGORY_ORDER = tuple(RiskCategory)
 
 
 def compare_severity(a: RiskCategory, b: RiskCategory) -> int:
@@ -113,6 +109,8 @@ class RuleSet:
     #: (index, theta, category) of the rules above the minimal-risk floor,
     #: most severe first; declared order within a severity.
     ranked: tuple = field(default=(), init=False, repr=False, compare=False)
+    #: The theta every rule uses, or None if they differ (or there are none).
+    shared_theta: float | None = field(default=None, init=False, repr=False, compare=False)
     _live: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -136,6 +134,8 @@ class RuleSet:
             ((i, r.theta, r.category) for i, r in enumerate(self.rules)
              if r.category is not RiskCategory.MINIMAL_RISK),
             key=lambda ranked: -ranked[2].severity)))
+        thetas = {r.theta for r in self.rules}
+        object.__setattr__(self, "shared_theta", thetas.pop() if len(thetas) == 1 else None)
 
     def live_rules(self, scored: frozenset[str]) -> tuple[int, ...]:
         """Indices of the rules whose conditions all appear in ``scored``.

@@ -15,6 +15,7 @@ from riskrules.benchmark import (
     SplitMix64,
     _LABEL_SHARES,
     _largest_remainder,
+    _slot_counts,
     _slots,
     dataset_to_jsonl,
     generate_synthetic,
@@ -184,6 +185,14 @@ class TestParseCase:
             parse_case({**_RECORD, **field}, frozenset({"public_space"}))
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("field", ["case_type", "expert_label"])
+    @pytest.mark.parametrize("value", [None, True, False, 0, 1, 0.5, [], {}, ["clear"],
+                                       {"clear": "clear"}, "", "CLEAR", "clear "])
+    def test_enum_field_takes_only_a_member_value(self, field, value):
+        with pytest.raises(DatasetValidationError) as err:
+            parse_case({**_RECORD, field: value}, frozenset({"public_space"}))
+        assert str(err.value) == f"case 'x': unknown {field} {value!r}"
+
     @pytest.mark.parametrize("value,expected", [(1, 1.0), (0, 0.0), (-0.0, -0.0), (1.0, 1.0)])
     def test_accepted_scores_are_floats(self, value, expected):
         case = parse_case({**_RECORD, "scores": {"public_space": value}},
@@ -291,6 +300,24 @@ class TestGenerateSynthetic:
                               _largest_remainder(n, [share for _, share in _LABEL_SHARES])))
             borderline = Counter(cat for archetype, cat in slots if archetype == "borderline")
             assert all(count <= labels[cat] for cat, count in borderline.items())
+
+    def test_slot_counts_fit_every_n(self):
+        # Every n the generator accepts splits into the fixed ratios: no
+        # negative count, and no category with more borderline cases than
+        # labels. These replace run-time checks in the generator.
+        for n in range(4, 20_001):
+            counts = _slot_counts(n)
+            assert sum(count for _, _, count in counts) == n, n
+            assert all(count >= 0 for _, _, count in counts), n
+            labels = dict(zip([cat for cat, _ in _LABEL_SHARES],
+                              _largest_remainder(n, [share for _, share in _LABEL_SHARES])))
+            assert all(count <= labels[cat] for archetype, cat, count in counts
+                       if archetype == "borderline"), n
+
+    def test_slots_expand_the_counts(self):
+        for n in (4, 5, 1035, 4099):
+            assert Counter(_slots(n)) == Counter(
+                {(archetype, cat): count for archetype, cat, count in _slot_counts(n) if count})
 
     def test_different_seed_differs(self, bench1035, ruleset):
         assert generate_synthetic(1035, BENCH_SEED + 1, ruleset) != bench1035

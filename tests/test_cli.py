@@ -155,6 +155,19 @@ class TestSweep:
         assert run_cli("sweep", "--dataset", APPENDIX, "--tnorms", ",") == 1
         assert capsys.readouterr().err == "error: need at least one operator\n"
 
+    @pytest.mark.parametrize("grid,labels", [
+        (("0.5", "0.5000004", "1e-7"),
+         ["0.5", "0.5000001", "0.5000002", "0.5000003", "0.5000004"]),
+        (("1e-7", "2e-7", "1e-7"), ["1e-07", "2e-07"]),
+    ])
+    def test_theta_labels_stay_distinct_off_the_lattice(self, capsys, grid, labels):
+        assert run_cli("sweep", "--dataset", APPENDIX, "--tnorm", "goedel",
+                       "--theta-min", grid[0], "--theta-max", grid[1],
+                       "--theta-step", grid[2]) == 0
+        thetas = [line.split(",")[0] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert thetas == labels
+        assert all(0.0 < float(t) < 1.0 for t in thetas)
+
 
 class TestGenerate:
     def test_byte_identical_runs(self, tmp_path):
@@ -287,6 +300,13 @@ class TestErrorHandling:
         argv = [str(tmp_path / arg) if arg.startswith("missing") else arg for arg in argv]
         assert run_cli(*argv, "--rules", str(bad)) == 1
         assert capsys.readouterr().err == "error: rule 'r': unknown category 'x'\n"
+
+    def test_rule_entry_error_names_the_rule(self, tmp_path, capsys):
+        argv, _ = _bad_json_input(tmp_path, "rules", json.dumps({
+            "vocabulary": ["a"], "rules": [{"rule_id": "r", "category": "high_risk",
+                                            "conditions": ["a"], "theta": "0.5"}]}))
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err == "error: rule 'r': theta must be a number\n"
 
     def test_no_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -6,7 +6,7 @@ import math
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from riskrules import evaluation
 from riskrules.benchmark import CaseType, Dataset, load_dataset
@@ -270,6 +270,46 @@ class TestCompareOperators:
             compare_operators(appendix_dataset, ruleset, [TNormKind.PRODUCT])
 
 
+class TestLibraryErrors:
+    """The exact text of errors only a library caller can reach."""
+
+    def test_duplicate_operator(self, appendix_dataset, ruleset):
+        with pytest.raises(ValueError) as err:
+            compare_operators(appendix_dataset, ruleset,
+                              [TNormKind.GOEDEL, TNormKind.PRODUCT, TNormKind.GOEDEL])
+        assert str(err.value) == "duplicate operator in comparison"
+
+    def test_empty_dataset(self, ruleset):
+        empty = Dataset((), "x")
+        annotated = RuleSet(ruleset.vocabulary, tuple(
+            dataclasses.replace(r, standard=ConjunctionStandard.STRONG) for r in ruleset.rules))
+        calls = (
+            lambda: evaluate(empty, ruleset, TNormKind.GOEDEL),
+            lambda: evaluate_mixed(empty, annotated),
+            lambda: compare_operators(empty, ruleset, CANONICAL_KINDS),
+            lambda: threshold_sweep(empty, ruleset, TNormKind.GOEDEL, 0.25, 0.75, 0.05),
+        )
+        for call in calls:
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == "empty dataset"
+
+    def test_empty_mcnemar(self):
+        with pytest.raises(ValueError) as err:
+            mcnemar_exact([], [], [])
+        assert str(err.value) == "empty predictions"
+
+    @pytest.mark.parametrize("expert,predicted,types", [
+        ([MIN], [MIN, MIN], [CaseType.CLEAR]),
+        ([MIN, MIN], [MIN, MIN], [CaseType.CLEAR]),
+        ([MIN], [], []),
+    ])
+    def test_misaligned_report(self, expert, predicted, types):
+        with pytest.raises(ValueError) as err:
+            build_report(expert, predicted, types)
+        assert str(err.value) == "expert, predicted and case_types must be aligned"
+
+
 @pytest.fixture(scope="module")
 def hrm04_singleton(ruleset):
     full = load_dataset(DATA_DIR / "cases_appendix.jsonl")
@@ -377,6 +417,20 @@ class TestExports:
         assert set(doc) == {"reports", "pairs"}
         assert len(doc["pairs"]) == 3
         assert set(doc["pairs"][0]) == {"a", "b_kind", "b", "c", "p_one_sided", "p_two_sided"}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 999_999), st.integers(1, 999_999), st.integers(1, 999_999))
+    @example(250_000, 750_000, 50_000)  # the CLI's default grid
+    def test_lattice_theta_labels_are_rounded_to_six_places(self, lo, hi, step):
+        # On a grid whose ends and step lie on the 1e-6 lattice, each theta
+        # label is the one rounding to six decimal places gives.
+        lo, hi = sorted((lo, hi))
+        step = max(step, -(-(hi - lo) // 2000))  # at most 2001 points
+        report = build_report([MIN], [MIN], [CaseType.CLEAR])
+        points = [evaluation.SweepPoint(theta, {TNormKind.GOEDEL: report})
+                  for theta in evaluation._theta_grid(lo / 1e6, hi / 1e6, step / 1e6)]
+        labels = [line.split(",")[0] for line in sweep_to_csv(points).splitlines()[1:]]
+        assert labels == [f"{round(pt.theta, 6):g}" for pt in points]
 
     def test_sweep_csv_shape(self, hrm04_singleton, ruleset):
         points = threshold_sweep(hrm04_singleton, ruleset,

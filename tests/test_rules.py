@@ -126,6 +126,27 @@ class TestLiveRules:
                                   (3, 0.5, RiskCategory.LIMITED_RISK))
 
 
+class TestSharedTheta:
+    def test_default_rules_share_one_half(self, ruleset):
+        assert ruleset.shared_theta == 0.5
+
+    @pytest.mark.parametrize("thetas,shared", [
+        ((0.3,), 0.3),
+        ((0.3, 0.3, 0.3), 0.3),
+        ((0.3, 0.7), None),
+        ((0.3, 0.3, 0.7), None),
+        ((), None),
+    ])
+    def test_derived_from_the_rules(self, thetas, shared):
+        rules = tuple(Rule(f"r{i}", RiskCategory.HIGH_RISK, ("a",), theta=t)
+                      for i, t in enumerate(thetas))
+        assert RuleSet(frozenset({"a"}), rules).shared_theta == shared
+
+    def test_not_an_argument(self, ruleset):
+        with pytest.raises(TypeError):
+            RuleSet(ruleset.vocabulary, ruleset.rules, shared_theta=0.4)
+
+
 class TestRoundTrip:
     def test_fixed_point(self, tmp_path, ruleset):
         path = tmp_path / "rules.json"
@@ -205,6 +226,39 @@ class TestValidation:
     def test_rules_not_an_array(self, rules):
         with pytest.raises(RuleValidationError, match=r"^r\.json: rules must be an array$"):
             parse_ruleset(_doc(rules), where="r.json")
+
+    @pytest.mark.parametrize("entry,message", [
+        (5, "r.json: rule entries must be JSON objects"),
+        (["test_rule"], "r.json: rule entries must be JSON objects"),
+        ({"category": "high_risk"}, "r.json: rule with missing or empty rule_id"),
+        (_rule_obj(rule_id=""), "r.json: rule with missing or empty rule_id"),
+        (_rule_obj(category=None), "rule 'test_rule': unknown category None"),
+        (_rule_obj(conditions="employment_context"),
+         "rule 'test_rule': conditions must be an array of strings"),
+        (_rule_obj(conditions=["employment_context", 7]),
+         "rule 'test_rule': conditions must be an array of strings"),
+        (_rule_obj(theta="0.5"), "rule 'test_rule': theta must be a number"),
+        (_rule_obj(theta=True), "rule 'test_rule': theta must be a number"),
+        (_rule_obj(theta=None), "rule 'test_rule': theta must be a number"),
+        (_rule_obj(standard="weak"), "rule 'test_rule': unknown standard 'weak'"),
+        (_rule_obj(standard=None), "rule 'test_rule': unknown standard None"),
+        (_rule_obj(synthetic=1), "rule 'test_rule': synthetic must be a boolean"),
+        (_rule_obj(synthetic="yes"), "rule 'test_rule': synthetic must be a boolean"),
+        (_rule_obj(article=5), "rule 'test_rule': article must be a string"),
+        (_rule_obj(article=None), "rule 'test_rule': article must be a string"),
+    ])
+    def test_rule_entry_errors(self, entry, message):
+        with pytest.raises(RuleValidationError) as err:
+            parse_ruleset(_doc([entry]), where="r.json")
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("field", ["category", "conditions", "theta"])
+    def test_missing_field_named(self, field):
+        entry = _rule_obj()
+        del entry[field]
+        with pytest.raises(RuleValidationError) as err:
+            parse_ruleset(_doc([entry]), where="r.json")
+        assert str(err.value) == f"rule 'test_rule': missing field {field!r}"
 
     def test_malformed_json(self):
         with pytest.raises(RuleValidationError, match="not valid JSON"):
