@@ -32,8 +32,8 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from riskrules.rules import (CATEGORY_ORDER, RiskCategory, RuleSet, decode_json, default_ruleset,
-                             read_utf8, utf8_fault)
+from riskrules.rules import (CATEGORY_ORDER, CONDITION_VOCABULARY, RiskCategory, RuleSet,
+                             decode_json, default_ruleset, read_utf8, utf8_fault)
 from riskrules.tnorms import unit_score
 
 
@@ -219,7 +219,7 @@ def load_dataset(path, vocabulary: Iterable[str] | None = None) -> Dataset:
     """
     p = Path(path)
     name = str(p)
-    vocab = frozenset(vocabulary) if vocabulary is not None else default_ruleset().vocabulary
+    vocab = frozenset(CONDITION_VOCABULARY if vocabulary is None else vocabulary)
     cases: list[Case] = []
     seen: set[str] = set()
     # surrogateescape keeps decoding going past a bad byte, so the error
@@ -247,7 +247,7 @@ def load_dataset(path, vocabulary: Iterable[str] | None = None) -> Dataset:
 def load_case(path, vocabulary: Iterable[str] | None = None) -> Case:
     """Load a single case record (a one-object JSON file) for classification."""
     p = Path(path)
-    vocab = frozenset(vocabulary) if vocabulary is not None else default_ruleset().vocabulary
+    vocab = frozenset(CONDITION_VOCABULARY if vocabulary is None else vocabulary)
     where = str(p)
     obj = decode_json(read_utf8(p, DatasetValidationError), DatasetValidationError, where)
     # Classification inputs may omit the benchmark-only fields.

@@ -14,8 +14,8 @@ and the two-sided value doubles it, capped at 1. With no discordant
 pairs both p-values are 1 by convention. Both sidedness variants are
 always reported because published comparisons quote either.
 
-Per-case classification is independent; aggregation is a sequential
-deterministic reduction, so reports are reproducible.
+Per-case classification is independent; every report is built from
+integer counts of cases per cell, so reports are reproducible.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ class SweepPoint:
 MAX_SWEEP_POINTS = 10_001
 
 _TYPE_INDEX = {t: i for i, t in enumerate(CaseType)}
+_TYPES = len(_TYPE_INDEX)
 #: Severity -> row/column of the confusion matrix (CATEGORY_ORDER).
 _ORDER_INDEX = {cat.severity: i for i, cat in enumerate(CATEGORY_ORDER)}
 
@@ -71,26 +72,28 @@ _ORDER_INDEX = {cat.severity: i for i, cat in enumerate(CATEGORY_ORDER)}
 def build_report(expert: Sequence[RiskCategory], predicted: Sequence[RiskCategory],
                  case_types: Sequence[CaseType]) -> EvalReport:
     """Aggregate aligned expert/predicted labels into an EvalReport."""
-    n = len(expert)
+    if not expert:
+        raise ValueError("empty dataset")
+    if not (len(predicted) == len(case_types) == len(expert)):
+        raise ValueError("expert, predicted and case_types must be aligned")
+    tally = [0] * (4 * _TYPES * 4)
+    for exp, pred, ctype in zip(expert, predicted, case_types):
+        tally[(exp.severity * _TYPES + _TYPE_INDEX[ctype]) * 4 + pred.severity] += 1
+    return _report(tally)
+
+
+def _report(tally: Sequence[int]) -> EvalReport:
+    """The EvalReport of a 48-cell tally (see :func:`_tallies`)."""
+    n = sum(tally)
     if n == 0:
         raise ValueError("empty dataset")
-    if not (len(predicted) == len(case_types) == n):
-        raise ValueError("expert, predicted and case_types must be aligned")
-    # Count the cases per (expert severity, case type, predicted severity)
-    # first; every figure of the report is a sum over these 48 cells.
-    types = len(_TYPE_INDEX)
-    tally = [0] * (4 * types * 4)
-    for exp, pred, ctype in zip(expert, predicted, case_types):
-        tally[(exp.severity * types + _TYPE_INDEX[ctype]) * 4 + pred.severity] += 1
     confusion = [[0] * 4 for _ in range(4)]
-    total = [0] * types
-    correct = [0] * types
+    total = [0] * _TYPES
+    correct = [0] * _TYPES
     fp = fn = 0
     for i, count in enumerate(tally):
-        if not count:
-            continue
         block, pred = divmod(i, 4)
-        exp, t = divmod(block, types)
+        exp, t = divmod(block, _TYPES)
         confusion[_ORDER_INDEX[exp]][_ORDER_INDEX[pred]] += count
         total[t] += count
         if pred == exp:
@@ -115,46 +118,45 @@ def build_report(expert: Sequence[RiskCategory], predicted: Sequence[RiskCategor
 # ---------------------------------------------------------------------------
 # Batch path: one pass over the cases per operator. Each case's chain
 # scores are folded once, for its live rules only (see
-# rule_chain_scores), and decided at every threshold; build_report then
-# aggregates the predictions of each threshold.
+# rule_chain_scores), and decided at every threshold; each decision is
+# counted into that threshold's tally, and _report reads the tallies.
 
-def _predictions(dataset: Dataset, ruleset: RuleSet, kind: TNormKind | Sequence[TNormKind],
-                 thetas: Sequence[float | None]) -> list[list[RiskCategory]]:
-    """Per threshold, the predicted category of every case.
+def _tallies(dataset: Dataset, ruleset: RuleSet, kind: TNormKind | Sequence[TNormKind],
+             thetas: Sequence[float | None]) -> tuple[list[list[int]], bytearray]:
+    """Per threshold, the cases per (expert severity, case type, predicted
+    severity) cell, and each case's predicted severity at the last threshold.
 
     ``kind`` is one operator, or one per rule in mixed mode; a threshold
     of None keeps each rule's own theta.
     """
-    per_theta = [[] for _ in thetas]
+    tallies = [[0] * (4 * _TYPES * 4) for _ in thetas]
+    predicted = bytearray()
     for case in dataset.cases:
         chains = rule_chain_scores(case.scores, ruleset, kind)
-        for predicted, theta in zip(per_theta, thetas):
-            predicted.append(predicted_category(ruleset, chains, theta))
-    return per_theta
-
-
-def _labels(dataset: Dataset) -> tuple[list[RiskCategory], list[CaseType]]:
-    if not dataset.cases:
-        raise ValueError("empty dataset")
-    return [c.expert_label for c in dataset.cases], [c.case_type for c in dataset.cases]
+        cell = (case.expert_label.severity * _TYPES + _TYPE_INDEX[case.case_type]) * 4
+        for tally, theta in zip(tallies, thetas):
+            severity = predicted_category(ruleset, chains, theta).severity
+            tally[cell + severity] += 1
+        predicted.append(severity)
+    return tallies, predicted
 
 
 def evaluate(dataset: Dataset, ruleset: RuleSet, kind: TNormKind,
              theta_override: float | None = None) -> EvalReport:
     """Classify every case with one operator and report accuracy and errors."""
     check_theta(theta_override)
-    expert, case_types = _labels(dataset)
-    [predicted] = _predictions(dataset, ruleset, kind, (theta_override,))
-    return build_report(expert, predicted, case_types)
+    [tally], _ = _tallies(dataset, ruleset, kind, (theta_override,))
+    return _report(tally)
 
 
 def evaluate_mixed(dataset: Dataset, ruleset: RuleSet,
                    theta_override: float | None = None) -> EvalReport:
     """Like :func:`evaluate` but with per-rule operators (mixed mode)."""
     check_theta(theta_override)
-    expert, case_types = _labels(dataset)
-    [predicted] = _predictions(dataset, ruleset, mixed_operators(ruleset), (theta_override,))
-    return build_report(expert, predicted, case_types)
+    if not dataset.cases:  # reported before a rule without a standard
+        raise ValueError("empty dataset")
+    [tally], _ = _tallies(dataset, ruleset, mixed_operators(ruleset), (theta_override,))
+    return _report(tally)
 
 
 def mcnemar_exact(pred_a: Sequence[RiskCategory], pred_b: Sequence[RiskCategory],
@@ -202,11 +204,13 @@ def compare_operators(dataset: Dataset, ruleset: RuleSet,
         raise ValueError("need at least 2 operators to compare")
     if len(set(kinds)) != len(kinds):
         raise ValueError("duplicate operator in comparison")
-    expert, case_types = _labels(dataset)
-    predictions = {k: _predictions(dataset, ruleset, k, (theta_override,))[0] for k in kinds}
-    reports = {k: build_report(expert, predictions[k], case_types) for k in kinds}
+    reports, predicted = {}, {}
+    for k in kinds:
+        [tally], predicted[k] = _tallies(dataset, ruleset, k, (theta_override,))
+        reports[k] = _report(tally)
+    expert = bytes(c.expert_label.severity for c in dataset.cases)
     pairs = [
-        (a, b, mcnemar_exact(predictions[a], predictions[b], expert))
+        (a, b, mcnemar_exact(predicted[a], predicted[b], expert))
         for i, a in enumerate(kinds)
         for b in kinds[i + 1:]
     ]
@@ -217,7 +221,8 @@ def _theta_grid(theta_min: float, theta_max: float, step: float) -> tuple[float,
     """The inclusive grid ``theta_min + i * step``, clamped to ``theta_max``.
 
     A point up to ``1e-9 * step`` past ``theta_max`` is float drift and
-    becomes ``theta_max``; anything further is not part of the grid.
+    becomes ``theta_max``; anything further is not part of the grid. A
+    grid with two points the CSV would print alike is rejected.
     """
     if not (0.0 < theta_min <= theta_max < 1.0):
         raise ValueError(f"invalid theta range [{theta_min}, {theta_max}]; "
@@ -229,7 +234,16 @@ def _theta_grid(theta_min: float, theta_max: float, step: float) -> tuple[float,
         count = int(span) + 1 if span < math.inf else span
         raise ValueError(f"theta grid [{theta_min}, {theta_max}] by {step} has {count} "
                          f"points; at most {MAX_SWEEP_POINTS} are allowed")
-    return tuple(min(theta_min + i * step, theta_max) for i in range(int(span) + 1))
+    grid = tuple(min(theta_min + i * step, theta_max) for i in range(int(span) + 1))
+    if len(set(map(_theta_label, grid))) < len(grid):
+        raise ValueError(f"theta grid [{theta_min}, {theta_max}] by {step} has points "
+                         "that print alike; use a larger step")
+    return grid
+
+
+def _theta_label(theta: float) -> str:
+    """A grid point as the sweep CSV writes it (15 significant digits)."""
+    return f"{theta:.15g}"
 
 
 def threshold_sweep(dataset: Dataset, ruleset: RuleSet,
@@ -247,11 +261,11 @@ def threshold_sweep(dataset: Dataset, ruleset: RuleSet,
     if not kinds:
         raise ValueError("need at least one operator")
     thetas = _theta_grid(theta_min, theta_max, step)
-    expert, case_types = _labels(dataset)
     reports = [{} for _ in thetas]
     for k in kinds:
-        for point, predicted in zip(reports, _predictions(dataset, ruleset, k, thetas)):
-            point[k] = build_report(expert, predicted, case_types)
+        tallies, _ = _tallies(dataset, ruleset, k, thetas)
+        for point, tally in zip(reports, tallies):
+            point[k] = _report(tally)
     return [SweepPoint(theta, point) for theta, point in zip(thetas, reports)]
 
 
@@ -302,7 +316,7 @@ def sweep_to_csv(points: list[SweepPoint]) -> str:
     lines = ["theta,kind,accuracy,fp_rate,fn_rate"]
     for pt in points:
         for kind, report in pt.reports.items():
-            lines.append(f"{pt.theta:.15g},{kind.value},"
+            lines.append(f"{_theta_label(pt.theta)},{kind.value},"
                          f"{report.accuracy_overall:.6f},"
                          f"{report.fp_rate:.6f},{report.fn_rate:.6f}")
     return "\n".join(lines) + "\n"

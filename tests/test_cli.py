@@ -168,6 +168,15 @@ class TestSweep:
         assert thetas == labels
         assert all(0.0 < float(t) < 1.0 for t in thetas)
 
+    def test_points_that_print_alike_are_validation_error(self, capsys):
+        assert run_cli("sweep", "--dataset", APPENDIX, "--tnorm", "goedel",
+                       "--theta-min", "0.1", "--theta-max", "0.1000000000000004",
+                       "--theta-step", "1e-16") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: theta grid [0.1, 0.1000000000000004] by 1e-16 has "
+                                "points that print alike; use a larger step\n")
+
 
 class TestGenerate:
     def test_byte_identical_runs(self, tmp_path):

@@ -1,15 +1,17 @@
 """Reports, exact McNemar test with enumeration oracle, comparison, sweeps."""
 
 import dataclasses
+import gc
 import json
 import math
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from riskrules import evaluation
-from riskrules.benchmark import CaseType, Dataset, load_dataset
+from riskrules.benchmark import CaseType, Dataset, generate_synthetic, load_dataset
 from riskrules.evaluation import (
     build_report,
     compare_operators,
@@ -294,6 +296,18 @@ class TestLibraryErrors:
                 call()
             assert str(err.value) == "empty dataset"
 
+    def test_empty_dataset_is_named_first(self, ruleset):
+        # The default rules carry no conjunction standard, and the labels
+        # below are misaligned; the empty input is still what is reported.
+        calls = (
+            lambda: evaluate_mixed(Dataset((), "x"), ruleset),
+            lambda: build_report([], [HIGH], []),
+        )
+        for call in calls:
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == "empty dataset"
+
     def test_empty_mcnemar(self):
         with pytest.raises(ValueError) as err:
             mcnemar_exact([], [], [])
@@ -370,6 +384,31 @@ class TestThresholdSweep:
     def test_point_cap(self, hrm04_singleton, ruleset, step, count):
         with pytest.raises(ValueError, match=f"has {count} points; at most 10001"):
             threshold_sweep(hrm04_singleton, ruleset, TNormKind.PRODUCT, 0.1, 0.9, step)
+
+    @pytest.mark.parametrize("grid", [
+        (0.1, 0.1000000000000004, 1e-16),  # four distinct points, each printed 0.1
+        (0.5, 0.5000000000000001, 5.551115123131334e-17),  # the clamp repeats theta_max
+    ])
+    def test_points_that_print_alike_rejected(self, hrm04_singleton, ruleset, grid):
+        with pytest.raises(ValueError) as err:
+            threshold_sweep(hrm04_singleton, ruleset, TNormKind.GOEDEL, *grid)
+        assert str(err.value) == (f"theta grid [{grid[0]}, {grid[1]}] by {grid[2]} has "
+                                  "points that print alike; use a larger step")
+
+    def test_memory_does_not_grow_with_cases(self, ruleset):
+        # One tally per threshold, not one prediction per case and threshold:
+        # tripling the cases of a 101-point sweep leaves its peak in place.
+        peaks = []
+        for n in (1000, 3000):
+            dataset = generate_synthetic(n, 7)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                threshold_sweep(dataset, ruleset, TNormKind.GOEDEL, 0.25, 0.75, 0.005)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 0.25 * 2**20, peaks
 
     def test_repeated_operator_is_swept_once(self, appendix_dataset, ruleset, monkeypatch):
         calls = []
