@@ -23,9 +23,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from riskrules.benchmark import CaseType, Dataset
+from riskrules.benchmark import Case, CaseType, Dataset
 from riskrules.engine import check_theta, mixed_operators, predicted_category, rule_chain_scores
 # Not called here; perfbench's traced run patches the name on this module.
 from riskrules.engine import classify_mixed  # noqa: F401
@@ -116,36 +116,43 @@ def _report(tally: Sequence[int]) -> EvalReport:
 
 
 # ---------------------------------------------------------------------------
-# Batch path: one pass over the cases per operator. Each case's chain
-# scores are folded once, for its live rules only (see
-# rule_chain_scores), and decided at every threshold; each decision is
-# counted into that threshold's tally, and _report reads the tallies.
+# Batch path: one walk over the cases serves every operator plan and
+# threshold. Each case's chain scores are folded once per plan, for its
+# live rules only (see rule_chain_scores), and decided at every threshold;
+# each decision is counted into that threshold's tally, read by _report.
 
-def _tallies(dataset: Dataset, ruleset: RuleSet, kind: TNormKind | Sequence[TNormKind],
-             thetas: Sequence[float | None]) -> tuple[list[list[int]], bytearray]:
-    """Per threshold, the cases per (expert severity, case type, predicted
-    severity) cell, and each case's predicted severity at the last threshold.
+def _tallies(cases: Iterable[Case], ruleset: RuleSet,
+             plans: Sequence[TNormKind | Sequence[TNormKind]], thetas: Sequence[float | None],
+             ) -> tuple[list[list[list[int]]], list[bytearray], bytearray]:
+    """Per plan and threshold, the cases per (expert severity, case type,
+    predicted severity) cell; per plan, each case's predicted severity at
+    the last threshold; and each case's expert severity.
 
-    ``kind`` is one operator, or one per rule in mixed mode; a threshold
+    A plan is one operator, or one per rule in mixed mode; a threshold
     of None keeps each rule's own theta.
     """
-    tallies = [[0] * (4 * _TYPES * 4) for _ in thetas]
-    predicted = bytearray()
-    for case in dataset.cases:
-        chains = rule_chain_scores(case.scores, ruleset, kind)
-        cell = (case.expert_label.severity * _TYPES + _TYPE_INDEX[case.case_type]) * 4
-        for tally, theta in zip(tallies, thetas):
-            severity = predicted_category(ruleset, chains, theta).severity
-            tally[cell + severity] += 1
-        predicted.append(severity)
-    return tallies, predicted
+    tallies = [[[0] * (4 * _TYPES * 4) for _ in thetas] for _ in plans]
+    predicted = [bytearray() for _ in plans]
+    expert = bytearray()
+    for case in cases:
+        scores = case.scores
+        label = case.expert_label.severity
+        expert.append(label)
+        cell = (label * _TYPES + _TYPE_INDEX[case.case_type]) * 4
+        for plan, plan_tallies, plan_predicted in zip(plans, tallies, predicted):
+            chains = rule_chain_scores(scores, ruleset, plan)
+            for tally, theta in zip(plan_tallies, thetas):
+                severity = predicted_category(ruleset, chains, theta).severity
+                tally[cell + severity] += 1
+            plan_predicted.append(severity)
+    return tallies, predicted, expert
 
 
 def evaluate(dataset: Dataset, ruleset: RuleSet, kind: TNormKind,
              theta_override: float | None = None) -> EvalReport:
     """Classify every case with one operator and report accuracy and errors."""
     check_theta(theta_override)
-    [tally], _ = _tallies(dataset, ruleset, kind, (theta_override,))
+    [[tally]], _, _ = _tallies(dataset.cases, ruleset, (kind,), (theta_override,))
     return _report(tally)
 
 
@@ -155,7 +162,8 @@ def evaluate_mixed(dataset: Dataset, ruleset: RuleSet,
     check_theta(theta_override)
     if not dataset.cases:  # reported before a rule without a standard
         raise ValueError("empty dataset")
-    [tally], _ = _tallies(dataset, ruleset, mixed_operators(ruleset), (theta_override,))
+    plan = mixed_operators(ruleset)
+    [[tally]], _, _ = _tallies(dataset.cases, ruleset, (plan,), (theta_override,))
     return _report(tally)
 
 
@@ -192,7 +200,7 @@ def mcnemar_exact(pred_a: Sequence[RiskCategory], pred_b: Sequence[RiskCategory]
 def compare_operators(dataset: Dataset, ruleset: RuleSet,
                       kinds: Sequence[TNormKind],
                       theta_override: float | None = None):
-    """Run one classification per operator and all pairwise McNemar tests.
+    """Classify with every operator in one walk; run all pairwise McNemar tests.
 
     Returns ``(reports, pairs)``: per-operator EvalReports keyed by kind,
     and a list of ``(kind_a, kind_b, McNemarResult)`` for every unordered
@@ -204,16 +212,11 @@ def compare_operators(dataset: Dataset, ruleset: RuleSet,
         raise ValueError("need at least 2 operators to compare")
     if len(set(kinds)) != len(kinds):
         raise ValueError("duplicate operator in comparison")
-    reports, predicted = {}, {}
-    for k in kinds:
-        [tally], predicted[k] = _tallies(dataset, ruleset, k, (theta_override,))
-        reports[k] = _report(tally)
-    expert = bytes(c.expert_label.severity for c in dataset.cases)
-    pairs = [
-        (a, b, mcnemar_exact(predicted[a], predicted[b], expert))
-        for i, a in enumerate(kinds)
-        for b in kinds[i + 1:]
-    ]
+    tallies, predicted, expert = _tallies(dataset.cases, ruleset, kinds, (theta_override,))
+    # Built before the pairs, so an empty dataset is named as such.
+    reports = {k: _report(tally) for k, [tally] in zip(kinds, tallies)}
+    pairs = [(kinds[i], kinds[j], mcnemar_exact(predicted[i], predicted[j], expert))
+             for i in range(len(kinds)) for j in range(i + 1, len(kinds))]
     return reports, pairs
 
 
@@ -251,9 +254,9 @@ def threshold_sweep(dataset: Dataset, ruleset: RuleSet,
                     theta_min: float, theta_max: float, step: float) -> list[SweepPoint]:
     """Evaluate over an inclusive arithmetic progression of thresholds.
 
-    Chain scores do not depend on theta, so each case's chains are
-    folded once per operator and compared with every point of the grid
-    (see :func:`_theta_grid`).
+    Chain scores do not depend on theta, so one walk over the cases folds
+    each case's chains once per operator and compares them with every
+    point of the grid (see :func:`_theta_grid`).
     """
     if isinstance(kinds, TNormKind):
         kinds = (kinds,)
@@ -261,12 +264,9 @@ def threshold_sweep(dataset: Dataset, ruleset: RuleSet,
     if not kinds:
         raise ValueError("need at least one operator")
     thetas = _theta_grid(theta_min, theta_max, step)
-    reports = [{} for _ in thetas]
-    for k in kinds:
-        tallies, _ = _tallies(dataset, ruleset, k, thetas)
-        for point, tally in zip(reports, tallies):
-            point[k] = _report(tally)
-    return [SweepPoint(theta, point) for theta, point in zip(thetas, reports)]
+    tallies, _, _ = _tallies(dataset.cases, ruleset, kinds, thetas)
+    return [SweepPoint(theta, {k: _report(plan[i]) for k, plan in zip(kinds, tallies)})
+            for i, theta in enumerate(thetas)]
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from riskrules.benchmark import (
     load_dataset,
     parse_case,
     reference_label,
+    save_dataset,
     validate_case_types,
 )
 from riskrules.engine import predicted_category, rule_chain_scores
@@ -82,6 +83,13 @@ class TestLoadDataset:
         assert hrm04.expert_label is RiskCategory.HIGH_RISK
         assert hrm04.case_type is CaseType.BORDERLINE
         assert hrm04.scores["autonomous_decision"] == 0.61
+
+    def test_save_dataset_round_trip(self, tmp_path):
+        dataset = generate_synthetic(50, 9)
+        path = tmp_path / "saved.jsonl"
+        save_dataset(dataset, path)
+        assert path.read_bytes() == dataset_to_jsonl(dataset).encode("utf-8")
+        assert load_dataset(path).cases == dataset.cases
 
     def test_appendix_predictions_match_published_pattern(self, appendix_dataset, ruleset):
         # per-case correctness of the strong vs bottleneck operators;

@@ -225,6 +225,26 @@ class TestValidate:
         assert "odd1" in out
         assert out.rstrip().endswith("1 warning(s)")
 
+    def test_lone_surrogate_is_escaped_on_every_sink(self, tmp_path):
+        # JSON admits a lone-surrogate escape, so this case id loads.
+        path = tmp_path / "surrogate.jsonl"
+        path.write_text('{"case_id": "a\\udc80", "description": "", "case_type": "clear", '
+                        '"expert_label": "minimal_risk", "scores": {"public_space": 0.5}}\n')
+        argv = [sys.executable, "-m", "riskrules", "validate", "--dataset", str(path)]
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("PYTHONIOENCODING", "PYTHONUTF8") and not k.startswith("LC_")}
+        outputs = []
+        for extra in ({"PYTHONIOENCODING": "utf-8:strict"}, {"LC_ALL": "C"}):
+            proc = subprocess.run(argv, capture_output=True, timeout=60, env={**env, **extra})
+            assert (proc.returncode, proc.stderr) == (0, b""), extra
+            outputs.append(proc.stdout)
+        out = tmp_path / "warnings.txt"
+        proc = subprocess.run([*argv, "--out", str(out)], capture_output=True, timeout=60, env=env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        outputs.append(out.read_bytes())
+        assert outputs[0].startswith(b"case a\\udc80: clear case has ")
+        assert outputs == [outputs[0]] * 3
+
 
 class TestErrorHandling:
     def test_missing_dataset_file(self, capsys):

@@ -324,6 +324,36 @@ class TestLibraryErrors:
         assert str(err.value) == "expert, predicted and case_types must be aligned"
 
 
+class _CountingCases(tuple):
+    """A tuple of cases that counts how often it is iterated."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+class TestSingleWalk:
+    """Every batch function walks its cases once, whatever the number of
+    operators and thresholds."""
+
+    @pytest.mark.parametrize("call", [
+        lambda ds, rs, strong: evaluate(ds, rs, TNormKind.GOEDEL),
+        lambda ds, rs, strong: evaluate_mixed(ds, strong),
+        lambda ds, rs, strong: compare_operators(ds, rs, CANONICAL_KINDS),
+        lambda ds, rs, strong: threshold_sweep(ds, rs, CANONICAL_KINDS, 0.25, 0.75, 0.05),
+    ], ids=["evaluate", "evaluate_mixed", "compare_operators", "threshold_sweep"])
+    def test_cases_walked_once(self, ruleset, call):
+        strong = RuleSet(ruleset.vocabulary, tuple(
+            dataclasses.replace(r, standard=ConjunctionStandard.STRONG) for r in ruleset.rules))
+        plain = generate_synthetic(200, 3)
+        cases = _CountingCases(plain.cases)
+        result = call(Dataset(cases, plain.provenance), ruleset, strong)
+        assert cases.walks == 1
+        assert result == call(plain, ruleset, strong)
+
+
 @pytest.fixture(scope="module")
 def hrm04_singleton(ruleset):
     full = load_dataset(DATA_DIR / "cases_appendix.jsonl")

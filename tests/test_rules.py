@@ -190,6 +190,16 @@ def _rule_obj(**overrides):
 
 
 class TestValidation:
+    def test_constructor_rejects_empty_rule_id(self):
+        with pytest.raises(RuleValidationError, match="^rule with empty rule_id$"):
+            Rule("", RiskCategory.HIGH_RISK, ("public_space",))
+
+    def test_constructor_stores_list_conditions_as_tuple(self):
+        conditions = ["public_space", "employment_context"]
+        rule = Rule("r", RiskCategory.HIGH_RISK, conditions)
+        assert type(rule.conditions) is tuple and rule.conditions == tuple(conditions)
+        assert hash(rule) == hash(Rule("r", RiskCategory.HIGH_RISK, tuple(conditions)))
+
     def test_unknown_condition_named(self):
         doc = _doc([_rule_obj(conditions=["employment_context", "unknown_cond"])])
         with pytest.raises(RuleValidationError, match="unknown_cond"):
