@@ -87,18 +87,16 @@ ORACLE_PRESENCE_THRESHOLD = 0.55
 def reference_label(case_scores: Mapping[str, float], ruleset: RuleSet) -> RiskCategory:
     """Label a case by bottleneck reasoning over the rule base.
 
-    Returns the category of the highest-severity rule whose every
-    condition scores at least :data:`ORACLE_PRESENCE_THRESHOLD` (missing
-    conditions count as 0), defaulting to minimal risk.
+    Returns the category of the first rule of ``ruleset.ranked`` (most
+    severe first) whose every condition scores at least
+    :data:`ORACLE_PRESENCE_THRESHOLD` (missing conditions count as 0),
+    defaulting to minimal risk.
     """
-    best = RiskCategory.MINIMAL_RISK
-    for rule in ruleset.rules:
-        if rule.category.severity <= best.severity:
-            continue
-        lowest = min(case_scores.get(c, 0.0) for c in rule.conditions)
-        if lowest >= ORACLE_PRESENCE_THRESHOLD:
-            best = rule.category
-    return best
+    rules = ruleset.rules
+    for i, _, category in ruleset.ranked:
+        if min(case_scores.get(c, 0.0) for c in rules[i].conditions) >= ORACLE_PRESENCE_THRESHOLD:
+            return category
+    return RiskCategory.MINIMAL_RISK
 
 
 # ---------------------------------------------------------------------------
@@ -118,12 +116,12 @@ def validate_case_types(dataset: Dataset) -> list[str]:
                 ((c, v) for c, v in case.scores.items() if 0.12 <= v <= 0.80), None)
             if offender is not None:
                 warnings.append(
-                    f"case {case.case_id}: clear case has condition "
+                    f"case {case.case_id!a}: clear case has condition "
                     f"{offender[0]}={offender[1]:g} inside [0.12, 0.80]")
         elif case.case_type is CaseType.MARGINAL:
             if not any(0.12 <= v <= 0.65 for v in case.scores.values()):
                 warnings.append(
-                    f"case {case.case_id}: marginal case has no condition "
+                    f"case {case.case_id!a}: marginal case has no condition "
                     f"score inside [0.12, 0.65]")
     return warnings
 

@@ -38,8 +38,6 @@ def _emit(text: str, out: str | None) -> None:
     then renamed over it: a failed write leaves an old output whole."""
     if not text.endswith("\n"):
         text += "\n"
-    if not text.isascii():  # a lone surrogate (JSON allows one) becomes its escape
-        text = text.encode("utf-8", "backslashreplace").decode("utf-8")
     if not out:
         sys.stdout.write(text)
         return

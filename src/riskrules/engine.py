@@ -9,9 +9,9 @@ absence of evidence conservatively blocks conjunctive firing.
 A rule fires only when its chain score strictly exceeds theta; a score
 exactly equal to theta does not fire. The predicted category is the
 highest-severity category among fired rules, defaulting to minimal risk.
-Rules that target the minimal-risk category are scored and trailed like
-any other but never "win": the floor category needs no trigger, which
-keeps "no winning rule" and "predicted minimal risk" synonymous.
+Only the rules of ``RuleSet.ranked`` win. Minimal-risk rules are scored
+and trailed like any other but not ranked: the floor needs no trigger,
+which keeps "no winning rule" and "predicted minimal risk" synonymous.
 
 :func:`outcome_to_json` writes the trail's fixed ``indent=2`` layout
 itself. ``tests/test_engine.py::TestTrailWriter`` holds the object it
@@ -91,11 +91,10 @@ def score_rule(rule: Rule, case_scores: Mapping[str, float], kind: TNormKind,
 
 
 def _finish(case_id, rule_scores, tnorm_name, theta_override, ruleset):
-    # The most severe fired rule above the floor wins; within a severity
+    # The most severe fired rule of ruleset.ranked wins; within a severity
     # the highest score, and exact ties break to the lexicographically
     # smallest rule_id so outcomes are reproducible.
-    winner = min((rs for rs in rule_scores
-                  if rs.fired and rs.category is not RiskCategory.MINIMAL_RISK),
+    winner = min((rule_scores[i] for i, _, _ in ruleset.ranked if rule_scores[i].fired),
                  key=lambda rs: (-rs.category.severity, -rs.score, rs.rule_id), default=None)
     predicted = RiskCategory.MINIMAL_RISK if winner is None else winner.category
     winning_rule = None if winner is None else winner.rule_id

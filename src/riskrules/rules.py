@@ -21,22 +21,15 @@ class RuleValidationError(ValueError):
     """A rule or rule file failed validation; the message names the culprit."""
 
 
-_SEVERITY = {"minimal_risk": 0, "limited_risk": 1, "high_risk": 2, "prohibited": 3}
-
-
 @functools.total_ordering
 class RiskCategory(enum.Enum):
-    """Risk categories, totally ordered by severity (prohibited highest)."""
+    """Risk categories, declared from most to least severe; ``severity``
+    is a member's distance from the end: 3 (prohibited) down to 0."""
 
     PROHIBITED = "prohibited"
     HIGH_RISK = "high_risk"
     LIMITED_RISK = "limited_risk"
     MINIMAL_RISK = "minimal_risk"
-
-    def __init__(self, value: str):
-        # A plain attribute, not a property: decisions and report tallies
-        # read it once per case.
-        self.severity: int = _SEVERITY[value]
 
     def __lt__(self, other: object):
         if not isinstance(other, RiskCategory):
@@ -44,8 +37,12 @@ class RiskCategory(enum.Enum):
         return self.severity < other.severity
 
 #: Categories in descending severity, the enum's declaration order; the
-#: fixed ordering used by reports.
+#: fixed ordering used by reports. ``severity`` is a plain attribute, not
+#: a property: decisions and report tallies read it once per case.
 CATEGORY_ORDER = tuple(RiskCategory)
+for _rank, _category in enumerate(reversed(CATEGORY_ORDER)):
+    _category.severity = _rank
+del _rank, _category
 
 
 def compare_severity(a: RiskCategory, b: RiskCategory) -> int:
@@ -66,7 +63,7 @@ class ConjunctionStandard(enum.Enum):
     BOTTLENECK = "bottleneck"
 
 
-_IDENT_RE = re.compile(r"^[a-z][a-z_]*$")
+_IDENT_RE = re.compile("[a-z][a-z_]*")
 
 
 @dataclass(frozen=True)
@@ -106,8 +103,8 @@ class RuleSet:
     vocabulary: frozenset[str]
     rules: tuple[Rule, ...]
     _by_id: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    #: (index, theta, category) of the rules above the minimal-risk floor,
-    #: most severe first; declared order within a severity.
+    #: (index, theta, category) of the rules that can win, those above the
+    #: minimal-risk floor: most severe first, declared order within a severity.
     ranked: tuple = field(default=(), init=False, repr=False, compare=False)
     #: The theta every rule uses, or None if they differ (or there are none).
     shared_theta: float | None = field(default=None, init=False, repr=False, compare=False)
@@ -117,7 +114,7 @@ class RuleSet:
         object.__setattr__(self, "vocabulary", frozenset(self.vocabulary))
         object.__setattr__(self, "rules", tuple(self.rules))
         for name in sorted(self.vocabulary):
-            if not _IDENT_RE.match(name):
+            if not _IDENT_RE.fullmatch(name):
                 raise RuleValidationError(
                     f"vocabulary term {name!r} is not a lowercase_underscore identifier")
         by_id: dict[str, Rule] = {}

@@ -6,12 +6,14 @@ import math
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from riskrules.benchmark import (
     Case,
     CaseType,
     Dataset,
     DatasetValidationError,
+    ORACLE_PRESENCE_THRESHOLD,
     SplitMix64,
     _LABEL_SHARES,
     _largest_remainder,
@@ -27,7 +29,7 @@ from riskrules.benchmark import (
     validate_case_types,
 )
 from riskrules.engine import predicted_category, rule_chain_scores
-from riskrules.rules import RiskCategory, Rule, RuleSet
+from riskrules.rules import CATEGORY_ORDER, RiskCategory, Rule, RuleSet
 from riskrules.tnorms import TNormKind
 
 from conftest import BENCH_SEED, DATA_DIR
@@ -263,6 +265,24 @@ class TestReferenceLabel:
 
     def test_missing_condition_blocks(self, ruleset):
         assert reference_label({"education_context": 0.9}, ruleset) is RiskCategory.MINIMAL_RISK
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_brute_force_on_random_rule_sets(self, data):
+        # Minimal-risk rules, several rules per severity, missing conditions
+        # and scores of exactly the presence threshold.
+        vocab = ("a", "b", "c", "d", "e")
+        rules = data.draw(st.lists(st.tuples(
+            st.sampled_from(RiskCategory), st.lists(st.sampled_from(vocab), min_size=1,
+                                                     max_size=3, unique=True)), max_size=8))
+        ruleset = RuleSet(frozenset(vocab), tuple(
+            Rule(f"r{i}", category, tuple(conds)) for i, (category, conds) in enumerate(rules)))
+        scores = data.draw(st.dictionaries(st.sampled_from(vocab), st.sampled_from(
+            (0.0, 0.3, 0.549, ORACLE_PRESENCE_THRESHOLD, 0.551, 1.0)) | st.floats(0.0, 1.0)))
+        present = {r.category for r in ruleset.rules if all(
+            scores.get(c, 0.0) >= ORACLE_PRESENCE_THRESHOLD for c in r.conditions)}
+        expected = next((c for c in CATEGORY_ORDER if c in present), RiskCategory.MINIMAL_RISK)
+        assert reference_label(scores, ruleset) is expected
 
 
 class TestGenerateSynthetic:

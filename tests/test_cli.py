@@ -242,7 +242,37 @@ class TestValidate:
         proc = subprocess.run([*argv, "--out", str(out)], capture_output=True, timeout=60, env=env)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
         outputs.append(out.read_bytes())
-        assert outputs[0].startswith(b"case a\\udc80: clear case has ")
+        assert outputs[0].startswith(b"case 'a\\udc80': clear case has ")
+        assert outputs == [outputs[0]] * 3
+
+    def test_newline_case_id_keeps_one_line_per_warning(self, tmp_path, capsys):
+        path = tmp_path / "newline.jsonl"
+        path.write_text('{"case_id": "a\\nb", "description": "", "case_type": "clear", '
+                        '"expert_label": "minimal_risk", "scores": {"public_space": 0.5}}\n')
+        assert run_cli("validate", "--dataset", str(path)) == 0
+        assert capsys.readouterr().out == (
+            "case 'a\\nb': clear case has condition public_space=0.5 inside [0.12, 0.80]\n"
+            "1 warning(s)\n")
+
+    def test_non_ascii_case_id_is_written_the_same_under_every_locale(self, tmp_path):
+        path = tmp_path / "cjk.jsonl"
+        path.write_text('{"case_id": "\u65e5", "description": "", "case_type": "clear", '
+                        '"expert_label": "minimal_risk", "scores": {"public_space": 0.5}}\n',
+                        encoding="utf-8")
+        argv = [sys.executable, "-m", "riskrules", "validate", "--dataset", str(path)]
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("PYTHONIOENCODING", "PYTHONUTF8") and not k.startswith("LC_")}
+        outputs = []
+        for extra in ({"PYTHONIOENCODING": "latin-1"}, {"LC_ALL": "C"}):
+            proc = subprocess.run(argv, capture_output=True, timeout=60, env={**env, **extra})
+            assert (proc.returncode, proc.stderr) == (0, b""), extra
+            outputs.append(proc.stdout)
+        out = tmp_path / "warnings.txt"
+        proc = subprocess.run([*argv, "--out", str(out)], capture_output=True, timeout=60, env=env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        outputs.append(out.read_bytes())
+        assert outputs[0] == (b"case '\\u65e5': clear case has condition public_space=0.5 "
+                              b"inside [0.12, 0.80]\n1 warning(s)\n")
         assert outputs == [outputs[0]] * 3
 
 
@@ -420,6 +450,7 @@ class TestFuzzedInputs:
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
         else:
             assert err.getvalue() == "" and out.getvalue().endswith("\n")
+            assert out.getvalue().isascii()
 
 
 class TestOut:

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import pickle
 
 import pytest
 
@@ -45,6 +46,16 @@ class TestSeverity:
 
     def test_category_order_is_severity_descending(self):
         assert [c.severity for c in CATEGORY_ORDER] == [3, 2, 1, 0]
+
+    def test_order_against_a_non_category_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            RiskCategory.HIGH_RISK < 1
+
+    def test_pickled_category_keeps_its_severity(self):
+        for category in RiskCategory:
+            again = pickle.loads(pickle.dumps(category))
+            assert again is category
+            assert again.severity == len(CATEGORY_ORDER) - 1 - CATEGORY_ORDER.index(category)
 
 
 class TestDefaultRuleset:
@@ -282,6 +293,9 @@ class TestValidation:
         doc = _doc([], vocabulary=["Uppercase_Term"])
         with pytest.raises(RuleValidationError, match="Uppercase_Term"):
             parse_ruleset(doc)
+        # "$" would also match before a final newline.
+        with pytest.raises(RuleValidationError, match=r"'abc\\n' is not"):
+            parse_ruleset(_doc([], vocabulary=["abc\n"]))
 
     def test_rule_constructor_guards(self):
         with pytest.raises(RuleValidationError):
