@@ -19,14 +19,23 @@ bottleneck reading that a condition at or above 0.55 is "present enough"
 for an expert.
 
 Generation is single-threaded on purpose; loaded datasets are immutable
-(each case's ``scores`` is a read-only mapping) and shareable across
-workers.
+and shareable across workers. Each case is one slotted, frozen
+:class:`Case`: it keeps its scores in a plain dict, and ``case.scores``
+is a read-only view of it. The batch pass in :mod:`riskrules.evaluation`
+reads the dict behind the view, where the fold's dict fast paths apply.
+
+Loading (:func:`load_dataset`) reads one JSON-Lines record at a time:
+:func:`~riskrules.rules.decode_json` decodes it, and :func:`parse_case`,
+the one record parser, checks it and builds the case. Score keys are
+mapped onto the vocabulary's own strings, so a dataset holds one copy of
+each term, not one per case. A record's ``path:line`` text is built only
+when it fails.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
@@ -47,24 +56,67 @@ class CaseType(Enum):
     BORDERLINE = "borderline"
 
 
-@dataclass(frozen=True)
 class Case:
-    """One annotated case. ``scores`` is a read-only copy of the mapping
-    passed in, so a loaded case cannot be changed through it."""
+    """One annotated case, immutable. ``scores`` is a read-only view
+    (``types.MappingProxyType``) of the case's own copy of the mapping
+    passed in, made on each read; the case holds only the plain dict.
 
-    case_id: str
-    description: str
-    scores: Mapping[str, float]
-    expert_label: RiskCategory
-    case_type: CaseType
+    A case is one slotted object with no ``__dict__``. It compares equal
+    to a case with equal fields and has no hash, since its scores are a
+    mapping.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "scores", MappingProxyType(dict(self.scores)))
+    __slots__ = ("case_id", "description", "_scores", "expert_label", "case_type")
+    __hash__ = None
+
+    def __new__(cls, case_id: str, description: str, scores: Mapping[str, float],
+                expert_label: RiskCategory, case_type: CaseType):
+        return _case(case_id, description, dict(scores), expert_label, case_type)
+
+    @property
+    def scores(self) -> Mapping[str, float]:
+        return MappingProxyType(self._scores)
+
+    def _fields(self) -> tuple:
+        return (self.case_id, self.description, self._scores, self.expert_label,
+                self.case_type)
+
+    def __eq__(self, other):
+        if other.__class__ is not Case:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return (f"Case(case_id={self.case_id!r}, description={self.description!r}, "
+                f"scores={self._scores!r}, expert_label={self.expert_label!r}, "
+                f"case_type={self.case_type!r})")
 
     def __reduce__(self):
-        # A mappingproxy cannot be pickled; the constructor wraps the copy again.
-        return (Case, (self.case_id, self.description, dict(self.scores),
-                       self.expert_label, self.case_type))
+        return (Case, self._fields())
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+_SET_ID, _SET_DESCRIPTION, _SET_SCORES, _SET_LABEL, _SET_TYPE = (
+    getattr(Case, name).__set__ for name in Case.__slots__)
+
+
+def _case(case_id: str, description: str, scores: dict, expert_label: RiskCategory,
+          case_type: CaseType) -> Case:
+    """A :class:`Case` that takes ``scores`` as its own, uncopied: for a
+    dict its caller has just built and keeps no reference to. The slots
+    are set past the frozen ``__setattr__``."""
+    case = object.__new__(Case)
+    _SET_ID(case, case_id)
+    _SET_DESCRIPTION(case, description)
+    _SET_SCORES(case, scores)
+    _SET_LABEL(case, expert_label)
+    _SET_TYPE(case, case_type)
+    return case
 
 
 @dataclass(frozen=True)
@@ -141,7 +193,7 @@ def _case_to_obj(case: Case) -> dict:
         "description": case.description,
         "case_type": case.case_type.value,
         "expert_label": case.expert_label.value,
-        "scores": dict(case.scores),
+        "scores": case._scores,
     }
 
 
@@ -153,22 +205,26 @@ def save_dataset(dataset: Dataset, path) -> None:
     Path(path).write_text(dataset_to_jsonl(dataset), encoding="utf-8")
 
 
-def _enum_field(table: dict, value, case_id: str, field: str):
-    """The member a record field names. ``table`` holds every member's
-    string value, and no other JSON value equals one."""
-    member = table.get(value) if type(value) is str else None
-    if member is None:
-        raise DatasetValidationError(f"case {case_id!r}: unknown {field} {value!r}")
-    return member
+def _term_map(vocabulary: Iterable[str]) -> dict[str, str]:
+    """``{term: term}`` over a vocabulary: a lookup that hands back the
+    vocabulary's own string for any equal one."""
+    return {term: term for term in vocabulary}
 
 
-def parse_case(obj: dict, vocabulary: frozenset[str] | set[str],
+def parse_case(obj: dict, vocabulary: Iterable[str] | Mapping[str, str],
                where: str = "<case>") -> Case:
-    """Validate one case record against the schema and vocabulary."""
-    if not isinstance(obj, dict):
+    """Validate one case record against the schema and vocabulary.
+
+    ``vocabulary`` is a collection of condition terms, or a ``{term:
+    term}`` dict of them as :func:`load_dataset` passes it, built once per
+    file. The case's score keys are the vocabulary's own strings, so the
+    cases of a dataset share one copy of each term. ``where`` (the file,
+    and line) prefixes the errors of a record with no usable case_id.
+    """
+    if type(obj) is not dict and not isinstance(obj, dict):
         raise DatasetValidationError(f"{where}: case records must be JSON objects")
     case_id = obj.get("case_id")
-    if not isinstance(case_id, str) or not case_id:
+    if type(case_id) is not str and not isinstance(case_id, str) or not case_id:
         raise DatasetValidationError(f"{where}: missing or empty case_id")
     keys = obj.keys()
     if keys != _CASE_KEYS:  # a record with exactly the known keys needs no probe
@@ -179,16 +235,27 @@ def parse_case(obj: dict, vocabulary: frozenset[str] | set[str],
         for key in ("description", "case_type", "expert_label", "scores"):
             if key not in obj:
                 raise DatasetValidationError(f"case {case_id!r}: missing field {key!r}")
-    if not isinstance(obj["description"], str):
+    description = obj["description"]
+    if type(description) is not str and not isinstance(description, str):
         raise DatasetValidationError(f"case {case_id!r}: description must be a string")
-    case_type = _enum_field(_CASE_TYPES, obj["case_type"], case_id, "case_type")
-    label = _enum_field(_LABELS, obj["expert_label"], case_id, "expert_label")
+    # Each table holds every member's string value, and no other JSON
+    # value equals one.
+    value = obj["case_type"]
+    case_type = _CASE_TYPES.get(value) if type(value) is str else None
+    if case_type is None:
+        raise DatasetValidationError(f"case {case_id!r}: unknown case_type {value!r}")
+    value = obj["expert_label"]
+    label = _LABELS.get(value) if type(value) is str else None
+    if label is None:
+        raise DatasetValidationError(f"case {case_id!r}: unknown expert_label {value!r}")
     raw_scores = obj["scores"]
-    if not isinstance(raw_scores, dict) or not raw_scores:
+    if type(raw_scores) is not dict and not isinstance(raw_scores, dict) or not raw_scores:
         raise DatasetValidationError(f"case {case_id!r}: scores must be a non-empty object")
+    terms = vocabulary if type(vocabulary) is dict else _term_map(vocabulary)
     scores: dict[str, float] = {}
     for cond, value in raw_scores.items():
-        if cond not in vocabulary:
+        term = terms.get(cond)
+        if term is None:
             raise DatasetValidationError(
                 f"case {case_id!r}: unknown condition {cond!r}")
         if type(value) is not float and (
@@ -196,13 +263,13 @@ def parse_case(obj: dict, vocabulary: frozenset[str] | set[str],
             raise DatasetValidationError(
                 f"case {case_id!r}: score for {cond!r} must be a number")
         try:
-            scores[cond] = unit_score(value)
+            scores[term] = unit_score(value)
         except ValueError as exc:
             # unit_score's message starts with its default label, "score".
             raise DatasetValidationError(
                 f"case {case_id!r}: score for {cond!r}{str(exc).removeprefix('score')}"
             ) from None
-    return Case(case_id, obj["description"], scores, label, case_type)
+    return _case(case_id, description, scores, label, case_type)
 
 
 def load_dataset(path, vocabulary: Iterable[str] | None = None) -> Dataset:
@@ -217,7 +284,7 @@ def load_dataset(path, vocabulary: Iterable[str] | None = None) -> Dataset:
     """
     p = Path(path)
     name = str(p)
-    vocab = frozenset(CONDITION_VOCABULARY if vocabulary is None else vocabulary)
+    terms = _term_map(CONDITION_VOCABULARY if vocabulary is None else vocabulary)
     cases: list[Case] = []
     seen: set[str] = set()
     # surrogateescape keeps decoding going past a bad byte, so the error
@@ -228,13 +295,20 @@ def load_dataset(path, vocabulary: Iterable[str] | None = None) -> Dataset:
                 continue
             # Without its terminator, a JSON error's column is the line's.
             line = line.rstrip("\n")
-            where = f"{name}:{lineno}"
             fault = utf8_fault(line)
             if fault:
-                raise DatasetValidationError(f"{where}: {fault[1]}")
-            case = parse_case(decode_json(line, DatasetValidationError, where), vocab, where)
+                raise DatasetValidationError(f"{name}:{lineno}: {fault[1]}")
+            try:
+                case = parse_case(decode_json(line, DatasetValidationError, name), terms, name)
+            except DatasetValidationError:
+                case = None
+            if case is None:
+                # Only a record that fails pays for its "path:line" text:
+                # the same checks, run again with it, raise the error placed.
+                where = f"{name}:{lineno}"
+                case = parse_case(decode_json(line, DatasetValidationError, where), terms, where)
             if case.case_id in seen:
-                raise DatasetValidationError(f"{where}: duplicate case_id {case.case_id!r}")
+                raise DatasetValidationError(f"{name}:{lineno}: duplicate case_id {case.case_id!r}")
             seen.add(case.case_id)
             cases.append(case)
     if not cases:
@@ -245,7 +319,7 @@ def load_dataset(path, vocabulary: Iterable[str] | None = None) -> Dataset:
 def load_case(path, vocabulary: Iterable[str] | None = None) -> Case:
     """Load a single case record (a one-object JSON file) for classification."""
     p = Path(path)
-    vocab = frozenset(CONDITION_VOCABULARY if vocabulary is None else vocabulary)
+    terms = _term_map(CONDITION_VOCABULARY if vocabulary is None else vocabulary)
     where = str(p)
     obj = decode_json(read_utf8(p, DatasetValidationError), DatasetValidationError, where)
     # Classification inputs may omit the benchmark-only fields.
@@ -253,7 +327,7 @@ def load_case(path, vocabulary: Iterable[str] | None = None) -> Case:
         obj.setdefault("description", "")
         obj.setdefault("case_type", CaseType.MARGINAL.value)
         obj.setdefault("expert_label", RiskCategory.MINIMAL_RISK.value)
-    return parse_case(obj, vocab, where)
+    return parse_case(obj, terms, where)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +494,7 @@ def generate_synthetic(n: int, seed: int, ruleset: RuleSet | None = None) -> Dat
         low_at = rng.randrange(len(rule.conditions)) if low else -1
         scores = {c: rng.uniform(*(low if j == low_at else rest))
                   for j, c in enumerate(rule.conditions)}
-        cases.append(Case(
+        cases.append(_case(
             case_id=f"syn-{i:0{width}d}",
             description=f"Synthetic {text} case targeting rule {rule.rule_id}",
             scores=scores,

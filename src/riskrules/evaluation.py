@@ -135,7 +135,8 @@ def _tallies(cases: Iterable[Case], ruleset: RuleSet,
     predicted = [bytearray() for _ in plans]
     expert = bytearray()
     for case in cases:
-        scores = case.scores
+        # The plain dict behind the read-only view: the fold's dict fast paths.
+        scores = case._scores
         label = case.expert_label.severity
         expert.append(label)
         cell = (label * _TYPES + _TYPE_INDEX[case.case_type]) * 4

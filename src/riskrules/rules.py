@@ -358,10 +358,26 @@ def utf8_fault(text: str) -> tuple[int, str] | None:
             f"0x{ord(bad.group()) - 0xDC00:02x} at column {bad.start() - start + 1}")
 
 
+#: The default decoder's scanner, without ``json.loads``' checks around it.
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def decode_json(text: str, error: type[ValueError], where: str):
     """``json.loads(text)``; text that is not JSON raises ``error`` prefixed
     with ``where``. That covers an integer literal too long to convert and
-    nesting too deep for the decoder."""
+    nesting too deep for the decoder.
+
+    The common case, one value that fills the text exactly, takes a single
+    ``raw_decode`` call. Anything else (whitespace around the value, a
+    BOM, extra data, an error) goes through ``json.loads``, so values and
+    messages are exactly its own.
+    """
+    try:
+        value, end = _raw_decode(text)
+        if end == len(text):
+            return value
+    except (ValueError, RecursionError, TypeError):  # TypeError: bytes, which json.loads takes
+        pass
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
