@@ -28,8 +28,8 @@ Loading (:func:`load_dataset`) reads one JSON-Lines record at a time:
 :func:`~riskrules.rules.decode_json` decodes it, and :func:`parse_case`,
 the one record parser, checks it and builds the case. Score keys are
 mapped onto the vocabulary's own strings, so a dataset holds one copy of
-each term, not one per case. A record's ``path:line`` text is built only
-when it fails.
+each term, not one per case. The decoder and the parser name no file;
+the loader puts ``path:line: `` in front of a failed record's error.
 """
 
 from __future__ import annotations
@@ -211,21 +211,20 @@ def _term_map(vocabulary: Iterable[str]) -> dict[str, str]:
     return {term: term for term in vocabulary}
 
 
-def parse_case(obj: dict, vocabulary: Iterable[str] | Mapping[str, str],
-               where: str = "<case>") -> Case:
+def parse_case(obj: dict, vocabulary: Iterable[str] | Mapping[str, str]) -> Case:
     """Validate one case record against the schema and vocabulary.
 
     ``vocabulary`` is a collection of condition terms, or a ``{term:
     term}`` dict of them as :func:`load_dataset` passes it, built once per
     file. The case's score keys are the vocabulary's own strings, so the
-    cases of a dataset share one copy of each term. ``where`` (the file,
-    and line) prefixes the errors of a record with no usable case_id.
+    cases of a dataset share one copy of each term. Errors name no file:
+    the loader that read the record places them.
     """
     if type(obj) is not dict and not isinstance(obj, dict):
-        raise DatasetValidationError(f"{where}: case records must be JSON objects")
+        raise DatasetValidationError("case records must be JSON objects")
     case_id = obj.get("case_id")
     if type(case_id) is not str and not isinstance(case_id, str) or not case_id:
-        raise DatasetValidationError(f"{where}: missing or empty case_id")
+        raise DatasetValidationError("missing or empty case_id")
     keys = obj.keys()
     if keys != _CASE_KEYS:  # a record with exactly the known keys needs no probe
         unknown = keys - _CASE_KEYS
@@ -280,7 +279,7 @@ def load_dataset(path, vocabulary: Iterable[str] | None = None) -> Dataset:
 
     The file is UTF-8 and is read one line at a time: records end at LF,
     CRLF or CR only, and blank lines are skipped. Beyond the cases,
-    memory is bounded by the longest line.
+    memory is bounded by the longest line. A record's errors start with ``path:line: ``.
     """
     p = Path(path)
     name = str(p)
@@ -295,20 +294,14 @@ def load_dataset(path, vocabulary: Iterable[str] | None = None) -> Dataset:
                 continue
             # Without its terminator, a JSON error's column is the line's.
             line = line.rstrip("\n")
-            fault = utf8_fault(line)
-            if fault:
-                raise DatasetValidationError(f"{name}:{lineno}: {fault[1]}")
             try:
-                case = parse_case(decode_json(line, DatasetValidationError, name), terms, name)
-            except DatasetValidationError:
-                case = None
-            if case is None:
-                # Only a record that fails pays for its "path:line" text:
-                # the same checks, run again with it, raise the error placed.
-                where = f"{name}:{lineno}"
-                case = parse_case(decode_json(line, DatasetValidationError, where), terms, where)
-            if case.case_id in seen:
-                raise DatasetValidationError(f"{name}:{lineno}: duplicate case_id {case.case_id!r}")
+                if fault := utf8_fault(line):
+                    raise DatasetValidationError(fault[1])
+                case = parse_case(decode_json(line, DatasetValidationError), terms)
+                if case.case_id in seen:
+                    raise DatasetValidationError(f"duplicate case_id {case.case_id!r}")
+            except DatasetValidationError as exc:
+                raise DatasetValidationError(f"{name}:{lineno}: {exc}") from None
             seen.add(case.case_id)
             cases.append(case)
     if not cases:
@@ -317,17 +310,20 @@ def load_dataset(path, vocabulary: Iterable[str] | None = None) -> Dataset:
 
 
 def load_case(path, vocabulary: Iterable[str] | None = None) -> Case:
-    """Load a single case record (a one-object JSON file) for classification."""
+    """Load a one-record JSON case file for classification; errors start with its path."""
     p = Path(path)
     terms = _term_map(CONDITION_VOCABULARY if vocabulary is None else vocabulary)
-    where = str(p)
-    obj = decode_json(read_utf8(p, DatasetValidationError), DatasetValidationError, where)
-    # Classification inputs may omit the benchmark-only fields.
-    if isinstance(obj, dict):
-        obj.setdefault("description", "")
-        obj.setdefault("case_type", CaseType.MARGINAL.value)
-        obj.setdefault("expert_label", RiskCategory.MINIMAL_RISK.value)
-    return parse_case(obj, terms, where)
+    text = read_utf8(p, DatasetValidationError)
+    try:
+        obj = decode_json(text, DatasetValidationError)
+        # Classification inputs may omit the benchmark-only fields.
+        if isinstance(obj, dict):
+            obj.setdefault("description", "")
+            obj.setdefault("case_type", CaseType.MARGINAL.value)
+            obj.setdefault("expert_label", RiskCategory.MINIMAL_RISK.value)
+        return parse_case(obj, terms)
+    except DatasetValidationError as exc:
+        raise DatasetValidationError(f"{p}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

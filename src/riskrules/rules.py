@@ -275,28 +275,28 @@ def _rule_to_obj(rule: Rule) -> dict:
     return obj
 
 
-def parse_ruleset(text: str, where: str = "<ruleset>") -> RuleSet:
-    doc = decode_json(text, RuleValidationError, where)
+def parse_ruleset(text: str) -> RuleSet:
+    doc = decode_json(text, RuleValidationError)
     if not isinstance(doc, dict):
-        raise RuleValidationError(f"{where}: expected a JSON object")
+        raise RuleValidationError("expected a JSON object")
     for key in ("vocabulary", "rules"):
         if key not in doc:
-            raise RuleValidationError(f"{where}: missing top-level key {key!r}")
+            raise RuleValidationError(f"missing top-level key {key!r}")
     vocab = doc["vocabulary"]
     if not isinstance(vocab, list) or not all(isinstance(v, str) for v in vocab):
-        raise RuleValidationError(f"{where}: vocabulary must be an array of strings")
+        raise RuleValidationError("vocabulary must be an array of strings")
     if not isinstance(doc["rules"], list):
-        raise RuleValidationError(f"{where}: rules must be an array")
-    rules = [_rule_from_obj(obj, where) for obj in doc["rules"]]
+        raise RuleValidationError("rules must be an array")
+    rules = [_rule_from_obj(obj) for obj in doc["rules"]]
     return RuleSet(frozenset(vocab), tuple(rules))
 
 
-def _rule_from_obj(obj: dict, where: str) -> Rule:
+def _rule_from_obj(obj: dict) -> Rule:
     if not isinstance(obj, dict):
-        raise RuleValidationError(f"{where}: rule entries must be JSON objects")
+        raise RuleValidationError("rule entries must be JSON objects")
     rule_id = obj.get("rule_id")
     if not isinstance(rule_id, str) or not rule_id:
-        raise RuleValidationError(f"{where}: rule with missing or empty rule_id")
+        raise RuleValidationError("rule with missing or empty rule_id")
     unknown = set(obj) - _RULE_KEYS
     if unknown:
         raise RuleValidationError(
@@ -337,9 +337,13 @@ def _rule_from_obj(obj: dict, where: str) -> Rule:
 
 
 def load_ruleset(path) -> RuleSet:
-    """Load and validate a rule file; errors name the offending rule and field."""
+    """Load and validate a rule file; errors start with its path and name the rule and field."""
     p = Path(path)
-    return parse_ruleset(read_utf8(p, RuleValidationError), where=str(p))
+    text = read_utf8(p, RuleValidationError)
+    try:
+        return parse_ruleset(text)
+    except RuleValidationError as exc:
+        raise RuleValidationError(f"{p}: {exc}") from None
 
 
 #: What undecodable bytes become under ``surrogateescape``; valid UTF-8
@@ -362,10 +366,10 @@ def utf8_fault(text: str) -> tuple[int, str] | None:
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-def decode_json(text: str, error: type[ValueError], where: str):
-    """``json.loads(text)``; text that is not JSON raises ``error`` prefixed
-    with ``where``. That covers an integer literal too long to convert and
-    nesting too deep for the decoder.
+def decode_json(text: str, error: type[ValueError]):
+    """``json.loads(text)``; text that is not JSON raises ``error``, naming
+    no file (its loader places it). That covers an integer literal too long
+    to convert and nesting too deep for the decoder.
 
     The common case, one value that fills the text exactly, takes a single
     ``raw_decode`` call. Anything else (whitespace around the value, a
@@ -381,7 +385,7 @@ def decode_json(text: str, error: type[ValueError], where: str):
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
-        raise error(f"{where}: not valid JSON: {exc}") from None
+        raise error(f"not valid JSON: {exc}") from None
 
 
 def read_utf8(path: Path, error: type[ValueError]) -> str:

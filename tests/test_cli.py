@@ -20,6 +20,7 @@ from riskrules.rules import (
     ConjunctionStandard,
     RiskCategory,
     RuleValidationError,
+    load_ruleset,
     parse_ruleset,
 )
 
@@ -36,8 +37,10 @@ def run_cli(*argv):
 
 
 def _bad_json_input(tmp_path, kind, text):
-    """CLI arguments that read ``text`` as a rule file, a case file or line 2
-    of a dataset (after a valid record), and the location its error names."""
+    """CLI arguments that read ``text`` (str or bytes) as a rule file, a case
+    file or line 2 of a dataset (after a valid record), and the location its
+    error names."""
+    data = text.encode() if isinstance(text, str) else text
     if kind == "rules":
         path = tmp_path / "rules.json"
         argv = ("classify", "--case", HRM04, "--rules", str(path), "--tnorm", "goedel")
@@ -46,10 +49,10 @@ def _bad_json_input(tmp_path, kind, text):
         argv = ("classify", "--case", str(path), "--tnorm", "goedel")
     else:
         path = tmp_path / "cases.jsonl"
-        first = (DATA_DIR / "cases_appendix.jsonl").read_text().splitlines(keepends=True)[0]
-        text = first + text + "\n"
+        first = (DATA_DIR / "cases_appendix.jsonl").read_bytes().splitlines(keepends=True)[0]
+        data = first + data + b"\n"
         argv = ("evaluate", "--dataset", str(path), "--tnorm", "goedel")
-    path.write_text(text)
+    path.write_bytes(data)
     return argv, f"{path}:2: " if kind == "dataset" else f"{path}: "
 
 
@@ -315,7 +318,7 @@ class TestErrorHandling:
         assert run_cli("classify", "--case", HRM04, "--rules", str(path),
                        "--tnorm", "goedel") == 1
         assert capsys.readouterr().err == \
-            "error: rule 'big': theta out of range (0, 1): inf\n"
+            f"error: {path}: rule 'big': theta out of range (0, 1): inf\n"
 
     @pytest.mark.parametrize("kind", ["rules", "case", "dataset"])
     def test_integer_literal_too_long_names_the_file(self, tmp_path, capsys, kind):
@@ -336,10 +339,14 @@ class TestErrorHandling:
         assert err.startswith(f"error: {where}not valid JSON: maximum recursion depth exceeded")
         assert "Traceback" not in err and err.count("\n") == 1
 
-    def test_deeply_nested_rule_text_names_the_source(self):
-        with pytest.raises(RuleValidationError,
-                           match=r"^r\.json: not valid JSON: maximum recursion depth"):
-            parse_ruleset(DEEP, where="r.json")
+    def test_deeply_nested_rule_text_names_the_source(self, tmp_path):
+        with pytest.raises(RuleValidationError, match=r"^not valid JSON: maximum recursion depth"):
+            parse_ruleset(DEEP)
+        path = tmp_path / "r.json"
+        path.write_text(DEEP)
+        with pytest.raises(RuleValidationError) as err:
+            load_ruleset(path)
+        assert str(err.value).startswith(f"{path}: not valid JSON: maximum recursion depth")
 
     @pytest.mark.parametrize("rules", ["null", "5", "false", "{}", '"r"'])
     def test_rules_not_an_array_names_the_file(self, tmp_path, capsys, rules):
@@ -358,14 +365,14 @@ class TestErrorHandling:
                        '"category": "x", "conditions": ["a"], "theta": 0.5}]}')
         argv = [str(tmp_path / arg) if arg.startswith("missing") else arg for arg in argv]
         assert run_cli(*argv, "--rules", str(bad)) == 1
-        assert capsys.readouterr().err == "error: rule 'r': unknown category 'x'\n"
+        assert capsys.readouterr().err == f"error: {bad}: rule 'r': unknown category 'x'\n"
 
     def test_rule_entry_error_names_the_rule(self, tmp_path, capsys):
-        argv, _ = _bad_json_input(tmp_path, "rules", json.dumps({
+        argv, where = _bad_json_input(tmp_path, "rules", json.dumps({
             "vocabulary": ["a"], "rules": [{"rule_id": "r", "category": "high_risk",
                                             "conditions": ["a"], "theta": "0.5"}]}))
         assert run_cli(*argv) == 1
-        assert capsys.readouterr().err == "error: rule 'r': theta must be a number\n"
+        assert capsys.readouterr().err == f"error: {where}rule 'r': theta must be a number\n"
 
     def test_no_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -427,27 +434,62 @@ _DOCS = {
 }
 
 
-class TestFuzzedInputs:
-    """Any JSON written as a rule file, a case file or a dataset line ends in
-    a result or a one-line exit-1 error, never an escaped exception."""
+_OPERATORS = (("--mixed",), ("--tnorm", "goedel"), ("--tnorm", "product"))
+#: Per input kind, each command that reads it and the options it is run with.
+_READERS = {
+    "case": {"classify": _OPERATORS},
+    "dataset": {"evaluate": _OPERATORS, "compare": ((), ("--tnorms", "goedel,product")),
+                "sweep": (("--tnorm", "lukasiewicz"), ("--tnorms", "goedel,product")),
+                "validate": ((),)},
+    "rules": {"classify": _OPERATORS, "generate": (("--n", "40"),)},
+}
+#: The only exit-1 errors that name no input file: they are about the rule
+#: set's content and raised after every file has loaded. Keyed by the
+#: command or option that can raise them.
+_POST_LOAD_ERRORS = {
+    "--mixed": "error: mixed mode requires a conjunction standard on every rule; ",
+    "generate": "error: ruleset has no ",
+}
 
-    @settings(max_examples=200, deadline=None,
+
+class TestFuzzedInputs:
+    """Any JSON or any bytes written as a rule file, a case file or a
+    dataset line, read by each command that reads that kind of file, ends in
+    a result or a one-line exit-1 error that starts with an input's path."""
+
+    @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(st.sampled_from(sorted(_DOCS)).flatmap(
-               lambda kind: st.tuples(st.just(kind), _DOCS[kind] | _JSON)),
-           st.sampled_from([("--mixed",)] + [("--tnorm", k) for k in ("goedel", "product")]))
-    @example(("rules", {"vocabulary": [], "rules": None}), ("--tnorm", "goedel"))
-    @example(("rules", {"vocabulary": [], "rules": 5}), ("--tnorm", "goedel"))
-    @example(("rules", {"vocabulary": [], "rules": False}), ("--tnorm", "goedel"))
-    def test_exit_0_or_one_error_line(self, tmp_path, kind_doc, operator):
-        kind, doc = kind_doc
-        argv, _ = _bad_json_input(tmp_path, kind, json.dumps(doc))
+    @given(st.sampled_from(sorted(_READERS)).flatmap(lambda kind: st.tuples(
+        st.just(kind),
+        st.sampled_from([(command, options) for command, runs in _READERS[kind].items()
+                         for options in runs]),
+        (_DOCS[kind] | _JSON).map(json.dumps) | st.binary())))
+    @example(("rules", ("classify", ("--tnorm", "goedel")), '{"vocabulary": [], "rules": null}'))
+    @example(("rules", ("classify", ("--tnorm", "goedel")), '{"vocabulary": [], "rules": 5}'))
+    @example(("rules", ("classify", ("--tnorm", "goedel")), '{"vocabulary": [], "rules": false}'))
+    @example(("case", ("classify", ("--mixed",)), b"\xef\xbb\xbf{}"))  # a BOM
+    @example(("rules", ("generate", ("--n", "40")), b"\r"))  # a lone CR
+    @example(("dataset", ("validate", ()), b"\r"))
+    @example(("dataset", ("sweep", ("--tnorm", "lukasiewicz")), b"\xff"))
+    @example(("case", ("classify", ("--tnorm", "goedel")), b"\xff"))
+    def test_exit_0_or_one_error_line(self, tmp_path, run):
+        kind, (command, options), data = run
+        argv, _ = _bad_json_input(tmp_path, kind, data)
+        # ("--case", path), ("--dataset", path) or ("--case", HRM04, "--rules", path)
+        files = argv[1:-2]
+        if command == "generate":
+            files = files[2:]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run_cli(*argv[:-2], *operator)  # in place of "--tnorm", "goedel"
+            code = run_cli(command, *files, *options)
         assert code in (0, 1)
         if code:
-            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            message = err.getvalue()
+            assert message.count("\n") == 1
+            placed = tuple(f"error: {path}:" for path in files[1::2])
+            unplaced = tuple(_POST_LOAD_ERRORS[arg] for arg in (command, *options)
+                             if arg in _POST_LOAD_ERRORS)
+            assert message.startswith(placed + unplaced), message
         else:
             assert err.getvalue() == "" and out.getvalue().endswith("\n")
             assert out.getvalue().isascii()

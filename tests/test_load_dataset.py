@@ -23,7 +23,8 @@ from riskrules.benchmark import (
     load_dataset,
     parse_case,
 )
-from riskrules.rules import RiskCategory, RuleValidationError, load_ruleset, read_utf8
+from riskrules.rules import (CONDITION_VOCABULARY, RiskCategory, RuleValidationError,
+                             decode_json, load_ruleset, parse_ruleset, read_utf8)
 
 
 def rec(case_id, ensure_ascii=True, **fields):
@@ -73,31 +74,33 @@ PARITY = {
     "non_object_string": (f'{A}\n"text"\n', "{path}:2: case records must be JSON objects"),
     "missing_case_id": (f'{A}\n{{"description": "d"}}\n', "{path}:2: missing or empty case_id"),
     "empty_case_id": (f"{A}\n{rec('')}\n", "{path}:2: missing or empty case_id"),
-    "unknown_field": (f"{A}\n{rec('u', zzz=1, aaa=2)}\n", "case 'u': unknown field 'aaa'"),
+    "unknown_field": (f"{A}\n{rec('u', zzz=1, aaa=2)}\n",
+                      "{path}:2: case 'u': unknown field 'aaa'"),
     "missing_field": (f'{A}\n{{"case_id": "m", "scores": {{"public_space": 0.5}}}}\n',
-                      "case 'm': missing field 'description'"),
+                      "{path}:2: case 'm': missing field 'description'"),
     "description_not_string": (f"{A}\n{rec('s', description=None)}\n",
-                               "case 's': description must be a string"),
+                               "{path}:2: case 's': description must be a string"),
     "bad_case_type": (f"{A}\n{rec('t', case_type='nope')}\n",
-                      "case 't': unknown case_type 'nope'"),
-    "bad_label": (f"{A}\n{rec('l', expert_label=3)}\n", "case 'l': unknown expert_label 3"),
+                      "{path}:2: case 't': unknown case_type 'nope'"),
+    "bad_label": (f"{A}\n{rec('l', expert_label=3)}\n",
+                  "{path}:2: case 'l': unknown expert_label 3"),
     "bad_score_later": (
         f"{A}\n{B}\n\n{rec('s', scores={'public_space': 0.5, 'remote_biometric': 1.5})}\n",
-        "case 's': unknown condition 'remote_biometric'"),
+        "{path}:4: case 's': unknown condition 'remote_biometric'"),
     "out_of_range_score": (f"{A}\n{B}\n{rec('s', scores={'public_space': 1.5})}\n",
-                           f"case 's': score for 'public_space' {RANGE} 1.5"),
+                           f"{{path}}:3: case 's': score for 'public_space' {RANGE} 1.5"),
     "nan_score": (f"{A}\n{B}\n{rec('s', scores={'public_space': float('nan')})}\n",
-                  f"case 's': score for 'public_space' {RANGE} nan"),
+                  f"{{path}}:3: case 's': score for 'public_space' {RANGE} nan"),
     "huge_int_score": (f"{A}\n{rec('s', scores={'public_space': 10 ** 400})}\n",
-                       f"case 's': score for 'public_space' {RANGE} {10 ** 400}"),
+                       f"{{path}}:2: case 's': score for 'public_space' {RANGE} {10 ** 400}"),
     "string_score": (f"{A}\n{rec('s', scores={'public_space': '0.5'})}\n",
-                     "case 's': score for 'public_space' must be a number"),
+                     "{path}:2: case 's': score for 'public_space' must be a number"),
     "bool_score": (f"{A}\n{rec('s', scores={'public_space': True})}\n",
-                   "case 's': score for 'public_space' must be a number"),
+                   "{path}:2: case 's': score for 'public_space' must be a number"),
     "unknown_condition": (f"{A}\n{rec('s', scores={'mystery': 0.5})}\n",
-                          "case 's': unknown condition 'mystery'"),
+                          "{path}:2: case 's': unknown condition 'mystery'"),
     "empty_scores": (f"{A}\n{rec('s', scores={})}\n",
-                     "case 's': scores must be a non-empty object"),
+                     "{path}:2: case 's': scores must be a non-empty object"),
     "empty_file": ("", "{path}: no cases"),
     "only_blank_lines": ("\n  \n\r\n\t\n", "{path}: no cases"),
 }
@@ -213,21 +216,100 @@ def test_load_holds_no_copy_of_the_file(tmp_path):
     assert peak - retained < path.stat().st_size / 2
 
 
-class TestParseCaseLocation:
-    @pytest.mark.parametrize("obj,message", [
-        ([1], "f.jsonl:7: case records must be JSON objects"),
-        ({"case_id": ""}, "f.jsonl:7: missing or empty case_id"),
-        ({"case_id": 3}, "f.jsonl:7: missing or empty case_id"),
-    ])
-    def test_where_prefixes_unnamed_records(self, obj, message):
-        with pytest.raises(DatasetValidationError) as err:
-            parse_case(obj, frozenset({"public_space"}), where="f.jsonl:7")
-        assert str(err.value) == message
+def _rule(**fields):
+    obj = {"rule_id": "r", "category": "high_risk", "conditions": ["a"], "theta": 0.5}
+    obj.update(fields)
+    return obj
 
-    def test_default_where(self):
+
+def _rule_file(*rules, vocabulary=("a",)):
+    return json.dumps({"vocabulary": list(vocabulary), "rules": list(rules)})
+
+
+# name -> (rule file text, the parser's bare message): one file per error
+# that parse_ruleset, _rule_from_obj, Rule and RuleSet raise on file input.
+RULE_FILES = {
+    "not_json": ("{nope", "not valid JSON: Expecting property name enclosed in double "
+                          "quotes: line 1 column 2 (char 1)"),
+    "not_object": ("[]", "expected a JSON object"),
+    "missing_rules": ('{"vocabulary": []}', "missing top-level key 'rules'"),
+    "vocabulary_not_strings": ('{"vocabulary": [1], "rules": []}',
+                               "vocabulary must be an array of strings"),
+    "rules_not_array": ('{"vocabulary": [], "rules": {}}', "rules must be an array"),
+    "entry_not_object": (_rule_file(5), "rule entries must be JSON objects"),
+    "empty_rule_id": (_rule_file(_rule(rule_id="")), "rule with missing or empty rule_id"),
+    "unknown_field": (_rule_file(_rule(zz=1)), "rule 'r': unknown field 'zz'"),
+    "missing_field": (_rule_file({"rule_id": "r", "category": "high_risk", "conditions": ["a"]}),
+                      "rule 'r': missing field 'theta'"),
+    "unknown_category": (_rule_file(_rule(category="x")), "rule 'r': unknown category 'x'"),
+    "conditions_not_strings": (_rule_file(_rule(conditions=[1])),
+                               "rule 'r': conditions must be an array of strings"),
+    "theta_not_number": (_rule_file(_rule(theta="0.5")), "rule 'r': theta must be a number"),
+    "unknown_standard": (_rule_file(_rule(standard="weak")), "rule 'r': unknown standard 'weak'"),
+    "synthetic_not_bool": (_rule_file(_rule(synthetic=1)),
+                           "rule 'r': synthetic must be a boolean"),
+    "article_not_string": (_rule_file(_rule(article=5)), "rule 'r': article must be a string"),
+    "empty_conditions": (_rule_file(_rule(conditions=[])), "rule 'r': empty condition list"),
+    "duplicate_condition": (_rule_file(_rule(conditions=["a", "a"])),
+                            "rule 'r': duplicate condition"),
+    "theta_out_of_range": (_rule_file(_rule(theta=1.5)),
+                           "rule 'r': theta out of range (0, 1): 1.5"),
+    "bad_vocabulary_term": (_rule_file(vocabulary=["A"]),
+                            "vocabulary term 'A' is not a lowercase_underscore identifier"),
+    "duplicate_rule_id": (_rule_file(_rule(), _rule()), "duplicate rule_id 'r'"),
+    "unknown_condition": (_rule_file(_rule(conditions=["b"])),
+                          "rule 'r': unknown condition 'b'"),
+}
+
+# name -> (case file text, the parser's bare message); each record has
+# the fields load_case would otherwise fill in.
+CASE_FILES = {
+    "not_json": (BAD_JSON, BAD_JSON_ERROR),
+    "bom": (f"\ufeff{A}", BOM_ERROR),
+    "not_object": ("[1, 2]", "case records must be JSON objects"),
+    "missing_case_id": (rec(""), "missing or empty case_id"),
+    "unknown_field": (rec("c", zz=1), "case 'c': unknown field 'zz'"),
+    "bad_case_type": (rec("c", case_type="nope"), "case 'c': unknown case_type 'nope'"),
+    "unknown_condition": (rec("c", scores={"mystery": 0.5}),
+                          "case 'c': unknown condition 'mystery'"),
+    "out_of_range_score": (rec("c", scores={"public_space": 1.5}),
+                           f"case 'c': score for 'public_space' {RANGE} 1.5"),
+}
+
+
+class TestErrorPlacement:
+    """The decoder and the parsers name no file; each loader puts the
+    file's path (and line, for a dataset) in front of every error, once."""
+
+    def test_parity_corpus_errors(self):
+        # test_parity_corpus matches these exactly, the path put back.
+        for _, want in PARITY.values():
+            if isinstance(want, str):
+                assert want.startswith("{path}:") and want.count("{path}") == 1
+
+    @pytest.mark.parametrize("name", CASE_FILES)
+    def test_case_files(self, tmp_path, name):
+        text, message = CASE_FILES[name]
         with pytest.raises(DatasetValidationError) as err:
-            parse_case("x", frozenset())
-        assert str(err.value) == "<case>: case records must be JSON objects"
+            parse_case(decode_json(text, DatasetValidationError), CONDITION_VOCABULARY)
+        assert str(err.value) == message
+        path = tmp_path / "case.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DatasetValidationError) as err:
+            load_case(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("name", RULE_FILES)
+    def test_rule_files(self, tmp_path, name):
+        text, message = RULE_FILES[name]
+        with pytest.raises(RuleValidationError) as err:
+            parse_ruleset(text)
+        assert str(err.value) == message
+        path = tmp_path / "rules.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(RuleValidationError) as err:
+            load_ruleset(path)
+        assert str(err.value) == f"{path}: {message}"
 
 
 class TestReadOnlyScores:

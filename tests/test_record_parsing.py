@@ -60,13 +60,13 @@ def _outcome_of(decode, text):
 
 
 def _assert_decodes_as_json_loads(text):
-    kind, got = _outcome_of(lambda t: decode_json(t, ValueError, "w"), text)
+    kind, got = _outcome_of(lambda t: decode_json(t, ValueError), text)
     want_kind, want = _outcome_of(json.loads, text)
     assert kind == want_kind
     if kind == "value":
         assert _same_value(got, want)
     else:
-        assert got == f"w: not valid JSON: {want}"
+        assert got == f"not valid JSON: {want}"
 
 
 _scalars = (st.none() | st.booleans()
@@ -152,14 +152,14 @@ class TestDecodeJson:
         _assert_decodes_as_json_loads(open_ * depth)
 
     def test_bytes_decode_as_json_loads_takes_them(self):
-        assert decode_json(b'{"a": [1]}', ValueError, "w") == {"a": [1]}
+        assert decode_json(b'{"a": [1]}', ValueError) == {"a": [1]}
 
     def test_lines_that_only_decode_together_still_fail_alone(self):
         # A decoder reading "[" + ",".join(lines) + "]" would take these
         # three lines as three objects; each is invalid on its own.
         for line in ['{"a": 1}, {"b": 2}', '{"k": "x', 'y"}']:
-            with pytest.raises(DatasetValidationError, match="^f:1: not valid JSON: "):
-                decode_json(line, DatasetValidationError, "f:1")
+            with pytest.raises(DatasetValidationError, match="^not valid JSON: "):
+                decode_json(line, DatasetValidationError)
 
 
 # ---------------------------------------------------------------------------
@@ -177,13 +177,13 @@ def _enum_field(table, value, case_id, field):
     return member
 
 
-def reference_parse_case(obj, vocabulary, where="<case>"):
+def reference_parse_case(obj, vocabulary):
     """The record parser as it was before keys were shared: the oracle."""
     if not isinstance(obj, dict):
-        raise DatasetValidationError(f"{where}: case records must be JSON objects")
+        raise DatasetValidationError("case records must be JSON objects")
     case_id = obj.get("case_id")
     if not isinstance(case_id, str) or not case_id:
-        raise DatasetValidationError(f"{where}: missing or empty case_id")
+        raise DatasetValidationError("missing or empty case_id")
     keys = obj.keys()
     if keys != _CASE_KEYS:
         unknown = keys - _CASE_KEYS
@@ -219,7 +219,8 @@ def reference_parse_case(obj, vocabulary, where="<case>"):
 
 
 def reference_load_dataset(path, vocabulary=None):
-    """The line loop as it was, on the reference parser: the oracle."""
+    """The line loop as it was, on the reference parser, with each error
+    placed where it is raised: the oracle."""
     name = str(path)
     vocab = frozenset(CONDITION_VOCABULARY if vocabulary is None else vocabulary)
     cases, seen = [], set()
@@ -236,7 +237,10 @@ def reference_load_dataset(path, vocabulary=None):
                 obj = json.loads(line)
             except (ValueError, RecursionError) as exc:
                 raise DatasetValidationError(f"{where}: not valid JSON: {exc}") from None
-            case = reference_parse_case(obj, vocab, where)
+            try:
+                case = reference_parse_case(obj, vocab)
+            except DatasetValidationError as exc:
+                raise DatasetValidationError(f"{where}: {exc}") from None
             if case.case_id in seen:
                 raise DatasetValidationError(f"{where}: duplicate case_id {case.case_id!r}")
             seen.add(case.case_id)
@@ -330,8 +334,8 @@ class TestParseCaseOracle:
               "expert_label": "high_risk", "scores": {"a": 10 ** 400}}, True)
     def test_matches_the_reference(self, obj, as_term_map):
         vocabulary = {t: t for t in _VOCAB} if as_term_map else _VOCAB
-        got = _parsed(parse_case, obj, vocabulary, "f.jsonl:3")
-        want = _parsed(reference_parse_case, obj, _VOCAB, "f.jsonl:3")
+        got = _parsed(parse_case, obj, vocabulary)
+        want = _parsed(reference_parse_case, obj, _VOCAB)
         assert got == want
 
     @settings(max_examples=150, deadline=None)
@@ -339,8 +343,8 @@ class TestParseCaseOracle:
     def test_decoded_records_match_the_reference(self, obj):
         # Records as the decoder gives them: through one JSON text each.
         record = json.loads(json.dumps(obj))
-        got = _parsed(parse_case, record, {t: t for t in _VOCAB}, "w")
-        assert got == _parsed(reference_parse_case, record, _VOCAB, "w")
+        got = _parsed(parse_case, record, {t: t for t in _VOCAB})
+        assert got == _parsed(reference_parse_case, record, _VOCAB)
 
 
 _lines = st.one_of(

@@ -245,14 +245,14 @@ class TestValidation:
 
     @pytest.mark.parametrize("rules", [None, 5, False, {"rule_id": "r"}, "rules"])
     def test_rules_not_an_array(self, rules):
-        with pytest.raises(RuleValidationError, match=r"^r\.json: rules must be an array$"):
-            parse_ruleset(_doc(rules), where="r.json")
+        with pytest.raises(RuleValidationError, match=r"^rules must be an array$"):
+            parse_ruleset(_doc(rules))
 
     @pytest.mark.parametrize("entry,message", [
-        (5, "r.json: rule entries must be JSON objects"),
-        (["test_rule"], "r.json: rule entries must be JSON objects"),
-        ({"category": "high_risk"}, "r.json: rule with missing or empty rule_id"),
-        (_rule_obj(rule_id=""), "r.json: rule with missing or empty rule_id"),
+        (5, "rule entries must be JSON objects"),
+        (["test_rule"], "rule entries must be JSON objects"),
+        ({"category": "high_risk"}, "rule with missing or empty rule_id"),
+        (_rule_obj(rule_id=""), "rule with missing or empty rule_id"),
         (_rule_obj(category=None), "rule 'test_rule': unknown category None"),
         (_rule_obj(conditions="employment_context"),
          "rule 'test_rule': conditions must be an array of strings"),
@@ -270,7 +270,7 @@ class TestValidation:
     ])
     def test_rule_entry_errors(self, entry, message):
         with pytest.raises(RuleValidationError) as err:
-            parse_ruleset(_doc([entry]), where="r.json")
+            parse_ruleset(_doc([entry]))
         assert str(err.value) == message
 
     @pytest.mark.parametrize("field", ["category", "conditions", "theta"])
@@ -278,7 +278,7 @@ class TestValidation:
         entry = _rule_obj()
         del entry[field]
         with pytest.raises(RuleValidationError) as err:
-            parse_ruleset(_doc([entry]), where="r.json")
+            parse_ruleset(_doc([entry]))
         assert str(err.value) == f"rule 'test_rule': missing field {field!r}"
 
     def test_malformed_json(self):
