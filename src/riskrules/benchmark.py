@@ -24,7 +24,8 @@ and shareable across workers. Each case is one slotted, frozen
 is a read-only view of it. The batch pass in :mod:`riskrules.evaluation`
 reads the dict behind the view, where the fold's dict fast paths apply.
 
-Loading (:func:`load_dataset`) reads one JSON-Lines record at a time:
+Loading (:func:`load_dataset`) takes one JSON-Lines record at a time from
+:func:`~riskrules.rules.read_lines`, the one reader of input files:
 :func:`~riskrules.rules.decode_json` decodes it, and :func:`parse_case`,
 the one record parser, checks it and builds the case. Score keys are
 mapped onto the vocabulary's own strings, so a dataset holds one copy of
@@ -42,7 +43,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from riskrules.rules import (CATEGORY_ORDER, CONDITION_VOCABULARY, RiskCategory, RuleSet,
-                             decode_json, default_ruleset, read_utf8, utf8_fault)
+                             decode_json, default_ruleset, read_lines)
 from riskrules.tnorms import unit_score
 
 
@@ -277,43 +278,39 @@ def load_dataset(path, vocabulary: Iterable[str] | None = None) -> Dataset:
     ``vocabulary`` defaults to the built-in condition vocabulary; pass
     ``ruleset.vocabulary`` when using a custom rule file.
 
-    The file is UTF-8 and is read one line at a time: records end at LF,
-    CRLF or CR only, and blank lines are skipped. Beyond the cases,
-    memory is bounded by the longest line. A record's errors start with ``path:line: ``.
+    The file is UTF-8, read one line at a time by :func:`read_lines`:
+    records end at LF, CRLF or CR only, and blank lines are skipped. Beyond
+    the cases, memory is bounded by the longest line. A record's errors,
+    a bad byte's too, start with ``path:line: ``; an ``OSError`` names the file.
     """
     p = Path(path)
     name = str(p)
     terms = _term_map(CONDITION_VOCABULARY if vocabulary is None else vocabulary)
     cases: list[Case] = []
     seen: set[str] = set()
-    # surrogateescape keeps decoding going past a bad byte, so the error
-    # below names the line it is on rather than a position in a read chunk.
-    with open(p, encoding="utf-8", errors="surrogateescape") as lines:
-        for lineno, line in enumerate(lines, start=1):
-            if line.isspace():
-                continue
+    for lineno, line in enumerate(read_lines(p, DatasetValidationError), start=1):
+        if line.isspace():
+            continue
+        try:
             # Without its terminator, a JSON error's column is the line's.
-            line = line.rstrip("\n")
-            try:
-                if fault := utf8_fault(line):
-                    raise DatasetValidationError(fault[1])
-                case = parse_case(decode_json(line, DatasetValidationError), terms)
-                if case.case_id in seen:
-                    raise DatasetValidationError(f"duplicate case_id {case.case_id!r}")
-            except DatasetValidationError as exc:
-                raise DatasetValidationError(f"{name}:{lineno}: {exc}") from None
-            seen.add(case.case_id)
-            cases.append(case)
+            case = parse_case(decode_json(line.rstrip("\n"), DatasetValidationError), terms)
+            if case.case_id in seen:
+                raise DatasetValidationError(f"duplicate case_id {case.case_id!r}")
+        except DatasetValidationError as exc:
+            raise DatasetValidationError(f"{name}:{lineno}: {exc}") from None
+        seen.add(case.case_id)
+        cases.append(case)
     if not cases:
         raise DatasetValidationError(f"{name}: no cases")
     return Dataset(tuple(cases), provenance=name)
 
 
 def load_case(path, vocabulary: Iterable[str] | None = None) -> Case:
-    """Load a one-record JSON case file for classification; errors start with its path."""
+    """Load a one-record JSON case file for classification, read through
+    :func:`~riskrules.rules.read_lines`; errors start with its path."""
     p = Path(path)
     terms = _term_map(CONDITION_VOCABULARY if vocabulary is None else vocabulary)
-    text = read_utf8(p, DatasetValidationError)
+    text = "".join(read_lines(p, DatasetValidationError))
     try:
         obj = decode_json(text, DatasetValidationError)
         # Classification inputs may omit the benchmark-only fields.

@@ -6,7 +6,8 @@ Subcommands: classify, evaluate, compare, sweep, generate, validate.
 parser on its first call and reuses it for every later call in the
 process. Outputs contain no timestamps or other nondeterminism:
 identical arguments and input files give byte-identical output. Exit
-codes: 0 success, 1 validation or input error, 2 usage error.
+codes: 0 success, 1 validation or input error, 2 usage error. Every
+exit-1 error about a file, input or --out, starts ``error: <path>: ``.
 """
 
 from __future__ import annotations
@@ -195,7 +196,9 @@ def main(argv: list[str] | None = None) -> int:
                    else rules.load_ruleset(args.rules))
         _emit(_COMMANDS[args.command](args, ruleset), args.out)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # Path first, as in a load error; os.replace's target is filename2.
+        path = getattr(exc, "filename2", None) or getattr(exc, "filename", None)
+        print(f"error: {path}: {exc.strerror}" if path else f"error: {exc}", file=sys.stderr)
         return 1
     return 0
 

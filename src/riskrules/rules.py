@@ -337,29 +337,14 @@ def _rule_from_obj(obj: dict) -> Rule:
 
 
 def load_ruleset(path) -> RuleSet:
-    """Load and validate a rule file; errors start with its path and name the rule and field."""
+    """Load and validate a rule file, read through :func:`read_lines`;
+    errors start with its path and name the rule and field."""
     p = Path(path)
-    text = read_utf8(p, RuleValidationError)
+    text = "".join(read_lines(p, RuleValidationError))
     try:
         return parse_ruleset(text)
     except RuleValidationError as exc:
         raise RuleValidationError(f"{p}: {exc}") from None
-
-
-#: What undecodable bytes become under ``surrogateescape``; valid UTF-8
-#: never decodes to a surrogate.
-_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
-
-
-def utf8_fault(text: str) -> tuple[int, str] | None:
-    """Line and message for the first byte of ``text``, decoded with
-    ``surrogateescape``, that is not UTF-8; None if every byte is."""
-    bad = None if text.isascii() else _ESCAPED_BYTE.search(text)
-    if bad is None:
-        return None
-    start = text.rfind("\n", 0, bad.start()) + 1
-    return (text.count("\n", 0, start) + 1, f"not valid UTF-8: byte "
-            f"0x{ord(bad.group()) - 0xDC00:02x} at column {bad.start() - start + 1}")
 
 
 #: The default decoder's scanner, without ``json.loads``' checks around it.
@@ -388,14 +373,23 @@ def decode_json(text: str, error: type[ValueError]):
         raise error(f"not valid JSON: {exc}") from None
 
 
-def read_utf8(path: Path, error: type[ValueError]) -> str:
-    """A UTF-8 file's text as ``Path.read_text`` gives it; a byte that is
-    not UTF-8 raises ``error`` naming the file, line and column."""
-    text = path.read_text(encoding="utf-8", errors="surrogateescape")
-    fault = utf8_fault(text)
-    if fault:
-        raise error(f"{path}:{fault[0]}: {fault[1]}")
-    return text
+#: What undecodable bytes become under ``surrogateescape``; valid UTF-8
+#: never decodes to a surrogate.
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+def read_lines(path, error: type[ValueError]):
+    """Each line of a UTF-8 text file with its terminator, as a text-mode
+    ``open`` yields it: LF, CRLF and CR each end a line and read as LF.
+    The only reader of input files. A byte that is not UTF-8 raises
+    ``error`` naming the file, line and column; an unreadable file raises
+    the ``OSError`` itself."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as lines:
+        for lineno, line in enumerate(lines, start=1):
+            if not line.isascii() and (bad := _ESCAPED_BYTE.search(line)):
+                raise error(f"{path}:{lineno}: not valid UTF-8: byte "
+                            f"0x{ord(bad.group()) - 0xDC00:02x} at column {bad.start() + 1}")
+            yield line
 
 
 def save_ruleset(ruleset: RuleSet, path) -> None:

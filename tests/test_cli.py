@@ -1,6 +1,7 @@
 """CLI behaviour: commands, determinism, exit codes, output framing."""
 
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -556,8 +557,46 @@ class TestOut:
     def test_missing_directory_error_names_the_output(self, tmp_path, capsys):
         out = tmp_path / "no" / "trail.json"
         assert run_cli(*self.ARGS, "--out", str(out)) == 1
-        assert capsys.readouterr().err == \
-            f"error: [Errno 2] No such file or directory: '{out}'\n"
+        assert capsys.readouterr().err == f"error: {out}: No such file or directory\n"
+
+    def test_failed_replace_names_the_output_not_the_temp_file(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        out = tmp_path / "trail.json"
+
+        def fail(src, dst):  # as os.replace raises it: filename2 is the target
+            raise OSError(errno.EACCES, "Permission denied", src, None, dst)
+
+        monkeypatch.setattr(os, "replace", fail)
+        assert run_cli(*self.ARGS, "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {out}: Permission denied\n"
+        assert os.listdir(tmp_path) == []
+
+
+_FLAGS = {"case": "--case", "dataset": "--dataset", "rules": "--rules"}
+
+
+class TestUnreadableInputs:
+    """A missing or directory input exits 1 with ``error: <path>: <strerror>``
+    from every command that reads that kind of file, and writes no --out."""
+
+    @pytest.mark.parametrize("kind,command,options", [
+        pytest.param(kind, command, runs[0], id=f"{kind}-{command}")
+        for kind, commands in _READERS.items() for command, runs in commands.items()])
+    @pytest.mark.parametrize("problem,strerror", [("missing", "No such file or directory"),
+                                                  ("directory", "Is a directory")],
+                             ids=["missing", "directory"])
+    def test_error_names_the_input(self, tmp_path, capsys, kind, command, options,
+                                   problem, strerror):
+        path = tmp_path / "input"
+        if problem == "directory":
+            path.mkdir()
+        argv = [command, _FLAGS[kind], str(path), *options]
+        if kind == "rules" and command == "classify":
+            argv += ["--case", HRM04]
+        out = tmp_path / "out.txt"
+        assert run_cli(*argv, "--out", str(out)) == 1
+        assert capsys.readouterr() == ("", f"error: {path}: {strerror}\n")
+        assert os.listdir(tmp_path) == ([] if problem == "missing" else ["input"])
 
 
 def _fresh_process(argv):

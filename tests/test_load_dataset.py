@@ -10,6 +10,7 @@ import gc
 import json
 import pickle
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -24,7 +25,7 @@ from riskrules.benchmark import (
     parse_case,
 )
 from riskrules.rules import (CONDITION_VOCABULARY, RiskCategory, RuleValidationError,
-                             decode_json, load_ruleset, parse_ruleset, read_utf8)
+                             decode_json, load_ruleset, parse_ruleset, read_lines)
 
 
 def rec(case_id, ensure_ascii=True, **fields):
@@ -126,6 +127,30 @@ def test_missing_file_raises_os_error(tmp_path):
         load_dataset(tmp_path / "absent.jsonl")
 
 
+class TestNoLeakedFile:
+    """``read_lines`` is a generator, so its file lives as long as it does:
+    a load that stops part-way must still close the file."""
+
+    @staticmethod
+    def _leaks(load, path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DatasetValidationError):
+                load(path)
+            gc.collect()
+        return [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_dataset_failing_on_line_2(self, tmp_path):
+        path = tmp_path / "cases.jsonl"
+        path.write_text(f"{A}\n{BAD_JSON}\n{B}\n{C}\n" * 50, encoding="utf-8")
+        assert self._leaks(load_dataset, path) == []
+
+    def test_case_file_with_a_bad_byte(self, tmp_path):
+        path = tmp_path / "case.json"
+        path.write_bytes(b'{"case_id": "x",\n "description": "\xff"}\n')
+        assert self._leaks(load_case, path) == []
+
+
 class TestRecordSeparators:
     @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
                                      "\x85", "\u2028", "\u2029"])
@@ -192,7 +217,7 @@ class TestWholeFileDecoding:
     def test_valid_text_reads_as_read_text_does(self, tmp_path, data):
         path = tmp_path / "any.json"
         path.write_bytes(data)
-        assert read_utf8(path, ValueError) == path.read_text(encoding="utf-8")
+        assert "".join(read_lines(path, ValueError)) == path.read_text(encoding="utf-8")
 
     def test_non_ascii_case_file_loads(self, tmp_path):
         path = tmp_path / "case.json"

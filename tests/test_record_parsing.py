@@ -24,7 +24,7 @@ from riskrules.benchmark import (
     load_dataset,
     parse_case,
 )
-from riskrules.rules import CONDITION_VOCABULARY, RiskCategory, decode_json, utf8_fault
+from riskrules.rules import CONDITION_VOCABULARY, RiskCategory, decode_json, read_lines
 from riskrules.tnorms import unit_score
 
 # ---------------------------------------------------------------------------
@@ -218,21 +218,35 @@ def reference_parse_case(obj, vocabulary):
     return Case(case_id, obj["description"], scores, label, case_type)
 
 
+def reference_utf8_fault(data: bytes):
+    """(line, column, byte) of the first byte of ``data`` that is not
+    UTF-8, or None if there is none: the strict decoder finds the byte, and
+    the valid text before it, with CRLF and CR read as LF, places it."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[:exc.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        return (before.count("\n") + 1, len(before) - before.rfind("\n"),
+                data[exc.start])
+    return None
+
+
 def reference_load_dataset(path, vocabulary=None):
     """The line loop as it was, on the reference parser, with each error
     placed where it is raised: the oracle."""
     name = str(path)
     vocab = frozenset(CONDITION_VOCABULARY if vocabulary is None else vocabulary)
     cases, seen = [], set()
+    fault = reference_utf8_fault(Path(path).read_bytes())
     with open(path, encoding="utf-8", errors="surrogateescape") as lines:
         for lineno, line in enumerate(lines, start=1):
             if line.isspace():
                 continue
             line = line.rstrip("\n")
             where = f"{name}:{lineno}"
-            fault = utf8_fault(line)
-            if fault:
-                raise DatasetValidationError(f"{where}: {fault[1]}")
+            if fault and fault[0] == lineno:
+                raise DatasetValidationError(
+                    f"{where}: not valid UTF-8: byte 0x{fault[2]:02x} at column {fault[1]}")
             try:
                 obj = json.loads(line)
             except (ValueError, RecursionError) as exc:
@@ -377,6 +391,35 @@ class TestLoadDatasetOracle:
         except DatasetValidationError as exc:
             got = "error", str(exc)
         assert got == want
+
+
+class TestReadLines:
+    """``read_lines`` against whole-file decoding: valid UTF-8 joins back to
+    ``read_text``'s text, and the first bad byte is placed as
+    :func:`reference_utf8_fault` places it."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.binary() | st.text().map(str.encode))
+    @example(b"\xef\xbb\xbf{}\n")  # a BOM
+    @example(b"a\rb\r\xff")  # a lone CR
+    @example(b"x" * 8191 + b"\r\ny")  # a CRLF split across the 8192-byte decode chunk
+    @example(b"x" * 8191 + b"\r\ny\xc3(")
+    @example(b"x" * 9000 + b"\n")  # a line longer than one chunk
+    @example(b"x" * 9000 + b"\xe9\n")
+    @example(b"ok\n\xe2")  # a bad last byte
+    def test_matches_whole_file_decoding(self, tmp_path, data):
+        path = tmp_path / "any.txt"
+        path.write_bytes(data)
+        fault = reference_utf8_fault(data)
+        if fault is None:
+            assert "".join(read_lines(path, ValueError)) == path.read_text(encoding="utf-8")
+            return
+        with pytest.raises(ValueError) as exc:
+            "".join(read_lines(path, ValueError))
+        line, column, byte = fault
+        assert str(exc.value) == \
+            f"{path}:{line}: not valid UTF-8: byte 0x{byte:02x} at column {column}"
 
 
 # ---------------------------------------------------------------------------
