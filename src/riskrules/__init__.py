@@ -17,7 +17,6 @@ from riskrules.benchmark import (
     load_case,
     load_dataset,
     reference_label,
-    save_dataset,
     validate_case_types,
 )
 from riskrules.engine import (
@@ -53,12 +52,10 @@ from riskrules.rules import (
     Rule,
     RuleSet,
     RuleValidationError,
-    compare_severity,
     default_ruleset,
     load_ruleset,
     parse_ruleset,
     ruleset_to_json,
-    save_ruleset,
 )
 from riskrules.tnorms import (
     BACKEND,

@@ -13,10 +13,12 @@ benchmark (630 clear / 325 marginal / 80 borderline per 1035 cases,
 label mass 32/28/27/13 across minimal/high/limited/prohibited) from a
 documented portable RNG, so runs with equal (n, seed, ruleset) are
 byte-identical; ``_ARCHETYPES`` holds the score bands each kind of case
-draws from. Expert labels come from :func:`reference_label`, a
-min-score stand-in for the published human annotations: it encodes the
-bottleneck reading that a condition at or above 0.55 is "present enough"
-for an expert.
+draws from. Expert labels come from :func:`reference_label`, a stand-in
+for the published human annotations: the category of the most severe
+rule whose live-rule Goedel chain, folded by
+:func:`~riskrules.engine.rule_chain_scores`, is ``>= 0.55``. It encodes
+the bottleneck reading that a condition at or above 0.55 is "present
+enough" for an expert.
 
 Generation is single-threaded on purpose; loaded datasets are immutable
 and shareable across workers. Each case is one slotted, frozen
@@ -36,15 +38,16 @@ the loader puts ``path:line: `` in front of a failed record's error.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
-from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from riskrules.rules import (CATEGORY_ORDER, CONDITION_VOCABULARY, RiskCategory, RuleSet,
                              decode_json, default_ruleset, read_lines)
-from riskrules.tnorms import unit_score
+from riskrules.engine import rule_chain_scores
+from riskrules.tnorms import TNormKind, unit_score
 
 
 class DatasetValidationError(ValueError):
@@ -123,10 +126,6 @@ def _case(case_id: str, description: str, scores: dict, expert_label: RiskCatego
 @dataclass(frozen=True)
 class Dataset:
     cases: tuple[Case, ...]
-    provenance: str
-
-    def __len__(self) -> int:
-        return len(self.cases)
 
 
 # ---------------------------------------------------------------------------
@@ -141,13 +140,15 @@ def reference_label(case_scores: Mapping[str, float], ruleset: RuleSet) -> RiskC
     """Label a case by bottleneck reasoning over the rule base.
 
     Returns the category of the first rule of ``ruleset.ranked`` (most
-    severe first) whose every condition scores at least
-    :data:`ORACLE_PRESENCE_THRESHOLD` (missing conditions count as 0),
-    defaulting to minimal risk.
+    severe first) whose live-rule Goedel chain, from
+    :func:`~riskrules.engine.rule_chain_scores`, is at least
+    :data:`ORACLE_PRESENCE_THRESHOLD`, defaulting to minimal risk: every
+    condition of that rule scores at least 0.55, and a rule with a
+    condition the case does not score is not live, so it cannot win.
     """
-    rules = ruleset.rules
+    chains = rule_chain_scores(case_scores, ruleset, TNormKind.GOEDEL)
     for i, _, category in ruleset.ranked:
-        if min(case_scores.get(c, 0.0) for c in rules[i].conditions) >= ORACLE_PRESENCE_THRESHOLD:
+        if chains[i] >= ORACLE_PRESENCE_THRESHOLD:
             return category
     return RiskCategory.MINIMAL_RISK
 
@@ -200,10 +201,6 @@ def _case_to_obj(case: Case) -> dict:
 
 def dataset_to_jsonl(dataset: Dataset) -> str:
     return "".join(json.dumps(_case_to_obj(c)) + "\n" for c in dataset.cases)
-
-
-def save_dataset(dataset: Dataset, path) -> None:
-    Path(path).write_text(dataset_to_jsonl(dataset), encoding="utf-8")
 
 
 def _term_map(vocabulary: Iterable[str]) -> dict[str, str]:
@@ -265,7 +262,7 @@ def parse_case(obj: dict, vocabulary: Iterable[str] | Mapping[str, str]) -> Case
         try:
             scores[term] = unit_score(value)
         except ValueError as exc:
-            # unit_score's message starts with its default label, "score".
+            # unit_score's message starts with "score".
             raise DatasetValidationError(
                 f"case {case_id!r}: score for {cond!r}{str(exc).removeprefix('score')}"
             ) from None
@@ -282,13 +279,13 @@ def load_dataset(path, vocabulary: Iterable[str] | None = None) -> Dataset:
     records end at LF, CRLF or CR only, and blank lines are skipped. Beyond
     the cases, memory is bounded by the longest line. A record's errors,
     a bad byte's too, start with ``path:line: ``; an ``OSError`` names the file.
+    Errors name ``path`` as given, not normalised.
     """
-    p = Path(path)
-    name = str(p)
+    name = os.fsdecode(path)
     terms = _term_map(CONDITION_VOCABULARY if vocabulary is None else vocabulary)
     cases: list[Case] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(read_lines(p, DatasetValidationError), start=1):
+    for lineno, line in enumerate(read_lines(name, DatasetValidationError), start=1):
         if line.isspace():
             continue
         try:
@@ -302,15 +299,15 @@ def load_dataset(path, vocabulary: Iterable[str] | None = None) -> Dataset:
         cases.append(case)
     if not cases:
         raise DatasetValidationError(f"{name}: no cases")
-    return Dataset(tuple(cases), provenance=name)
+    return Dataset(tuple(cases))
 
 
 def load_case(path, vocabulary: Iterable[str] | None = None) -> Case:
     """Load a one-record JSON case file for classification, read through
     :func:`~riskrules.rules.read_lines`; errors start with its path."""
-    p = Path(path)
+    name = os.fsdecode(path)
     terms = _term_map(CONDITION_VOCABULARY if vocabulary is None else vocabulary)
-    text = "".join(read_lines(p, DatasetValidationError))
+    text = "".join(read_lines(name, DatasetValidationError))
     try:
         obj = decode_json(text, DatasetValidationError)
         # Classification inputs may omit the benchmark-only fields.
@@ -320,7 +317,7 @@ def load_case(path, vocabulary: Iterable[str] | None = None) -> Case:
             obj.setdefault("expert_label", RiskCategory.MINIMAL_RISK.value)
         return parse_case(obj, terms)
     except DatasetValidationError as exc:
-        raise DatasetValidationError(f"{p}: {exc}") from None
+        raise DatasetValidationError(f"{name}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -468,14 +465,15 @@ def generate_synthetic(n: int, seed: int, ruleset: RuleSet | None = None) -> Dat
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     if ruleset is None:
         ruleset = default_ruleset()
-    slots = _slots(n)
-    pools = {cat: ruleset.rules_for(cat) for cat in _POSITIVE}
+    # Each category's rules in declared order; None draws from every rule.
+    pools = {cat: tuple(r for r in ruleset.rules if r.category is cat) for cat in _POSITIVE}
     for cat in _POSITIVE:
-        if not pools[cat] and any(target is cat for _, target in slots):
+        if not pools[cat] and any(target is cat and count for _, target, count in _slot_counts(n)):
             raise ValueError(f"ruleset has no {cat.value} rules; cannot generate "
                              "the fixed label composition")
     pools[None] = ruleset.rules
 
+    slots = _slots(n)
     rng = SplitMix64(seed)
     rng.shuffle(slots)
 
@@ -494,4 +492,4 @@ def generate_synthetic(n: int, seed: int, ruleset: RuleSet | None = None) -> Dat
             expert_label=reference_label(scores, ruleset),
             case_type=case_type,
         ))
-    return Dataset(tuple(cases), provenance=f"generate_synthetic(n={n}, seed={seed})")
+    return Dataset(tuple(cases))

@@ -34,12 +34,19 @@ def _tnorm_csv(text: str) -> list[TNormKind]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _path(text: str) -> str:
+    """A file path option's value; an empty one is a usage error, not ``.``."""
+    if not text:
+        raise argparse.ArgumentTypeError("empty path")
+    return text
+
+
 def _emit(text: str, out: str | None) -> None:
     """Write ``text`` to stdout, or to a temp file beside ``out`` that is
     then renamed over it: a failed write leaves an old output whole."""
     if not text.endswith("\n"):
         text += "\n"
-    if not out:
+    if out is None:
         sys.stdout.write(text)
         return
     try:
@@ -76,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_rules(p):
-        p.add_argument("--rules", default="default", metavar="PATH|default",
+        p.add_argument("--rules", type=_path, default="default", metavar="PATH|default",
                        help="rule file, or 'default' for the built-in rule set")
 
     def add_operator_choice(p):
@@ -86,26 +93,26 @@ def build_parser() -> argparse.ArgumentParser:
                            help="per-rule operators from each rule's conjunction standard")
 
     p = sub.add_parser("classify", help="classify one case and emit its proof trail")
-    p.add_argument("--case", required=True, metavar="PATH", help="JSON case record")
+    p.add_argument("--case", type=_path, required=True, metavar="PATH", help="JSON case record")
     add_rules(p)
     add_operator_choice(p)
     p.add_argument("--theta", type=float, help="global threshold override")
 
     p = sub.add_parser("evaluate", help="score a dataset and report accuracy/errors")
-    p.add_argument("--dataset", required=True, metavar="PATH", help="JSON-Lines dataset")
+    p.add_argument("--dataset", type=_path, required=True, metavar="PATH", help="JSON-Lines dataset")
     add_rules(p)
     add_operator_choice(p)
     p.add_argument("--theta", type=float, help="global threshold override")
 
     p = sub.add_parser("compare", help="compare operators with pairwise McNemar tests")
-    p.add_argument("--dataset", required=True, metavar="PATH")
+    p.add_argument("--dataset", type=_path, required=True, metavar="PATH")
     add_rules(p)
     p.add_argument("--tnorms", type=_tnorm_csv, default=",".join(k.value for k in CANONICAL_KINDS),
                    metavar="CSV", help="comma-separated operators (default: %(default)s)")
     p.add_argument("--theta", type=float, help="global threshold override")
 
     p = sub.add_parser("sweep", help="threshold sensitivity sweep, CSV output")
-    p.add_argument("--dataset", required=True, metavar="PATH")
+    p.add_argument("--dataset", type=_path, required=True, metavar="PATH")
     add_rules(p)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--tnorm", choices=_TNORM_NAMES)
@@ -120,11 +127,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_rules(p)
 
     p = sub.add_parser("validate", help="check dataset case-type score bands")
-    p.add_argument("--dataset", required=True, metavar="PATH")
+    p.add_argument("--dataset", type=_path, required=True, metavar="PATH")
     add_rules(p)
 
     for p in sub.choices.values():  # every subcommand's last option
-        p.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
+        p.add_argument("--out", type=_path, metavar="PATH", help="output file (default: stdout)")
     return parser
 
 

@@ -235,9 +235,8 @@ def _theta_grid(theta_min: float, theta_max: float, step: float) -> tuple[float,
         raise ValueError(f"invalid step {step}; must be positive and finite")
     span = (theta_max - theta_min) / step + 1e-9
     if not span < MAX_SWEEP_POINTS:
-        count = int(span) + 1 if span < math.inf else span
-        raise ValueError(f"theta grid [{theta_min}, {theta_max}] by {step} has {count} "
-                         f"points; at most {MAX_SWEEP_POINTS} are allowed")
+        raise ValueError(f"theta grid [{theta_min}, {theta_max}] by {step} has more than "
+                         f"{MAX_SWEEP_POINTS} points; at most {MAX_SWEEP_POINTS} are allowed")
     grid = tuple(min(theta_min + i * step, theta_max) for i in range(int(span) + 1))
     if len(set(map(_theta_label, grid))) < len(grid):
         raise ValueError(f"theta grid [{theta_min}, {theta_max}] by {step} has points "

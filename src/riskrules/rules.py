@@ -12,9 +12,9 @@ from __future__ import annotations
 import enum
 import functools
 import json
+import os
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
 
 
 class RuleValidationError(ValueError):
@@ -43,11 +43,6 @@ CATEGORY_ORDER = tuple(RiskCategory)
 for _rank, _category in enumerate(reversed(CATEGORY_ORDER)):
     _category.severity = _rank
 del _rank, _category
-
-
-def compare_severity(a: RiskCategory, b: RiskCategory) -> int:
-    """Three-way severity comparison: -1 (less), 0 (equal), +1 (greater)."""
-    return (a.severity > b.severity) - (a.severity < b.severity)
 
 
 class ConjunctionStandard(enum.Enum):
@@ -154,9 +149,6 @@ class RuleSet:
             return self._by_id[rule_id]
         except KeyError:
             raise KeyError(f"no rule {rule_id!r}") from None
-
-    def rules_for(self, category: RiskCategory) -> tuple[Rule, ...]:
-        return tuple(r for r in self.rules if r.category is category)
 
 
 # The condition vocabulary has 22 terms. The final term,
@@ -339,12 +331,12 @@ def _rule_from_obj(obj: dict) -> Rule:
 def load_ruleset(path) -> RuleSet:
     """Load and validate a rule file, read through :func:`read_lines`;
     errors start with its path and name the rule and field."""
-    p = Path(path)
-    text = "".join(read_lines(p, RuleValidationError))
+    name = os.fsdecode(path)
+    text = "".join(read_lines(name, RuleValidationError))
     try:
         return parse_ruleset(text)
     except RuleValidationError as exc:
-        raise RuleValidationError(f"{p}: {exc}") from None
+        raise RuleValidationError(f"{name}: {exc}") from None
 
 
 #: The default decoder's scanner, without ``json.loads``' checks around it.
@@ -390,7 +382,3 @@ def read_lines(path, error: type[ValueError]):
                 raise error(f"{path}:{lineno}: not valid UTF-8: byte "
                             f"0x{ord(bad.group()) - 0xDC00:02x} at column {bad.start() + 1}")
             yield line
-
-
-def save_ruleset(ruleset: RuleSet, path) -> None:
-    Path(path).write_text(ruleset_to_json(ruleset), encoding="utf-8")

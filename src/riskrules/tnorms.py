@@ -61,7 +61,7 @@ _LUKASIEWICZ = TNormKind.LUKASIEWICZ
 _GOEDEL = TNormKind.GOEDEL
 
 
-def unit_score(value: float, label: str = "score") -> float:
+def unit_score(value: float) -> float:
     """Validate a confidence value and return it as a float in [0, 1].
 
     Raises ValueError for non-finite values or anything outside the
@@ -73,7 +73,7 @@ def unit_score(value: float, label: str = "score") -> float:
     except OverflowError:  # an int too large for a double is out of range too
         v = math.inf
     if not 0.0 <= v <= 1.0:  # also rejects NaN, which fails every comparison
-        raise ValueError(f"{label} must be a finite number in [0, 1], got {value!r}")
+        raise ValueError(f"score must be a finite number in [0, 1], got {value!r}")
     return v
 
 

@@ -323,7 +323,7 @@ def test_criterion_8_end_to_end_determinism(tmp_path):
 def test_criterion_9_threshold_sweep(ruleset, bench1035):
     problems = []
     appendix = load_dataset(DATA_DIR / "cases_appendix.jsonl")
-    singleton = Dataset(tuple(c for c in appendix.cases if c.case_id == "HRM04"), "hrm04")
+    singleton = Dataset(tuple(c for c in appendix.cases if c.case_id == "HRM04"))
     points = threshold_sweep(singleton, ruleset, P, 0.25, 0.75, 0.05)
     fired = {round(pt.theta, 2): pt.reports[P].fn_count == 0 for pt in points}
     for theta in (0.25, 0.30, 0.35, 0.40, 0.45):

@@ -63,7 +63,7 @@ def datasets(draw, ruleset):
         scored = draw(st.lists(st.sampled_from(sorted(ruleset.vocabulary)), unique=True))
         cases.append(Case(f"c{i}", "", {c: draw(scores) for c in scored},
                           draw(st.sampled_from(RiskCategory)), draw(st.sampled_from(CaseType))))
-    return Dataset(tuple(cases), "hypothesis")
+    return Dataset(tuple(cases))
 
 
 def _scalar_report(dataset, predicted):
@@ -184,7 +184,7 @@ def test_missing_condition_never_fires_even_at_tiny_theta():
         Rule("short", RiskCategory.LIMITED_RISK, VOCAB[1:3], theta=0.5),
     ))
     case = Case("c", "", {c: 1.0 for c in VOCAB[1:]}, RiskCategory.LIMITED_RISK, CaseType.CLEAR)
-    dataset = Dataset((case,), "one")
+    dataset = Dataset((case,))
     for kind in ALL_KINDS:
         assert classify(case.scores, ruleset, kind).predicted is RiskCategory.LIMITED_RISK
         assert evaluate(dataset, ruleset, kind).accuracy_overall == 1.0

@@ -81,13 +81,13 @@ class TestClassify:
 
     def test_mixed_with_annotated_rules(self, tmp_path, capsys, ruleset):
         import dataclasses
-        from riskrules.rules import ConjunctionStandard, RuleSet, save_ruleset
+        from riskrules.rules import ConjunctionStandard, RuleSet, ruleset_to_json
         annotated = RuleSet(
             ruleset.vocabulary,
             tuple(dataclasses.replace(r, standard=ConjunctionStandard.BOTTLENECK)
                   for r in ruleset.rules))
         rules_path = tmp_path / "annotated.json"
-        save_ruleset(annotated, rules_path)
+        rules_path.write_text(ruleset_to_json(annotated), encoding="utf-8")
         assert run_cli("classify", "--case", HRM04, "--rules", str(rules_path),
                        "--mixed") == 0
         assert json.loads(capsys.readouterr().out)["predicted"] == "high_risk"
@@ -597,6 +597,30 @@ class TestUnreadableInputs:
         assert run_cli(*argv, "--out", str(out)) == 1
         assert capsys.readouterr() == ("", f"error: {path}: {strerror}\n")
         assert os.listdir(tmp_path) == ([] if problem == "missing" else ["input"])
+
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--tnorm", "goedel", "--case", ""),
+        ("classify", "--tnorm", "goedel", "--case", HRM04, "--rules", ""),
+        ("evaluate", "--tnorm", "goedel", "--dataset", ""),
+        ("compare", "--dataset", ""),
+        ("sweep", "--tnorm", "goedel", "--dataset", ""),
+        ("validate", "--dataset", ""),
+        ("validate", "--dataset", APPENDIX, "--rules", ""),
+        ("generate", "--rules", ""),
+        ("generate", "--n", "40", "--out", ""),
+        ("classify", "--tnorm", "goedel", "--case", HRM04, "--out", ""),
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_empty_path_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        # Not the current directory ("error: .: Is a directory"), and not
+        # stdout for --out: argparse names the option and exits 2.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"error: argument {argv[-2]}: empty path\n")
+        assert os.listdir(tmp_path) == []
 
 
 def _fresh_process(argv):

@@ -127,6 +127,26 @@ def test_missing_file_raises_os_error(tmp_path):
         load_dataset(tmp_path / "absent.jsonl")
 
 
+@pytest.mark.parametrize("load", [load_dataset, load_case, load_ruleset])
+def test_empty_path_is_not_the_current_directory(load):
+    with pytest.raises(OSError) as err:
+        load("")
+    assert err.value.filename == ""
+    assert not isinstance(err.value, IsADirectoryError)
+
+
+@pytest.mark.parametrize("path", ["./in.json", b"./in.json"], ids=["str", "bytes"])
+@pytest.mark.parametrize("load,error", [(load_dataset, DatasetValidationError),
+                                        (load_case, DatasetValidationError),
+                                        (load_ruleset, RuleValidationError)])
+def test_error_names_the_path_as_given(tmp_path, monkeypatch, load, error, path):
+    # Not normalised to "in.json"; a bytes path is named as text, not b'...'.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.json").write_text("{nope\n")
+    with pytest.raises(error, match=r"^\./in\.json:"):
+        load(path)
+
+
 class TestNoLeakedFile:
     """``read_lines`` is a generator, so its file lives as long as it does:
     a load that stops part-way must still close the file."""
@@ -237,7 +257,7 @@ def test_load_holds_no_copy_of_the_file(tmp_path):
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(dataset) == 20_000
+    assert len(dataset.cases) == 20_000
     assert peak - retained < path.stat().st_size / 2
 
 

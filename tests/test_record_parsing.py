@@ -523,7 +523,7 @@ def test_bytes_retained_per_loaded_case(tmp_path):
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(dataset) == n
+    assert len(dataset.cases) == n
     assert retained / n < BYTES_PER_CASE
 
 

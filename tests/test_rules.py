@@ -14,31 +14,30 @@ from riskrules.rules import (
     Rule,
     RuleSet,
     RuleValidationError,
-    compare_severity,
     default_ruleset,
     load_ruleset,
     parse_ruleset,
     ruleset_to_json,
-    save_ruleset,
 )
 
 
 class TestSeverity:
     def test_priority_ordering_examples(self):
-        assert compare_severity(RiskCategory.PROHIBITED, RiskCategory.HIGH_RISK) == 1
-        assert compare_severity(RiskCategory.MINIMAL_RISK, RiskCategory.MINIMAL_RISK) == 0
-        assert compare_severity(RiskCategory.LIMITED_RISK, RiskCategory.HIGH_RISK) == -1
+        assert RiskCategory.PROHIBITED > RiskCategory.HIGH_RISK
+        assert RiskCategory.MINIMAL_RISK >= RiskCategory.MINIMAL_RISK
+        assert not RiskCategory.MINIMAL_RISK < RiskCategory.MINIMAL_RISK
+        assert RiskCategory.LIMITED_RISK < RiskCategory.HIGH_RISK
 
     def test_total_order_exhaustive(self):
         ranks = {c: c.severity for c in RiskCategory}
         assert sorted(ranks.values()) == [0, 1, 2, 3]
         for a, b in itertools.product(RiskCategory, repeat=2):
-            cmp_ab, cmp_ba = compare_severity(a, b), compare_severity(b, a)
-            assert cmp_ab == -cmp_ba  # antisymmetry
-            assert (cmp_ab == 0) == (a is b)
+            assert (a < b) == (b > a) == (a.severity < b.severity)
+            assert (a < b) + (a is b) + (a > b) == 1  # exactly one holds
+            assert (a <= b) == (a < b or a is b)
             for c in RiskCategory:  # transitivity
-                if cmp_ab >= 0 and compare_severity(b, c) >= 0:
-                    assert compare_severity(a, c) >= 0
+                if a >= b and b >= c:
+                    assert a >= c
 
     def test_rich_comparison_matches(self):
         assert RiskCategory.PROHIBITED > RiskCategory.HIGH_RISK > \
@@ -161,12 +160,12 @@ class TestSharedTheta:
 class TestRoundTrip:
     def test_fixed_point(self, tmp_path, ruleset):
         path = tmp_path / "rules.json"
-        save_ruleset(ruleset, path)
+        path.write_text(ruleset_to_json(ruleset), encoding="utf-8")
         loaded = load_ruleset(path)
         assert loaded == ruleset
         assert ruleset_to_json(loaded) == ruleset_to_json(ruleset)
         # serialize -> load -> serialize is a fixed point
-        save_ruleset(loaded, path)
+        path.write_text(ruleset_to_json(loaded), encoding="utf-8")
         assert load_ruleset(path) == loaded
 
     def test_standard_annotation_round_trip(self, tmp_path, ruleset):
@@ -177,7 +176,7 @@ class TestRoundTrip:
                   for r in ruleset.rules),
         )
         path = tmp_path / "annotated.json"
-        save_ruleset(annotated, path)
+        path.write_text(ruleset_to_json(annotated), encoding="utf-8")
         loaded = load_ruleset(path)
         assert all(r.standard is ConjunctionStandard.BOTTLENECK for r in loaded.rules)
 

@@ -221,6 +221,7 @@ class TestUnitScore:
         with pytest.raises(ValueError):
             unit_score(value)
 
-    def test_error_carries_label(self):
-        with pytest.raises(ValueError, match="theta"):
-            unit_score(2.0, label="theta")
+    def test_error_names_the_score(self):
+        with pytest.raises(ValueError) as err:
+            unit_score(2.0)
+        assert str(err.value) == "score must be a finite number in [0, 1], got 2.0"
