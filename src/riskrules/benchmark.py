@@ -14,25 +14,26 @@ label mass 32/28/27/13 across minimal/high/limited/prohibited) from a
 documented portable RNG, so runs with equal (n, seed, ruleset) are
 byte-identical; ``_ARCHETYPES`` holds the score bands each kind of case
 draws from. Expert labels come from :func:`reference_label`, a stand-in
-for the published human annotations: the category of the most severe
-rule whose live-rule Goedel chain, folded by
-:func:`~riskrules.engine.rule_chain_scores`, is ``>= 0.55``. It encodes
-the bottleneck reading that a condition at or above 0.55 is "present
-enough" for an expert.
+for the published human annotations: the engine's Goedel decision with
+theta just below 0.55, so a rule counts when every condition scores
+``>= 0.55``. It encodes the bottleneck reading that a condition at or
+above 0.55 is "present enough" for an expert.
 
 Generation is single-threaded on purpose; loaded datasets are immutable
 and shareable across workers. Each case is one slotted, frozen
-:class:`Case`: it keeps its scores in a plain dict, and ``case.scores``
-is a read-only view of it. The batch pass in :mod:`riskrules.evaluation`
-reads the dict behind the view, where the fold's dict fast paths apply.
+:class:`Case`, built only by ``Case(...)``: it keeps its own copy of
+the scores in a plain dict, and ``case.scores`` is a read-only view of
+it. The batch pass in :mod:`riskrules.evaluation` reads the dict behind
+the view, where the fold's dict fast paths apply.
 
 Loading (:func:`load_dataset`) takes one JSON-Lines record at a time from
 :func:`~riskrules.rules.read_lines`, the one reader of input files:
-:func:`~riskrules.rules.decode_json` decodes it, and :func:`parse_case`,
-the one record parser, checks it and builds the case. Score keys are
-mapped onto the vocabulary's own strings, so a dataset holds one copy of
-each term, not one per case. The decoder and the parser name no file;
-the loader puts ``path:line: `` in front of a failed record's error.
+:func:`~riskrules.rules.decode_json` decodes it in one scan, and
+:func:`parse_case`, the one record parser, checks it and builds the
+case. Score keys are mapped onto the vocabulary's own strings, so a
+dataset holds one copy of each term, not one per case. The decoder and
+the parser name no file; the loader puts ``path:line: `` in front of a
+failed record's error.
 
 Writing (:func:`dataset_to_jsonl`) joins the ``json.dumps`` lines a
 bounded chunk at a time, so its peak is about twice its result. The
@@ -43,6 +44,7 @@ the cases that draw that pair.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
@@ -51,7 +53,7 @@ from typing import Iterable, Mapping
 
 from riskrules.rules import (CATEGORY_ORDER, CONDITION_VOCABULARY, RiskCategory, RuleSet,
                              decode_json, default_ruleset, read_lines)
-from riskrules.engine import rule_chain_scores
+from riskrules.engine import predicted_category, rule_chain_scores
 from riskrules.tnorms import TNormKind, unit_score
 
 
@@ -66,9 +68,9 @@ class CaseType(Enum):
 
 
 class Case:
-    """One annotated case, immutable. ``scores`` is a read-only view
-    (``types.MappingProxyType``) of the case's own copy of the mapping
-    passed in, made on each read; the case holds only the plain dict.
+    """One annotated case, immutable; ``Case(...)`` is the only way to
+    build one. ``scores`` is a read-only view (``types.MappingProxyType``)
+    of the case's own copy of the mapping passed in, made on each read.
 
     A case is one slotted object with no ``__dict__``. It compares equal
     to a case with equal fields and has no hash, since its scores are a
@@ -80,7 +82,14 @@ class Case:
 
     def __new__(cls, case_id: str, description: str, scores: Mapping[str, float],
                 expert_label: RiskCategory, case_type: CaseType):
-        return _case(case_id, description, dict(scores), expert_label, case_type)
+        # The slots are set past the frozen __setattr__.
+        case = object.__new__(cls)
+        _SET_ID(case, case_id)
+        _SET_DESCRIPTION(case, description)
+        _SET_SCORES(case, dict(scores))
+        _SET_LABEL(case, expert_label)
+        _SET_TYPE(case, case_type)
+        return case
 
     @property
     def scores(self) -> Mapping[str, float]:
@@ -114,20 +123,6 @@ _SET_ID, _SET_DESCRIPTION, _SET_SCORES, _SET_LABEL, _SET_TYPE = (
     getattr(Case, name).__set__ for name in Case.__slots__)
 
 
-def _case(case_id: str, description: str, scores: dict, expert_label: RiskCategory,
-          case_type: CaseType) -> Case:
-    """A :class:`Case` that takes ``scores`` as its own, uncopied: for a
-    dict its caller has just built and keeps no reference to. The slots
-    are set past the frozen ``__setattr__``."""
-    case = object.__new__(Case)
-    _SET_ID(case, case_id)
-    _SET_DESCRIPTION(case, description)
-    _SET_SCORES(case, scores)
-    _SET_LABEL(case, expert_label)
-    _SET_TYPE(case, case_type)
-    return case
-
-
 @dataclass(frozen=True)
 class Dataset:
     cases: tuple[Case, ...]
@@ -144,18 +139,14 @@ ORACLE_PRESENCE_THRESHOLD = 0.55
 def reference_label(case_scores: Mapping[str, float], ruleset: RuleSet) -> RiskCategory:
     """Label a case by bottleneck reasoning over the rule base.
 
-    Returns the category of the first rule of ``ruleset.ranked`` (most
-    severe first) whose live-rule Goedel chain, from
-    :func:`~riskrules.engine.rule_chain_scores`, is at least
-    :data:`ORACLE_PRESENCE_THRESHOLD`, defaulting to minimal risk: every
-    condition of that rule scores at least 0.55, and a rule with a
-    condition the case does not score is not live, so it cannot win.
+    The engine's Goedel decision with every theta just below
+    :data:`ORACLE_PRESENCE_THRESHOLD` ("> nextafter(0.55, 0)" is
+    ">= 0.55"): the category of the most severe rule whose conditions all
+    score at least 0.55, or minimal risk. Labels and predictions share
+    one decision function.
     """
-    chains = rule_chain_scores(case_scores, ruleset, TNormKind.GOEDEL)
-    for i, _, category in ruleset.ranked:
-        if chains[i] >= ORACLE_PRESENCE_THRESHOLD:
-            return category
-    return RiskCategory.MINIMAL_RISK
+    return predicted_category(ruleset, rule_chain_scores(case_scores, ruleset, TNormKind.GOEDEL),
+                              math.nextafter(ORACLE_PRESENCE_THRESHOLD, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +225,13 @@ def parse_case(obj: dict, vocabulary: Iterable[str] | Mapping[str, str]) -> Case
     ``vocabulary`` is a collection of condition terms, or a ``{term:
     term}`` dict of them as :func:`load_dataset` passes it, built once per
     file. The case's score keys are the vocabulary's own strings, so the
-    cases of a dataset share one copy of each term. Errors name no file:
-    the loader that read the record places them.
+    cases of a dataset share one copy of each term. ``Case(...)`` copies
+    the checked scores. Errors name no file: the loader places them.
     """
-    if type(obj) is not dict and not isinstance(obj, dict):
+    if not isinstance(obj, dict):
         raise DatasetValidationError("case records must be JSON objects")
     case_id = obj.get("case_id")
-    if type(case_id) is not str and not isinstance(case_id, str) or not case_id:
+    if not isinstance(case_id, str) or not case_id:
         raise DatasetValidationError("missing or empty case_id")
     keys = obj.keys()
     if keys != _CASE_KEYS:  # a record with exactly the known keys needs no probe
@@ -252,7 +243,7 @@ def parse_case(obj: dict, vocabulary: Iterable[str] | Mapping[str, str]) -> Case
             if key not in obj:
                 raise DatasetValidationError(f"case {case_id!r}: missing field {key!r}")
     description = obj["description"]
-    if type(description) is not str and not isinstance(description, str):
+    if not isinstance(description, str):
         raise DatasetValidationError(f"case {case_id!r}: description must be a string")
     # Each table holds every member's string value, and no other JSON
     # value equals one.
@@ -265,7 +256,7 @@ def parse_case(obj: dict, vocabulary: Iterable[str] | Mapping[str, str]) -> Case
     if label is None:
         raise DatasetValidationError(f"case {case_id!r}: unknown expert_label {value!r}")
     raw_scores = obj["scores"]
-    if type(raw_scores) is not dict and not isinstance(raw_scores, dict) or not raw_scores:
+    if not isinstance(raw_scores, dict) or not raw_scores:
         raise DatasetValidationError(f"case {case_id!r}: scores must be a non-empty object")
     terms = vocabulary if type(vocabulary) is dict else _term_map(vocabulary)
     scores: dict[str, float] = {}
@@ -285,7 +276,7 @@ def parse_case(obj: dict, vocabulary: Iterable[str] | Mapping[str, str]) -> Case
             raise DatasetValidationError(
                 f"case {case_id!r}: score for {cond!r}{str(exc).removeprefix('score')}"
             ) from None
-    return _case(case_id, description, scores, label, case_type)
+    return Case(case_id, description, scores, label, case_type)
 
 
 def load_dataset(path, vocabulary: Iterable[str] | None = None) -> Dataset:
@@ -508,11 +499,7 @@ def generate_synthetic(n: int, seed: int, ruleset: RuleSet | None = None) -> Dat
         low_at = rng.randrange(len(rule.conditions)) if low else -1
         scores = {c: rng.uniform(*(low if j == low_at else rest))
                   for j, c in enumerate(rule.conditions)}
-        cases.append(_case(
-            case_id=f"syn-{i:0{width}d}",
-            description=descriptions[text, rule.rule_id],
-            scores=scores,
-            expert_label=reference_label(scores, ruleset),
-            case_type=case_type,
-        ))
+        # Positional: keywords would make type.__call__ build a dict per case.
+        cases.append(Case(f"syn-{i:0{width}d}", descriptions[text, rule.rule_id], scores,
+                          reference_label(scores, ruleset), case_type))
     return Dataset(tuple(cases))

@@ -348,14 +348,15 @@ def decode_json(text: str, error: type[ValueError]):
     no file (its loader places it). That covers an integer literal too long
     to convert and nesting too deep for the decoder.
 
-    The common case, one value that fills the text exactly, takes a single
-    ``raw_decode`` call. Anything else (whitespace around the value, a
-    BOM, extra data, an error) goes through ``json.loads``, so values and
-    messages are exactly its own.
+    The common case, one value that starts the text and is followed by
+    JSON whitespace at most (a file's last newline), takes one
+    ``raw_decode`` scan. Anything else (leading whitespace, a BOM, extra
+    data, an error) goes through ``json.loads``, so values and messages
+    are exactly its own.
     """
     try:
         value, end = _raw_decode(text)
-        if end == len(text):
+        if end == len(text) or json.decoder.WHITESPACE.match(text, end).end() == len(text):
             return value
     except (ValueError, RecursionError, TypeError):  # TypeError: bytes, which json.loads takes
         pass

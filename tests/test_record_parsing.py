@@ -1,7 +1,8 @@
 """The dataset read path against oracles: ``decode_json`` against
 ``json.loads``, and ``parse_case`` and ``load_dataset`` against the
 straightforward versions they replaced, kept here as the reference.
-Also the case model: slots, no hash, shared key strings, generated
+Also one decoder scan per input, and the case model: slots, no hash,
+no mutation by any way a case is made, shared key strings, generated
 cases' shared descriptions, bytes per case.
 """
 
@@ -12,6 +13,7 @@ import pickle
 import tracemalloc
 from dataclasses import FrozenInstanceError
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -22,10 +24,13 @@ from riskrules.benchmark import (
     DatasetValidationError,
     dataset_to_jsonl,
     generate_synthetic,
+    load_case,
     load_dataset,
     parse_case,
 )
-from riskrules.rules import CONDITION_VOCABULARY, RiskCategory, decode_json, read_lines
+from riskrules import rules
+from riskrules.rules import (CONDITION_VOCABULARY, RiskCategory, decode_json, default_ruleset,
+                             load_ruleset, read_lines, ruleset_to_json)
 from riskrules.tnorms import unit_score
 
 # ---------------------------------------------------------------------------
@@ -161,6 +166,51 @@ class TestDecodeJson:
         for line in ['{"a": 1}, {"b": 2}', '{"k": "x', 'y"}']:
             with pytest.raises(DatasetValidationError, match="^not valid JSON: "):
                 decode_json(line, DatasetValidationError)
+
+
+class TestOneScanPerInput:
+    """Each input text is scanned once: a file's text, or a dataset line,
+    that ends in JSON whitespace (a file's last newline) still takes the
+    one ``raw_decode`` call, not a second scan by ``json.loads``."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        calls = []
+
+        def counted(decode):
+            def scan(*args, **kwargs):
+                calls.append(decode)
+                return decode(*args, **kwargs)
+            return scan
+
+        monkeypatch.setattr(rules, "_raw_decode", counted(rules._raw_decode))
+        monkeypatch.setattr(json, "loads", counted(json.loads))
+        return calls
+
+    def test_one_per_case_file(self, scans):
+        case = load_case(Path(__file__).parent / "data" / "hrm04.json")
+        assert case.case_id and len(scans) == 1
+
+    def test_one_per_rule_file(self, tmp_path, scans):
+        path = tmp_path / "rules.json"
+        path.write_text(ruleset_to_json(default_ruleset()), encoding="utf-8")
+        assert len(load_ruleset(path).rules) == 14
+        assert len(scans) == 1
+
+    def test_one_per_dataset_line(self, tmp_path, scans):
+        lines = dataset_to_jsonl(generate_synthetic(40, 1)).splitlines()
+        # Trailing spaces and tabs, and LF and CRLF endings.
+        ends = [" ", "\t", "\r", "  \t", ""]
+        text = "\n".join(line + ends[i % len(ends)] for i, line in enumerate(lines)) + "\r\n"
+        path = tmp_path / "d.jsonl"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert len(load_dataset(path).cases) == len(lines)
+        assert len(scans) == len(lines)
+
+    @pytest.mark.parametrize("text", ["{}", "{}\n", '{"a": [1, 2]} \t\r\n', "0 ", "NaN\n\n"])
+    def test_one_per_value_followed_by_whitespace(self, scans, text):
+        decode_json(text, ValueError)  # its values: TestDecodeJson
+        assert len(scans) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +526,85 @@ class TestCaseModel:
             "Case(case_id='c', description='d', scores={'a': 0.5}, "
             "expert_label=<RiskCategory.HIGH_RISK: 'high_risk'>, "
             "case_type=<CaseType.MARGINAL: 'marginal'>)")
+
+
+_valid_records = st.fixed_dictionaries({
+    "case_id": st.text(min_size=1, max_size=4),
+    "description": st.text(max_size=4),
+    "case_type": st.sampled_from([t.value for t in CaseType]),
+    "expert_label": st.sampled_from([c.value for c in RiskCategory]),
+    "scores": st.dictionaries(st.sampled_from(CONDITION_VOCABULARY),
+                              st.floats(0.0, 1.0) | st.sampled_from([0, 1, -0.0]),
+                              min_size=1, max_size=4),
+})
+_FIELDS = ("case_id", "description", "scores", "expert_label", "case_type", "_scores")
+
+
+def _assert_cannot_be_mutated(case, *callers_mappings):
+    """Every way to change a case fails and changes nothing, and neither
+    does changing a mapping its maker was given."""
+    before = pickle.dumps(case)
+    for name in _FIELDS:
+        with pytest.raises(FrozenInstanceError):
+            setattr(case, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(case, name)
+    with pytest.raises(FrozenInstanceError):
+        case.extra = 1
+    key = next(iter(case.scores))
+    with pytest.raises(TypeError):
+        case.scores[key] = 0.5
+    with pytest.raises(TypeError):
+        case.scores["another_key"] = 0.5
+    with pytest.raises(TypeError):
+        del case.scores[key]
+    with pytest.raises(TypeError, match=r"^unhashable type: 'Case'$"):
+        hash(case)
+    for mapping in callers_mappings:
+        assert all(held is not mapping for held in gc.get_referents(case))
+        mapping.clear()
+    assert pickle.dumps(case) == before
+    again = pickle.loads(before)
+    assert again == case
+    assert list(again.scores.items()) == list(case.scores.items())
+
+
+class TestLoadedDataCannotBeMutated:
+    """Whatever made a case (``Case(...)``, ``parse_case``, either loader
+    or the generator), the case cannot be changed after it is made."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_valid_records, st.booleans())
+    def test_constructed(self, record, through_view):
+        scores = dict(record["scores"])
+        given_scores = MappingProxyType(scores) if through_view else scores
+        case = Case(record["case_id"], record["description"], given_scores,
+                    RiskCategory(record["expert_label"]), CaseType(record["case_type"]))
+        _assert_cannot_be_mutated(case, scores)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_valid_records, st.booleans())
+    def test_parsed(self, record, as_term_map):
+        vocabulary = {t: t for t in CONDITION_VOCABULARY} if as_term_map else CONDITION_VOCABULARY
+        _assert_cannot_be_mutated(parse_case(record, vocabulary), record["scores"], record)
+
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(_valid_records, min_size=1, max_size=4, unique_by=lambda r: r["case_id"]))
+    def test_loaded(self, tmp_path, records):
+        dataset_path, case_path = tmp_path / "d.jsonl", tmp_path / "case.json"
+        dataset_path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        case_path.write_text(json.dumps(records[0], indent=2) + "\n", encoding="utf-8")
+        cases = load_dataset(dataset_path).cases
+        assert len(cases) == len(records)
+        for case in (*cases, load_case(case_path)):
+            _assert_cannot_be_mutated(case)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(4, 60), st.integers(0, 2 ** 64 - 1))
+    def test_generated(self, n, seed):
+        for case in generate_synthetic(n, seed).cases:
+            _assert_cannot_be_mutated(case)
 
 
 def _fresh(term: str) -> str:
