@@ -17,7 +17,6 @@ import contextlib
 import os
 import stat
 import sys
-import tempfile
 from pathlib import Path
 
 from riskrules import benchmark, evaluation, rules
@@ -43,7 +42,9 @@ def _path(text: str) -> str:
 
 def _emit(text: str, out: str | None) -> None:
     """Write ``text`` to stdout, or to a temp file beside ``out`` that is
-    then renamed over it: a failed write leaves an old output whole."""
+    then renamed over it: a failed write leaves an old output whole. The
+    temp file is opened with mode 0666 under the process umask, which is
+    never changed; an output that already exists keeps its mode."""
     if not text.endswith("\n"):
         text += "\n"
     if out is None:
@@ -57,18 +58,21 @@ def _emit(text: str, out: str | None) -> None:
     if st is None or stat.S_ISREG(st.st_mode):  # not /dev/stdout, a FIFO, ...
         # Replace the file a symlink names, not the link.
         target = os.path.realpath(out) if os.path.islink(out) else out
+        flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW  # a new file, not a link
         with contextlib.suppress(OSError):  # a missing or read-only directory
-            fd, tmp = tempfile.mkstemp(prefix=".riskrules-", dir=os.path.dirname(target))
+            for _ in range(100):  # a new random name per try, as mkstemp does
+                name = os.path.join(os.path.dirname(target), f".riskrules-{os.urandom(6).hex()}")
+                with contextlib.suppress(FileExistsError):
+                    fd, tmp = os.open(name, flags, 0o666), name
+                    break
     if tmp is None:  # write in place; an error then names the output
         Path(out).write_text(text, encoding="utf-8")
         return
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as f:
             f.write(text)
-        # The mode writing in place gives: the old file's, or 0666 & ~umask.
-        if st is None:
-            os.umask(umask := os.umask(0))
-        os.chmod(tmp, 0o666 & ~umask if st is None else stat.S_IMODE(st.st_mode))
+        if st is not None:
+            os.chmod(tmp, stat.S_IMODE(st.st_mode))
         os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)

@@ -24,6 +24,7 @@ All functions are pure; cases may be classified concurrently.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -168,9 +169,14 @@ def predicted_category(ruleset: RuleSet, chain_scores: Sequence[float],
                        theta_override: float | None = None) -> RiskCategory:
     """Final category implied by per-rule chain scores at the given threshold:
     the category of the most severe rule whose score exceeds its theta."""
-    for i, theta, category in ruleset.ranked:
-        if chain_scores[i] > (theta if theta_override is None else theta_override):
-            return category
+    if theta_override is None:
+        for i, theta, category in ruleset.ranked:
+            if chain_scores[i] > theta:
+                return category
+    else:
+        for i, _, category in ruleset.ranked:
+            if chain_scores[i] > theta_override:
+                return category
     return RiskCategory.MINIMAL_RISK
 
 
@@ -183,6 +189,9 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _num(x: float) -> str:
+    """``round(x, 6)`` as json writes it; an exact float zero, signed, skips ``round``."""
+    if type(x) is float and x == 0.0:
+        return "-0.0" if math.copysign(1.0, x) < 0.0 else "0.0"
     text = repr(round(x, 6))
     return _NON_FINITE.get(text, text)
 
@@ -199,7 +208,8 @@ def outcome_to_json(outcome: ClassificationOutcome) -> str:
     """Proof-trail JSON; scores carry six decimal digits.
 
     Writes the layout of ``json.dumps(obj, indent=2) + "\\n"`` directly,
-    byte for byte: an ``indent`` forces json's pure-Python encoder.
+    byte for byte: an ``indent`` forces json's pure-Python encoder. Enum
+    strings are read from ``_value_``, skipping the ``value`` property.
     """
     rules = []
     for rs in outcome.rule_scores:
@@ -209,7 +219,7 @@ def outcome_to_json(outcome: ClassificationOutcome) -> str:
             f'          "rule_id": {_str(st.rule_id)},\n'
             f'          "condition_id": {_str(st.condition_id)},\n'
             f'          "condition_score": {_num(st.condition_score)},\n'
-            f'          "operator": "{st.operator.value}",\n'
+            f'          "operator": "{st.operator._value_}",\n'
             f'          "accumulated": {_num(st.accumulated)},\n'
             f'          "missing_condition": {_bool(st.missing_condition)}\n'
             f'        }}'
@@ -218,7 +228,7 @@ def outcome_to_json(outcome: ClassificationOutcome) -> str:
         rules.append(
             f'    {{\n'
             f'      "rule_id": {_str(rs.rule_id)},\n'
-            f'      "category": "{rs.category.value}",\n'
+            f'      "category": "{rs.category._value_}",\n'
             f'      "score": {_num(rs.score)},\n'
             f'      "fired": {_bool(rs.fired)},\n'
             f'      "steps": {_array(steps, "      ")}\n'
@@ -229,7 +239,7 @@ def outcome_to_json(outcome: ClassificationOutcome) -> str:
             f'  "case_id": {_str(outcome.case_id)},\n'
             f'  "tnorm": {_str(outcome.tnorm)},\n'
             f'  "theta": {theta},\n'
-            f'  "predicted": "{outcome.predicted.value}",\n'
+            f'  "predicted": "{outcome.predicted._value_}",\n'
             f'  "winning_rule": {winner},\n'
             f'  "rules": {_array(rules, "  ")}\n'
             f'}}\n')

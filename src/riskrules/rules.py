@@ -180,6 +180,52 @@ CONDITION_VOCABULARY: tuple[str, ...] = (
 )
 
 
+_DEFAULT_RULES = (
+    Rule("prohibited_rt_biometric", RiskCategory.PROHIBITED,
+         ("real_time_processing", "public_space", "biometric_identification"),
+         article="Art. 5(1)(h)"),
+    Rule("prohibited_social_scoring", RiskCategory.PROHIBITED,
+         ("public_authority", "evaluates_social_behavior", "detrimental_treatment"),
+         article="Art. 5(1)(c)"),
+    Rule("prohibited_subliminal_manipulation", RiskCategory.PROHIBITED,
+         ("subliminal_technique", "detrimental_treatment", "interacts_with_humans"),
+         article="Art. 5(1)(a)", synthetic=True),
+    Rule("high_risk_employment", RiskCategory.HIGH_RISK,
+         ("employment_context", "recruitment_or_promotion", "automated_decision"),
+         article="Annex III 4"),
+    Rule("high_risk_credit", RiskCategory.HIGH_RISK,
+         ("essential_service", "creditworthiness_or_insurance", "individual_assessment"),
+         article="Annex III 5"),
+    Rule("high_risk_critical_infrastructure", RiskCategory.HIGH_RISK,
+         ("critical_infrastructure", "safety_component", "autonomous_decision"),
+         article="Annex III 2"),
+    Rule("high_risk_education", RiskCategory.HIGH_RISK,
+         ("education_context", "determines_access", "affects_life_path"),
+         article="Annex III 3"),
+    Rule("high_risk_biometric_categorisation", RiskCategory.HIGH_RISK,
+         ("biometric_identification", "individual_assessment", "automated_decision"),
+         article="Annex III 1", synthetic=True),
+    Rule("high_risk_essential_access", RiskCategory.HIGH_RISK,
+         ("essential_service", "determines_access", "automated_decision"),
+         article="Annex III 5", synthetic=True),
+    Rule("high_risk_worker_monitoring", RiskCategory.HIGH_RISK,
+         ("employment_context", "evaluates_social_behavior", "automated_decision"),
+         article="Annex III 4", synthetic=True),
+    Rule("limited_chatbot", RiskCategory.LIMITED_RISK,
+         ("interacts_with_humans", "ai_generated_output", "not_clearly_disclosed"),
+         article="Art. 50(1)"),
+    Rule("limited_deepfake_content", RiskCategory.LIMITED_RISK,
+         ("ai_generated_output", "public_space", "not_clearly_disclosed"),
+         article="Art. 50(4)", synthetic=True),
+    Rule("limited_biometric_notice", RiskCategory.LIMITED_RISK,
+         ("biometric_identification", "interacts_with_humans", "not_clearly_disclosed"),
+         article="Art. 50(3)", synthetic=True),
+    Rule("limited_profiling_notice", RiskCategory.LIMITED_RISK,
+         ("individual_assessment", "evaluates_social_behavior", "not_clearly_disclosed"),
+         article="Art. 50", synthetic=True),
+)
+
+
 def default_ruleset() -> RuleSet:
     """The built-in 14-rule formalisation of selected EU AI Act provisions.
 
@@ -187,54 +233,10 @@ def default_ruleset() -> RuleSet:
     ``synthetic`` follow the same three-condition ALL-conjunction pattern
     to cover the remaining category mass and are labelled as
     reconstructions, not as authoritative readings of the Act. Every rule
-    uses theta = 0.5.
+    uses theta = 0.5. Each call returns a new ``RuleSet`` (and live-rule
+    memo) over the same immutable ``Rule`` objects, built once at import.
     """
-    c = RiskCategory
-    rules = (
-        Rule("prohibited_rt_biometric", c.PROHIBITED,
-             ("real_time_processing", "public_space", "biometric_identification"),
-             article="Art. 5(1)(h)"),
-        Rule("prohibited_social_scoring", c.PROHIBITED,
-             ("public_authority", "evaluates_social_behavior", "detrimental_treatment"),
-             article="Art. 5(1)(c)"),
-        Rule("prohibited_subliminal_manipulation", c.PROHIBITED,
-             ("subliminal_technique", "detrimental_treatment", "interacts_with_humans"),
-             article="Art. 5(1)(a)", synthetic=True),
-        Rule("high_risk_employment", c.HIGH_RISK,
-             ("employment_context", "recruitment_or_promotion", "automated_decision"),
-             article="Annex III 4"),
-        Rule("high_risk_credit", c.HIGH_RISK,
-             ("essential_service", "creditworthiness_or_insurance", "individual_assessment"),
-             article="Annex III 5"),
-        Rule("high_risk_critical_infrastructure", c.HIGH_RISK,
-             ("critical_infrastructure", "safety_component", "autonomous_decision"),
-             article="Annex III 2"),
-        Rule("high_risk_education", c.HIGH_RISK,
-             ("education_context", "determines_access", "affects_life_path"),
-             article="Annex III 3"),
-        Rule("high_risk_biometric_categorisation", c.HIGH_RISK,
-             ("biometric_identification", "individual_assessment", "automated_decision"),
-             article="Annex III 1", synthetic=True),
-        Rule("high_risk_essential_access", c.HIGH_RISK,
-             ("essential_service", "determines_access", "automated_decision"),
-             article="Annex III 5", synthetic=True),
-        Rule("high_risk_worker_monitoring", c.HIGH_RISK,
-             ("employment_context", "evaluates_social_behavior", "automated_decision"),
-             article="Annex III 4", synthetic=True),
-        Rule("limited_chatbot", c.LIMITED_RISK,
-             ("interacts_with_humans", "ai_generated_output", "not_clearly_disclosed"),
-             article="Art. 50(1)"),
-        Rule("limited_deepfake_content", c.LIMITED_RISK,
-             ("ai_generated_output", "public_space", "not_clearly_disclosed"),
-             article="Art. 50(4)", synthetic=True),
-        Rule("limited_biometric_notice", c.LIMITED_RISK,
-             ("biometric_identification", "interacts_with_humans", "not_clearly_disclosed"),
-             article="Art. 50(3)", synthetic=True),
-        Rule("limited_profiling_notice", c.LIMITED_RISK,
-             ("individual_assessment", "evaluates_social_behavior", "not_clearly_disclosed"),
-             article="Art. 50", synthetic=True),
-    )
-    return RuleSet(frozenset(CONDITION_VOCABULARY), rules)
+    return RuleSet(frozenset(CONDITION_VOCABULARY), _DEFAULT_RULES)
 
 
 # ---------------------------------------------------------------------------

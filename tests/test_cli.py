@@ -530,6 +530,21 @@ class TestOut:
             os.umask(old)
         assert (tmp_path / "trail.json").stat().st_mode & 0o777 == 0o640
 
+    def test_new_file_is_made_without_changing_the_umask(self, tmp_path, monkeypatch):
+        old = os.umask(0o027)
+
+        def fail(mask):
+            raise AssertionError(f"os.umask({mask:#o}) called")
+
+        monkeypatch.setattr(os, "umask", fail)
+        try:
+            assert run_cli(*self.ARGS, "--out", str(tmp_path / "trail.json")) == 0
+        finally:
+            monkeypatch.undo()
+            os.umask(old)
+        assert (tmp_path / "trail.json").stat().st_mode & 0o777 == 0o666 & ~0o027
+        assert os.listdir(tmp_path) == ["trail.json"]
+
     def test_symlink_target_is_replaced(self, tmp_path):
         target = tmp_path / "real.json"
         target.write_text("old\n")

@@ -1,13 +1,14 @@
 """Engine behaviour: scoring, priority selection, proof trails, exports."""
 
 import dataclasses
+import hashlib
 import json
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from riskrules.benchmark import SplitMix64
+from riskrules.benchmark import SplitMix64, load_case
 from riskrules.engine import (
     ClassificationOutcome,
     ProofStep,
@@ -23,6 +24,8 @@ from riskrules.engine import (
 )
 from riskrules.rules import ConjunctionStandard, RiskCategory, Rule, RuleSet
 from riskrules.tnorms import CANONICAL_KINDS, TNormKind
+
+from conftest import DATA_DIR
 
 HRM04 = {"critical_infrastructure": 0.93, "safety_component": 0.88, "autonomous_decision": 0.61}
 HRM05 = {"education_context": 0.92, "determines_access": 0.58, "affects_life_path": 0.63}
@@ -364,6 +367,10 @@ class TestFastPathParity:
             assert a == b
 
 
+#: sha256 of the golden trails of TestOutcomeExport.test_golden_trail_digest.
+GOLDEN_TRAIL_SHA256 = "153bd72477b4572e73227dc9449a2e60b3285a83482fc3d75b3ac2bdc9279e11"
+
+
 class TestOutcomeExport:
     def test_deterministic_byte_identical(self, ruleset):
         a = outcome_to_json(classify(HRM04, ruleset, TNormKind.GOEDEL, case_id="HRM04"))
@@ -403,6 +410,29 @@ class TestOutcomeExport:
         doc = json.loads(outcome_to_json(classify_mixed(HRM04, varied, case_id="x")))
         assert doc["tnorm"] == "mixed"
         assert doc["theta"] is None  # no single threshold applies
+
+    def test_golden_trail_digest(self, ruleset, appendix_dataset):
+        # hrm04.json and the 15 appendix cases; goedel, lukasiewicz and
+        # product on the default rules, and mixed mode on those rules
+        # annotated as perfbench/worker.py annotates them (prohibited rules
+        # strong, the rest bottlenecks); theta None and 0.4. Hashed in
+        # that loop order.
+        mixed = RuleSet(ruleset.vocabulary, tuple(
+            dataclasses.replace(r, standard=ConjunctionStandard.STRONG
+                                if r.category is RiskCategory.PROHIBITED
+                                else ConjunctionStandard.BOTTLENECK)
+            for r in ruleset.rules))
+        digest = hashlib.sha256()
+        for case in (load_case(DATA_DIR / "hrm04.json"), *appendix_dataset.cases):
+            for kind in (*CANONICAL_KINDS, None):
+                for theta in (None, 0.4):
+                    if kind is None:
+                        outcome = classify_mixed(case.scores, mixed, theta, case_id=case.case_id)
+                    else:
+                        outcome = classify(case.scores, ruleset, kind, theta,
+                                           case_id=case.case_id)
+                    digest.update(outcome_to_json(outcome).encode())
+        assert digest.hexdigest() == GOLDEN_TRAIL_SHA256
 
 
 # ---------------------------------------------------------------------------
@@ -498,4 +528,24 @@ class TestTrailWriter:
             data.draw(text), data.draw(st.sampled_from(RiskCategory)),
             data.draw(st.sampled_from([*(k.value for k in TNormKind), "mixed"])),
             data.draw(st.none() | numbers), rule_scores, data.draw(st.none() | text))
+        assert outcome_to_json(outcome) == _dumps(outcome)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_json_dumps_on_any_number_type(self, data):
+        # Outcomes built field by field, each number field an int, a bool,
+        # a zero of either sign, the least subnormal or any float.
+        numbers = st.sampled_from([0, 1, True, False, 0.0, -0.0, 5e-324]) | st.floats()
+        rule_scores = tuple(
+            RuleScore(f"r{j}", data.draw(st.sampled_from(RiskCategory)),
+                      data.draw(numbers), data.draw(st.booleans()),
+                      tuple(ProofStep(i, f"r{j}", f"c{i}", data.draw(numbers),
+                                      data.draw(st.sampled_from(TNormKind)), data.draw(numbers),
+                                      data.draw(st.booleans()))
+                            for i in range(data.draw(st.integers(0, 3)))))
+            for j in range(data.draw(st.integers(0, 3))))
+        outcome = ClassificationOutcome(
+            "case", data.draw(st.sampled_from(RiskCategory)),
+            data.draw(st.sampled_from([*(k.value for k in TNormKind), "mixed"])),
+            data.draw(st.none() | numbers), rule_scores, data.draw(st.none() | st.just("r0")))
         assert outcome_to_json(outcome) == _dumps(outcome)

@@ -1,5 +1,6 @@
 """Rule set contents, severity ordering, rule-file validation, round trips."""
 
+import hashlib
 import itertools
 import json
 import pickle
@@ -57,6 +58,11 @@ class TestSeverity:
             assert again.severity == len(CATEGORY_ORDER) - 1 - CATEGORY_ORDER.index(category)
 
 
+#: sha256 of ``ruleset_to_json(default_ruleset())`` (4569 bytes), as the
+#: rules were first written.
+DEFAULT_RULES_SHA256 = "9bee493754b8be6037a9b5c5483d2a02336ecbe895b85018266c382259f96412"
+
+
 class TestDefaultRuleset:
     def test_shape(self, ruleset):
         assert len(ruleset.rules) == 14
@@ -107,6 +113,17 @@ class TestDefaultRuleset:
 
     def test_stable_serialization(self):
         assert ruleset_to_json(default_ruleset()) == ruleset_to_json(default_ruleset())
+
+    def test_each_call_is_a_new_rule_set_over_the_same_rules(self):
+        first = default_ruleset()
+        first.live_rules(frozenset({"public_space"}))
+        second = default_ruleset()
+        assert second is not first
+        assert second == first
+        assert all(a is b for a, b in zip(second.rules, first.rules, strict=True))
+        assert second._live == {} and second._live is not first._live
+        text = ruleset_to_json(second)
+        assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_RULES_SHA256
 
 
 class TestLiveRules:
