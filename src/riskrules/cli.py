@@ -41,10 +41,9 @@ def _path(text: str) -> str:
 
 
 def _emit(text: str, out: str | None) -> None:
-    """Write ``text`` to stdout, or to a temp file beside ``out`` that is
-    then renamed over it: a failed write leaves an old output whole. The
-    temp file is opened with mode 0666 under the process umask, which is
-    never changed; an output that already exists keeps its mode."""
+    """Write ``text`` to stdout, or to a temp file beside ``out`` that is renamed
+    over it: a failed write leaves an old output whole. A new output gets 0666
+    under the umask, which is never changed; an old one keeps its mode."""
     if not text.endswith("\n"):
         text += "\n"
     if out is None:
@@ -62,8 +61,8 @@ def _emit(text: str, out: str | None) -> None:
         with contextlib.suppress(OSError):  # a missing or read-only directory
             for _ in range(100):  # a new random name per try, as mkstemp does
                 name = os.path.join(os.path.dirname(target), f".riskrules-{os.urandom(6).hex()}")
-                with contextlib.suppress(FileExistsError):
-                    fd, tmp = os.open(name, flags, 0o666), name
+                with contextlib.suppress(FileExistsError):  # 0600 until an old mode is copied
+                    fd, tmp = os.open(name, flags, 0o666 if st is None else 0o600), name
                     break
     if tmp is None:  # write in place; an error then names the output
         Path(out).write_text(text, encoding="utf-8")

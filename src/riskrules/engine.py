@@ -24,7 +24,6 @@ All functions are pure; cases may be classified concurrently.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -169,14 +168,9 @@ def predicted_category(ruleset: RuleSet, chain_scores: Sequence[float],
                        theta_override: float | None = None) -> RiskCategory:
     """Final category implied by per-rule chain scores at the given threshold:
     the category of the most severe rule whose score exceeds its theta."""
-    if theta_override is None:
-        for i, theta, category in ruleset.ranked:
-            if chain_scores[i] > theta:
-                return category
-    else:
-        for i, _, category in ruleset.ranked:
-            if chain_scores[i] > theta_override:
-                return category
+    for i, theta, category in ruleset.ranked:
+        if chain_scores[i] > (theta if theta_override is None else theta_override):
+            return category
     return RiskCategory.MINIMAL_RISK
 
 
@@ -190,9 +184,7 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 def _num(x: float) -> str:
     """``round(x, 6)`` as json writes it; an exact float zero, signed, skips ``round``."""
-    if type(x) is float and x == 0.0:
-        return "-0.0" if math.copysign(1.0, x) < 0.0 else "0.0"
-    text = repr(round(x, 6))
+    text = repr(x) if type(x) is float and x == 0.0 else repr(round(x, 6))
     return _NON_FINITE.get(text, text)
 
 
@@ -208,8 +200,7 @@ def outcome_to_json(outcome: ClassificationOutcome) -> str:
     """Proof-trail JSON; scores carry six decimal digits.
 
     Writes the layout of ``json.dumps(obj, indent=2) + "\\n"`` directly,
-    byte for byte: an ``indent`` forces json's pure-Python encoder. Enum
-    strings are read from ``_value_``, skipping the ``value`` property.
+    byte for byte: an ``indent`` forces json's pure-Python encoder.
     """
     rules = []
     for rs in outcome.rule_scores:

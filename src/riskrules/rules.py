@@ -229,12 +229,11 @@ _DEFAULT_RULES = (
 def default_ruleset() -> RuleSet:
     """The built-in 14-rule formalisation of selected EU AI Act provisions.
 
-    Seven rules carry exact article citations; the seven marked
-    ``synthetic`` follow the same three-condition ALL-conjunction pattern
-    to cover the remaining category mass and are labelled as
-    reconstructions, not as authoritative readings of the Act. Every rule
-    uses theta = 0.5. Each call returns a new ``RuleSet`` (and live-rule
-    memo) over the same immutable ``Rule`` objects, built once at import.
+    Seven rules carry exact article citations; the seven marked ``synthetic``
+    follow the same three-condition ALL-conjunction pattern to cover the
+    remaining category mass and are labelled as reconstructions, not as
+    authoritative readings of the Act. Every rule uses theta = 0.5. Each call
+    returns a new ``RuleSet`` over the same ``Rule`` objects, built at import.
     """
     return RuleSet(frozenset(CONDITION_VOCABULARY), _DEFAULT_RULES)
 

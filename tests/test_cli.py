@@ -545,6 +545,34 @@ class TestOut:
         assert (tmp_path / "trail.json").stat().st_mode & 0o777 == 0o666 & ~0o027
         assert os.listdir(tmp_path) == ["trail.json"]
 
+    def test_private_output_is_never_readable_by_others(self, tmp_path, monkeypatch):
+        # The new contents of a 0600 output sit in the temp file while they are
+        # written; no other user may open it then, whatever the umask.
+        out = tmp_path / "trail.json"
+        out.write_text("old\n")
+        out.chmod(0o600)
+        modes = []
+        fdopen, replace = os.fdopen, os.replace
+
+        def spy_fdopen(fd, *args, **kwargs):
+            modes.append(os.fstat(fd).st_mode & 0o777)
+            return fdopen(fd, *args, **kwargs)
+
+        def spy_replace(src, dst):
+            modes.append(os.stat(src).st_mode & 0o777)
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fdopen", spy_fdopen)
+        monkeypatch.setattr(os, "replace", spy_replace)
+        old = os.umask(0o002)
+        try:
+            assert run_cli(*self.ARGS, "--out", str(out)) == 0
+        finally:
+            os.umask(old)
+        assert modes == [0o600, 0o600]
+        assert out.stat().st_mode & 0o777 == 0o600
+        assert json.loads(out.read_text())["case_id"] == "HRM04"
+
     def test_symlink_target_is_replaced(self, tmp_path):
         target = tmp_path / "real.json"
         target.write_text("old\n")
