@@ -51,8 +51,8 @@ from enum import Enum
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from riskrules.rules import (CATEGORY_ORDER, CONDITION_VOCABULARY, RiskCategory, RuleSet,
-                             decode_json, default_ruleset, read_lines)
+from riskrules.rules import (CATEGORY_BY_NAME, CATEGORY_ORDER, CONDITION_VOCABULARY,
+                             RiskCategory, RuleSet, decode_json, default_ruleset, read_lines)
 from riskrules.engine import predicted_category, rule_chain_scores
 from riskrules.tnorms import TNormKind, unit_score
 
@@ -72,9 +72,10 @@ class Case:
     build one. ``scores`` is a read-only view (``types.MappingProxyType``)
     of the case's own copy of the mapping passed in, made on each read.
 
-    A case is one slotted object with no ``__dict__``. It compares equal
-    to a case with equal fields and has no hash, since its scores are a
-    mapping.
+    A case is one slotted object with no ``__dict__``, written by hand since
+    ``@dataclass(frozen=True, slots=True)`` raises TypeError, not
+    FrozenInstanceError, on setting an unknown attribute. It compares equal to
+    a case with equal fields and has no hash, since its scores are a mapping.
     """
 
     __slots__ = ("case_id", "description", "_scores", "expert_label", "case_type")
@@ -182,7 +183,6 @@ def validate_case_types(dataset: Dataset) -> list[str]:
 _CASE_KEYS = frozenset({"case_id", "description", "case_type", "expert_label", "scores"})
 #: Enum values -> members: the strings a record may name them by.
 _CASE_TYPES = {t.value: t for t in CaseType}
-_LABELS = {c.value: c for c in RiskCategory}
 
 
 def _case_to_obj(case: Case) -> dict:
@@ -252,7 +252,7 @@ def parse_case(obj: dict, vocabulary: Iterable[str] | Mapping[str, str]) -> Case
     if case_type is None:
         raise DatasetValidationError(f"case {case_id!r}: unknown case_type {value!r}")
     value = obj["expert_label"]
-    label = _LABELS.get(value) if type(value) is str else None
+    label = CATEGORY_BY_NAME.get(value) if type(value) is str else None
     if label is None:
         raise DatasetValidationError(f"case {case_id!r}: unknown expert_label {value!r}")
     raw_scores = obj["scores"]

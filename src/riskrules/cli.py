@@ -23,14 +23,19 @@ from riskrules import benchmark, evaluation, rules
 from riskrules.engine import classify, classify_mixed, outcome_to_json
 from riskrules.tnorms import CANONICAL_KINDS, TNormKind
 
-_TNORM_NAMES = [k.value for k in TNormKind]
+#: Operator names -> members: the one reading of --tnorm and --tnorms.
+_TNORMS = {k.value: k for k in TNormKind}
+
+
+def _tnorm(name: str) -> TNormKind:
+    if name not in _TNORMS:
+        raise argparse.ArgumentTypeError(
+            f"unknown t-norm {name!r}; expected one of: {', '.join(_TNORMS)}")
+    return _TNORMS[name]
 
 
 def _tnorm_csv(text: str) -> list[TNormKind]:
-    try:
-        return [TNormKind.from_name(part.strip()) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    return [_tnorm(part.strip()) for part in text.split(",") if part.strip()]
 
 
 def _path(text: str) -> str:
@@ -84,6 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fuzzy-conjunction risk classification and operator benchmarking.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    tnorm = {"type": _tnorm, "metavar": "{" + ",".join(_TNORMS) + "}"}  # as choices spell it
 
     def add_rules(p):
         p.add_argument("--rules", type=_path, default="default", metavar="PATH|default",
@@ -91,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_operator_choice(p):
         group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--tnorm", choices=_TNORM_NAMES, help="conjunction operator")
+        group.add_argument("--tnorm", **tnorm, help="conjunction operator")
         group.add_argument("--mixed", action="store_true",
                            help="per-rule operators from each rule's conjunction standard")
 
@@ -118,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", type=_path, required=True, metavar="PATH")
     add_rules(p)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--tnorm", choices=_TNORM_NAMES)
+    group.add_argument("--tnorm", **tnorm)
     group.add_argument("--tnorms", type=_tnorm_csv, metavar="CSV")
     p.add_argument("--theta-min", type=float, default=0.25)
     p.add_argument("--theta-max", type=float, default=0.75)
@@ -143,8 +149,7 @@ def _cmd_classify(args, ruleset) -> str:
     if args.mixed:
         outcome = classify_mixed(case.scores, ruleset, args.theta, case_id=case.case_id)
     else:
-        outcome = classify(case.scores, ruleset, TNormKind.from_name(args.tnorm),
-                           args.theta, case_id=case.case_id)
+        outcome = classify(case.scores, ruleset, args.tnorm, args.theta, case_id=case.case_id)
     return outcome_to_json(outcome)
 
 
@@ -153,8 +158,7 @@ def _cmd_evaluate(args, ruleset) -> str:
     if args.mixed:
         report = evaluation.evaluate_mixed(dataset, ruleset, args.theta)
     else:
-        report = evaluation.evaluate(dataset, ruleset, TNormKind.from_name(args.tnorm),
-                                     args.theta)
+        report = evaluation.evaluate(dataset, ruleset, args.tnorm, args.theta)
     return evaluation.report_to_json(report)
 
 
@@ -166,7 +170,7 @@ def _cmd_compare(args, ruleset) -> str:
 
 def _cmd_sweep(args, ruleset) -> str:
     dataset = benchmark.load_dataset(args.dataset, ruleset.vocabulary)
-    kinds = args.tnorms if args.tnorms is not None else [TNormKind.from_name(args.tnorm)]
+    kinds = args.tnorms if args.tnorms is not None else [args.tnorm]
     points = evaluation.threshold_sweep(dataset, ruleset, kinds,
                                         args.theta_min, args.theta_max, args.theta_step)
     return evaluation.sweep_to_csv(points)

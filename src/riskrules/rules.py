@@ -43,6 +43,9 @@ CATEGORY_ORDER = tuple(RiskCategory)
 for _rank, _category in enumerate(reversed(CATEGORY_ORDER)):
     _category.severity = _rank
 del _rank, _category
+#: Category names -> members, for rule and dataset files. Only a str is
+#: looked up: no other JSON value equals a name, and a list has no hash.
+CATEGORY_BY_NAME = {c.value: c for c in RiskCategory}
 
 
 class ConjunctionStandard(enum.Enum):
@@ -59,6 +62,7 @@ class ConjunctionStandard(enum.Enum):
 
 
 _IDENT_RE = re.compile("[a-z][a-z_]*")
+_STANDARDS = {s.value: s for s in ConjunctionStandard}
 
 
 @dataclass(frozen=True)
@@ -97,7 +101,6 @@ class RuleSet:
 
     vocabulary: frozenset[str]
     rules: tuple[Rule, ...]
-    _by_id: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     #: (index, theta, category) of the rules that can win, those above the
     #: minimal-risk floor: most severe first, declared order within a severity.
     ranked: tuple = field(default=(), init=False, repr=False, compare=False)
@@ -112,16 +115,15 @@ class RuleSet:
             if not _IDENT_RE.fullmatch(name):
                 raise RuleValidationError(
                     f"vocabulary term {name!r} is not a lowercase_underscore identifier")
-        by_id: dict[str, Rule] = {}
+        seen: set[str] = set()
         for rule in self.rules:
-            if rule.rule_id in by_id:
+            if rule.rule_id in seen:
                 raise RuleValidationError(f"duplicate rule_id {rule.rule_id!r}")
             for cond in rule.conditions:
                 if cond not in self.vocabulary:
                     raise RuleValidationError(
                         f"rule {rule.rule_id!r}: unknown condition {cond!r}")
-            by_id[rule.rule_id] = rule
-        object.__setattr__(self, "_by_id", by_id)
+            seen.add(rule.rule_id)
         object.__setattr__(self, "ranked", tuple(sorted(
             ((i, r.theta, r.category) for i, r in enumerate(self.rules)
              if r.category is not RiskCategory.MINIMAL_RISK),
@@ -145,10 +147,10 @@ class RuleSet:
         return live
 
     def rule(self, rule_id: str) -> Rule:
-        try:
-            return self._by_id[rule_id]
-        except KeyError:
-            raise KeyError(f"no rule {rule_id!r}") from None
+        for rule in self.rules:
+            if rule.rule_id == rule_id:
+                return rule
+        raise KeyError(f"no rule {rule_id!r}")
 
 
 # The condition vocabulary has 22 terms. The final term,
@@ -297,11 +299,10 @@ def _rule_from_obj(obj: dict) -> Rule:
     for key in ("category", "conditions", "theta"):
         if key not in obj:
             raise RuleValidationError(f"rule {rule_id!r}: missing field {key!r}")
-    try:
-        category = RiskCategory(obj["category"])
-    except ValueError:
-        raise RuleValidationError(
-            f"rule {rule_id!r}: unknown category {obj['category']!r}") from None
+    value = obj["category"]
+    category = CATEGORY_BY_NAME.get(value) if type(value) is str else None
+    if category is None:
+        raise RuleValidationError(f"rule {rule_id!r}: unknown category {value!r}")
     conditions = obj["conditions"]
     if not isinstance(conditions, list) or not all(isinstance(x, str) for x in conditions):
         raise RuleValidationError(f"rule {rule_id!r}: conditions must be an array of strings")
@@ -312,13 +313,10 @@ def _rule_from_obj(obj: dict) -> Rule:
         theta = float(theta)
     except OverflowError:  # an int too large for a double is out of range too
         theta = float("inf")
-    standard = None
-    if "standard" in obj:
-        try:
-            standard = ConjunctionStandard(obj["standard"])
-        except ValueError:
-            raise RuleValidationError(
-                f"rule {rule_id!r}: unknown standard {obj['standard']!r}") from None
+    value = obj.get("standard")
+    standard = _STANDARDS.get(value) if type(value) is str else None
+    if standard is None and "standard" in obj:
+        raise RuleValidationError(f"rule {rule_id!r}: unknown standard {value!r}")
     synthetic = obj.get("synthetic", False)
     if not isinstance(synthetic, bool):
         raise RuleValidationError(f"rule {rule_id!r}: synthetic must be a boolean")

@@ -44,21 +44,12 @@ class TNormKind(enum.Enum):
     GOEDEL = "goedel"
     LOGPRODUCT = "logproduct"
 
-    @classmethod
-    def from_name(cls, name: str) -> "TNormKind":
-        try:
-            return cls(name)
-        except ValueError:
-            names = ", ".join(k.value for k in cls)
-            raise ValueError(f"unknown t-norm {name!r}; expected one of: {names}") from None
-
 
 #: The three operators compared in benchmark runs (logproduct is a
 #: numerical alias of product, not a fourth behaviour).
 CANONICAL_KINDS = (TNormKind.LUKASIEWICZ, TNormKind.PRODUCT, TNormKind.GOEDEL)
 
-_LUKASIEWICZ = TNormKind.LUKASIEWICZ
-_GOEDEL = TNormKind.GOEDEL
+_LUKASIEWICZ, _PRODUCT, _GOEDEL, _LOGPRODUCT = TNormKind
 
 
 def unit_score(value: float) -> float:
@@ -80,7 +71,7 @@ def unit_score(value: float) -> float:
 def apply(kind: TNormKind, a: float, b: float) -> float:
     """Combine two unit-interval scores with the selected t-norm: the
     two-element :func:`fold_chain`, which holds the one definition of each
-    operator.
+    operator and raises ValueError for a ``kind`` that is not a member.
 
     ``logproduct`` returns exactly the same value as ``product``. Inputs
     are assumed validated (see :func:`unit_score`).
@@ -93,7 +84,8 @@ def fold_chain(kind: TNormKind, scores: Iterable[float]) -> float:
 
     ``scores`` may be any iterable. A single-element chain returns that
     element unchanged. An empty chain is rejected: a rule with no
-    conditions has no meaning.
+    conditions has no meaning. So is a ``kind`` that is not a
+    :class:`TNormKind` member; nothing else folds as product.
     """
     it = iter(scores)
     acc = next(it, None)
@@ -111,9 +103,11 @@ def fold_chain(kind: TNormKind, scores: Iterable[float]) -> float:
         for x in it:
             if x < acc:  # a tie keeps the accumulator and its sign
                 acc = x
-    else:
+    elif kind is _PRODUCT or kind is _LOGPRODUCT:
         for x in it:
             acc = acc * x
+    else:
+        raise ValueError(f"unknown t-norm {kind!r}")
     return acc
 
 

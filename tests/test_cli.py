@@ -380,10 +380,18 @@ class TestErrorHandling:
             run_cli()
         assert exc.value.code == 2
 
-    def test_bad_tnorm_choice(self):
-        with pytest.raises(SystemExit) as exc:
-            run_cli("classify", "--case", HRM04, "--tnorm", "frank")
-        assert exc.value.code == 2
+    def test_bad_tnorm_choice(self, capsys):
+        # --tnorm is read as --tnorms reads each of its names.
+        for argv in (("classify", "--case", HRM04), ("evaluate", "--dataset", APPENDIX),
+                     ("sweep", "--dataset", APPENDIX)):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(*argv, "--tnorm", "frank")
+            assert exc.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.endswith(
+                f"\nriskrules {argv[0]}: error: argument --tnorm: unknown t-norm 'frank'; "
+                "expected one of: lukasiewicz, product, goedel, logproduct\n")
 
 
 _JSON = st.recursive(
@@ -713,6 +721,29 @@ class TestSharedParser:
         proc = subprocess.run([sys.executable, "-c", "import riskrules.cli as c; print(c._parser)"],
                               capture_output=True, text=True, timeout=60)
         assert proc.stdout == "None\n", proc.stderr
+
+
+#: sha256 of ``riskrules [COMMAND] --help`` at 80 columns (Python 3.11).
+HELP_SHA256 = {
+    "": "1d6ab337cffaf98f1833f47569c8fd2237239ed226acd5c246c5b96e51895dae",
+    "classify": "1d907db788f20d2e9c3fbd25bcd58df73eff06d559ebf8f4c610b786eafc8a32",
+    "evaluate": "d180ba971e88da7d422e5e2987996b8943baf67fcc06b33e8c1ed940dd6688ed",
+    "compare": "9d48984fb1ca4d83e8a1e21f5e1b1de6bfc686d07ca282b894369e82c5bd6429",
+    "sweep": "92148816827cc04add644ceca8d9699dbc7ef80e0dec2e4b255c428a3fedd301",
+    "generate": "31857133dcc66778c76c729aedc0f7ffd7e04e1c6da03c4eea506e842ba55dd8",
+    "validate": "b971eed0fa2486efe14f539def2d05828166515c25277762f9c1b9cfe60cce10",
+}
+
+
+@pytest.mark.parametrize("command", HELP_SHA256, ids=lambda command: command or "riskrules")
+def test_help_is_unchanged(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*([command] if command else []), "--help")
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[command]
 
 
 def test_module_entry_point(tmp_path):

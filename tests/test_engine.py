@@ -64,6 +64,13 @@ class TestScoreRule:
         assert all(st.missing_condition for st in rs.steps)
         assert all(st.condition_score == 0.0 for st in rs.steps)
 
+    @pytest.mark.parametrize("kind", ["goedel", None])
+    def test_non_member_operator_rejected(self, kind):
+        rule = Rule("r", RiskCategory.HIGH_RISK, ("a", "b"))
+        with pytest.raises(ValueError) as err:
+            score_rule(rule, {"a": 0.9, "b": 0.8}, kind)
+        assert str(err.value) == f"unknown t-norm {kind!r}"
+
     def test_goedel_tie_keeps_the_accumulated_score(self, ruleset):
         # min(0.0, -0.0) is a tie: the trail keeps 0.0, as the batch fold does.
         scores = {"education_context": 0.9, "determines_access": 0.0, "affects_life_path": -0.0}

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from riskrules import evaluation
-from riskrules.benchmark import CaseType, Dataset, generate_synthetic, load_dataset
+from riskrules.benchmark import Case, CaseType, Dataset, generate_synthetic, load_dataset
+from riskrules.engine import rule_chain_scores
 from riskrules.evaluation import (
     build_report,
     compare_operators,
@@ -23,7 +24,7 @@ from riskrules.evaluation import (
     sweep_to_csv,
     threshold_sweep,
 )
-from riskrules.rules import ConjunctionStandard, RiskCategory, RuleSet
+from riskrules.rules import ConjunctionStandard, RiskCategory, Rule, RuleSet
 from riskrules.tnorms import CANONICAL_KINDS, TNormKind
 
 from conftest import DATA_DIR
@@ -307,6 +308,22 @@ class TestLibraryErrors:
             with pytest.raises(ValueError) as err:
                 call()
             assert str(err.value) == "empty dataset"
+
+    @pytest.mark.parametrize("kind, received", [("goedel", "'g'"), ([None], "None")])
+    def test_non_member_operator(self, kind, received):
+        # A str reads as a per-rule plan, one operator per character; the
+        # fold names what it received.
+        one = RuleSet(frozenset("abc"), (Rule("r", HIGH, ("a", "b", "c")),))
+        case = Case("c", "", {"a": 0.93, "b": 0.88, "c": 0.61}, HIGH, CaseType.CLEAR)
+        assert evaluate(Dataset((case,)), one, TNormKind.GOEDEL).accuracy_overall == 1.0
+        calls = (
+            lambda: rule_chain_scores(case.scores, one, kind),
+            lambda: evaluate(Dataset((case,)), one, kind),
+        )
+        for call in calls:
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == f"unknown t-norm {received}"
 
     def test_empty_mcnemar(self):
         with pytest.raises(ValueError) as err:

@@ -283,6 +283,8 @@ class TestValidation:
         (_rule_obj(synthetic="yes"), "rule 'test_rule': synthetic must be a boolean"),
         (_rule_obj(article=5), "rule 'test_rule': article must be a string"),
         (_rule_obj(article=None), "rule 'test_rule': article must be a string"),
+        (_rule_obj(category=["high_risk"]), "rule 'test_rule': unknown category ['high_risk']"),
+        (_rule_obj(standard={"strong": 1}), "rule 'test_rule': unknown standard {'strong': 1}"),
     ])
     def test_rule_entry_errors(self, entry, message):
         with pytest.raises(RuleValidationError) as err:
@@ -326,5 +328,6 @@ class TestValidation:
             RuleSet(ruleset.vocabulary, ruleset.rules, {"junk": 1})
 
     def test_ruleset_lookup(self, ruleset):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError) as err:
             ruleset.rule("no_such_rule")
+        assert err.value.args == ("no rule 'no_such_rule'",)

@@ -72,6 +72,15 @@ class TestFoldExamples:
         with pytest.raises(ValueError, match="empty condition chain"):
             fold_chain(kind, [])
 
+    @pytest.mark.parametrize("kind", ["goedel", "g", None, 0, TNormKind])
+    def test_non_member_rejected(self, kind):
+        # Nothing but the four members folds: no other value reads as product.
+        for call in (lambda: fold_chain(kind, [0.9, 0.8]), lambda: fold_chain(kind, [0.9]),
+                     lambda: apply(kind, 0.9, 0.8)):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == f"unknown t-norm {kind!r}"
+
 
 class TestFoldLog:
     def test_ones(self):
