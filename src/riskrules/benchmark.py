@@ -454,10 +454,11 @@ def _slot_counts(n: int) -> list[tuple[str, RiskCategory | None, int]]:
             *(("borderline", cat, k) for cat, k in zip(_POSITIVE, bord))]
 
 
-def _slots(n: int) -> list[tuple[str, RiskCategory | None]]:
-    """The unshuffled (archetype, target category) of each of ``n`` cases."""
+def _slots(counts: list[tuple[str, RiskCategory | None, int]],
+           ) -> list[tuple[str, RiskCategory | None]]:
+    """The unshuffled (archetype, target category) of each counted case."""
     slots: list[tuple[str, RiskCategory | None]] = []
-    for archetype, cat, count in _slot_counts(n):
+    for archetype, cat, count in counts:
         slots += [(archetype, cat)] * count
     return slots
 
@@ -477,13 +478,14 @@ def generate_synthetic(n: int, seed: int, ruleset: RuleSet | None = None) -> Dat
         ruleset = default_ruleset()
     # Each category's rules in declared order; None draws from every rule.
     pools = {cat: tuple(r for r in ruleset.rules if r.category is cat) for cat in _POSITIVE}
+    counts = _slot_counts(n)
     for cat in _POSITIVE:
-        if not pools[cat] and any(target is cat and count for _, target, count in _slot_counts(n)):
+        if not pools[cat] and any(target is cat and count for _, target, count in counts):
             raise ValueError(f"ruleset has no {cat.value} rules; cannot generate "
                              "the fixed label composition")
     pools[None] = ruleset.rules
 
-    slots = _slots(n)
+    slots = _slots(counts)
     rng = SplitMix64(seed)
     rng.shuffle(slots)
 

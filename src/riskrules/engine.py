@@ -39,13 +39,10 @@ STANDARD_OPERATORS = {
 
 @dataclass(frozen=True)
 class ProofStep:
-    """One condition evaluation inside a rule's conjunction chain."""
+    """One condition evaluation; its index, rule and operator are its RuleScore's."""
 
-    step_index: int
-    rule_id: str
     condition_id: str
     condition_score: float
-    operator: TNormKind
     accumulated: float
     missing_condition: bool
 
@@ -54,6 +51,7 @@ class ProofStep:
 class RuleScore:
     rule_id: str
     category: RiskCategory
+    operator: TNormKind
     score: float
     fired: bool
     steps: tuple[ProofStep, ...]
@@ -86,8 +84,8 @@ def score_rule(rule: Rule, case_scores: Mapping[str, float], kind: TNormKind,
         missing = raw is None
         s = 0.0 if missing else raw
         acc = s if i == 0 else apply(kind, acc, s)
-        steps.append(ProofStep(i, rule.rule_id, cond, s, kind, acc, missing))
-    return RuleScore(rule.rule_id, rule.category, acc, acc > theta, tuple(steps))
+        steps.append(ProofStep(cond, s, acc, missing))
+    return RuleScore(rule.rule_id, rule.category, kind, acc, acc > theta, tuple(steps))
 
 
 def _finish(case_id, rule_scores, tnorm_name, theta_override, ruleset):
@@ -148,19 +146,26 @@ def rule_chain_scores(case_scores: Mapping[str, float], ruleset: RuleSet,
                       kind: TNormKind | Sequence[TNormKind]) -> list[float]:
     """Chain score per rule, aligned with ``ruleset.rules`` order.
 
-    ``kind`` is one operator for every rule, or one per rule (mixed mode,
-    see :func:`mixed_operators`). Only the case's live rules, those whose
-    conditions it all scores, are folded. Any other rule scores 0.0: its
+    ``kind`` is one operator for every rule, or a plan of one per rule
+    (mixed mode, see :func:`mixed_operators`); a plan of any other length
+    is a ValueError. Only the case's live rules, those whose conditions
+    it all scores, are folded. Any other rule scores 0.0: its
     missing condition counts as 0.0, and a chain holding 0.0 folds to zero
     under every operator (the trail's fold may keep the sign of a -0.0
     score). Every theta is in (0, 1), so such a rule never fires.
     """
     rules = ruleset.rules
+    single = isinstance(kind, TNormKind)
+    if not single:
+        if isinstance(kind, str) or not isinstance(kind, Sequence):
+            raise ValueError(f"unknown t-norm {kind!r}")
+        if len(kind) != len(rules):
+            raise ValueError(f"operator plan has {len(kind)} entries; "
+                             f"the rule set has {len(rules)} rules")
     out = [0.0] * len(rules)
     for i in ruleset.live_rules(frozenset(case_scores)):
         conds = rules[i].conditions
-        k = kind if isinstance(kind, TNormKind) else kind[i]
-        out[i] = fold_chain(k, map(case_scores.__getitem__, conds))
+        out[i] = fold_chain(kind if single else kind[i], map(case_scores.__getitem__, conds))
     return out
 
 
@@ -204,21 +209,22 @@ def outcome_to_json(outcome: ClassificationOutcome) -> str:
     """
     rules = []
     for rs in outcome.rule_scores:
+        rule_id = _str(rs.rule_id)
         steps = [
             f'        {{\n'
-            f'          "step_index": {st.step_index},\n'
-            f'          "rule_id": {_str(st.rule_id)},\n'
+            f'          "step_index": {i},\n'
+            f'          "rule_id": {rule_id},\n'
             f'          "condition_id": {_str(st.condition_id)},\n'
             f'          "condition_score": {_num(st.condition_score)},\n'
-            f'          "operator": "{st.operator._value_}",\n'
+            f'          "operator": "{rs.operator._value_}",\n'
             f'          "accumulated": {_num(st.accumulated)},\n'
             f'          "missing_condition": {_bool(st.missing_condition)}\n'
             f'        }}'
-            for st in rs.steps
+            for i, st in enumerate(rs.steps)
         ]
         rules.append(
             f'    {{\n'
-            f'      "rule_id": {_str(rs.rule_id)},\n'
+            f'      "rule_id": {rule_id},\n'
             f'      "category": "{rs.category._value_}",\n'
             f'      "score": {_num(rs.score)},\n'
             f'      "fired": {_bool(rs.fired)},\n'

@@ -335,7 +335,7 @@ class TestGenerateSynthetic:
         # Rounding the borderline split never gives a category more
         # borderline cases than it has labels.
         for n in (*range(4, 3001), 10 ** 5, 10 ** 6):
-            slots = _slots(n)
+            slots = _slots(_slot_counts(n))
             assert len(slots) == n
             types = Counter(archetype for archetype, _ in slots)
             assert types["marginal"] + types["marginal_trap"] == int(n * 325 / 1035 + 0.5)
@@ -360,7 +360,7 @@ class TestGenerateSynthetic:
 
     def test_slots_expand_the_counts(self):
         for n in (4, 5, 1035, 4099):
-            assert Counter(_slots(n)) == Counter(
+            assert Counter(_slots(_slot_counts(n))) == Counter(
                 {(archetype, cat): count for archetype, cat, count in _slot_counts(n) if count})
 
     def test_different_seed_differs(self, bench1035, ruleset):

@@ -103,8 +103,20 @@ class TestScoreRule:
                 assert rs.steps[-1].accumulated == rs.score
                 accs = [st.accumulated for st in rs.steps]
                 assert all(a >= b for a, b in zip(accs, accs[1:]))
-                assert [st.step_index for st in rs.steps] == [0, 1, 2]
-                assert all(st.operator is kind for st in rs.steps)
+                assert rs.operator is kind
+                trail = json.loads(outcome_to_json(ClassificationOutcome(
+                    "c", RiskCategory.MINIMAL_RISK, kind.value, None, (rs,), None)))
+                steps = trail["rules"][0]["steps"]
+                assert [step["step_index"] for step in steps] == [0, 1, 2]
+                assert {step["rule_id"] for step in steps} == {rule.rule_id}
+                assert {step["operator"] for step in steps} == {kind.value}
+
+    def test_records_hold_each_trail_fact_once(self):
+        # A step's index, rule and operator come from its RuleScore.
+        assert [f.name for f in dataclasses.fields(ProofStep)] == [
+            "condition_id", "condition_score", "accumulated", "missing_condition"]
+        assert [f.name for f in dataclasses.fields(RuleScore)] == [
+            "rule_id", "category", "operator", "score", "fired", "steps"]
 
 
 class TestClassify:
@@ -344,9 +356,13 @@ class TestClassifyMixed:
     def test_step_operators_follow_annotation(self, ruleset):
         mixed = _annotated(ruleset, bottleneck={"high_risk_education"})
         outcome = classify_mixed(HRM05, mixed)
-        per_rule = {rs.rule_id: {st.operator for st in rs.steps} for rs in outcome.rule_scores}
-        assert per_rule["high_risk_education"] == {TNormKind.GOEDEL}
-        assert per_rule["high_risk_employment"] == {TNormKind.LUKASIEWICZ}
+        per_rule = {rs.rule_id: rs.operator for rs in outcome.rule_scores}
+        assert per_rule["high_risk_education"] is TNormKind.GOEDEL
+        assert per_rule["high_risk_employment"] is TNormKind.LUKASIEWICZ
+        doc = json.loads(outcome_to_json(outcome))
+        per_step = {r["rule_id"]: {step["operator"] for step in r["steps"]} for r in doc["rules"]}
+        assert per_step["high_risk_education"] == {"goedel"}
+        assert per_step["high_risk_employment"] == {"lukasiewicz"}
 
 
 class TestFastPathParity:
@@ -462,15 +478,15 @@ def outcome_to_obj(outcome):
                 "fired": rs.fired,
                 "steps": [
                     {
-                        "step_index": st.step_index,
-                        "rule_id": st.rule_id,
+                        "step_index": i,
+                        "rule_id": rs.rule_id,
                         "condition_id": st.condition_id,
                         "condition_score": round(st.condition_score, 6),
-                        "operator": st.operator.value,
+                        "operator": rs.operator.value,
                         "accumulated": round(st.accumulated, 6),
                         "missing_condition": st.missing_condition,
                     }
-                    for st in rs.steps
+                    for i, st in enumerate(rs.steps)
                 ],
             }
             for rs in outcome.rule_scores
@@ -525,11 +541,11 @@ class TestTrailWriter:
         text = _ids | st.text()
         rule_scores = tuple(
             RuleScore(data.draw(text), data.draw(st.sampled_from(RiskCategory)),
-                      data.draw(numbers), data.draw(st.booleans()),
-                      tuple(ProofStep(i, data.draw(text), data.draw(text), data.draw(numbers),
-                                      data.draw(st.sampled_from(TNormKind)), data.draw(numbers),
+                      data.draw(st.sampled_from(TNormKind)), data.draw(numbers),
+                      data.draw(st.booleans()),
+                      tuple(ProofStep(data.draw(text), data.draw(numbers), data.draw(numbers),
                                       data.draw(st.booleans()))
-                            for i in range(data.draw(st.integers(0, 3)))))
+                            for _ in range(data.draw(st.integers(0, 3)))))
             for _ in range(data.draw(st.integers(0, 3))))
         outcome = ClassificationOutcome(
             data.draw(text), data.draw(st.sampled_from(RiskCategory)),
@@ -545,9 +561,9 @@ class TestTrailWriter:
         numbers = st.sampled_from([0, 1, True, False, 0.0, -0.0, 5e-324]) | st.floats()
         rule_scores = tuple(
             RuleScore(f"r{j}", data.draw(st.sampled_from(RiskCategory)),
-                      data.draw(numbers), data.draw(st.booleans()),
-                      tuple(ProofStep(i, f"r{j}", f"c{i}", data.draw(numbers),
-                                      data.draw(st.sampled_from(TNormKind)), data.draw(numbers),
+                      data.draw(st.sampled_from(TNormKind)), data.draw(numbers),
+                      data.draw(st.booleans()),
+                      tuple(ProofStep(f"c{i}", data.draw(numbers), data.draw(numbers),
                                       data.draw(st.booleans()))
                             for i in range(data.draw(st.integers(0, 3)))))
             for j in range(data.draw(st.integers(0, 3))))

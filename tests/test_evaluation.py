@@ -309,10 +309,10 @@ class TestLibraryErrors:
                 call()
             assert str(err.value) == "empty dataset"
 
-    @pytest.mark.parametrize("kind, received", [("goedel", "'g'"), ([None], "None")])
+    @pytest.mark.parametrize("kind, received", [("goedel", "'goedel'"), ([None], "None")])
     def test_non_member_operator(self, kind, received):
-        # A str reads as a per-rule plan, one operator per character; the
-        # fold names what it received.
+        # A str is named whole, not read as a plan of one operator per
+        # character; a plan's non-member is named by the fold.
         one = RuleSet(frozenset("abc"), (Rule("r", HIGH, ("a", "b", "c")),))
         case = Case("c", "", {"a": 0.93, "b": 0.88, "c": 0.61}, HIGH, CaseType.CLEAR)
         assert evaluate(Dataset((case,)), one, TNormKind.GOEDEL).accuracy_overall == 1.0
@@ -324,6 +324,32 @@ class TestLibraryErrors:
             with pytest.raises(ValueError) as err:
                 call()
             assert str(err.value) == f"unknown t-norm {received}"
+
+    @pytest.mark.parametrize("entries", [3, 20])
+    def test_plan_of_the_wrong_length(self, ruleset, entries):
+        # One case that scores only rule 10's conditions: a 3-entry plan
+        # used to raise a bare IndexError there, a 20-entry one was accepted.
+        rule = ruleset.rules[10]
+        case = Case("c", "", dict.fromkeys(rule.conditions, 0.9), HIGH, CaseType.CLEAR)
+        plan = [TNormKind.GOEDEL] * entries
+        calls = (
+            lambda: rule_chain_scores(case.scores, ruleset, plan),
+            lambda: evaluate(Dataset((case,)), ruleset, plan),
+        )
+        for call in calls:
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == (f"operator plan has {entries} entries; "
+                                      f"the rule set has {len(ruleset.rules)} rules")
+
+    def test_plan_of_the_right_length(self, ruleset):
+        rule = ruleset.rules[10]
+        case = Case("c", "", dict.fromkeys(rule.conditions, 0.9), rule.category, CaseType.CLEAR)
+        plan = [TNormKind.GOEDEL] * len(ruleset.rules)
+        assert rule_chain_scores(case.scores, ruleset, plan) == \
+            rule_chain_scores(case.scores, ruleset, TNormKind.GOEDEL)
+        assert evaluate(Dataset((case,)), ruleset, plan) == \
+            evaluate(Dataset((case,)), ruleset, TNormKind.GOEDEL)
 
     def test_empty_mcnemar(self):
         with pytest.raises(ValueError) as err:

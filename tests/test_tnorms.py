@@ -140,6 +140,13 @@ class TestAxioms:
         assert fold_chain(kind, [1.0, x]).hex() == x.hex()
         assert fold_chain(kind, [x, 1.0]).hex() == x.hex()
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_one_is_the_identity_on_signed_zeros(self, kind):
+        # unit_floats draws no -0.0, and a case file may score one.
+        for x in (-0.0, 0.0):
+            assert fold_chain(kind, [1.0, x]).hex() == x.hex()
+            assert fold_chain(kind, [x, 1.0]).hex() == x.hex()
+
     @given(st.sampled_from(ALL_KINDS), unit_floats, unit_floats, unit_floats)
     def test_monotonicity(self, kind, a, a2, b):
         lo, hi = min(a, a2), max(a, a2)
