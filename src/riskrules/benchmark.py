@@ -20,10 +20,10 @@ theta just below 0.55, so a rule counts when every condition scores
 above 0.55 is "present enough" for an expert.
 
 Generation is single-threaded on purpose; loaded datasets are immutable
-and shareable across workers. Each case is one slotted, frozen
-:class:`Case`, built only by ``Case(...)``: it keeps its own copy of
-the scores in a plain dict, and ``case.scores`` is a read-only view of
-it. The batch pass in :mod:`riskrules.evaluation` reads the dict behind
+and shareable across workers. Each case is a :class:`Case`, a frozen
+dataclass over declared slots, built only by ``Case(...)``: it keeps its
+own copy of the scores in a plain dict, and ``case.scores`` is a
+read-only view of it. The batch pass in :mod:`riskrules.evaluation` reads the dict behind
 the view, where the fold's dict fast paths apply.
 
 Loading (:func:`load_dataset`) takes one JSON-Lines record at a time from
@@ -46,7 +46,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -67,43 +67,38 @@ class CaseType(Enum):
     BORDERLINE = "borderline"
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class Case:
-    """One annotated case, immutable; ``Case(...)`` is the only way to
-    build one. ``scores`` is a read-only view (``types.MappingProxyType``)
-    of the case's own copy of the mapping passed in, made on each read.
+    """One annotated case, immutable; ``Case(...)`` is the only way to build
+    one: ``__init__`` takes ``scores`` for the field ``_scores``, so
+    ``dataclasses.replace`` raises TypeError. ``scores`` is a read-only view
+    (``types.MappingProxyType``) of the case's own copy, made on each read.
 
-    A case is one slotted object with no ``__dict__``, written by hand since
-    ``@dataclass(frozen=True, slots=True)`` raises TypeError, not
-    FrozenInstanceError, on setting an unknown attribute. It compares equal to
-    a case with equal fields and has no hash, since its scores are a mapping.
+    A frozen dataclass over declared slots, with no ``__dict__``: unlike
+    ``slots=True``, it raises FrozenInstanceError for an unknown name too.
+    It has no hash, since its scores are a mapping.
     """
 
     __slots__ = ("case_id", "description", "_scores", "expert_label", "case_type")
     __hash__ = None
 
-    def __new__(cls, case_id: str, description: str, scores: Mapping[str, float],
-                expert_label: RiskCategory, case_type: CaseType):
+    case_id: str
+    description: str
+    _scores: dict[str, float]
+    expert_label: RiskCategory
+    case_type: CaseType
+
+    def __init__(self, case_id, description, scores, expert_label, case_type):
         # The slots are set past the frozen __setattr__.
-        case = object.__new__(cls)
-        _SET_ID(case, case_id)
-        _SET_DESCRIPTION(case, description)
-        _SET_SCORES(case, dict(scores))
-        _SET_LABEL(case, expert_label)
-        _SET_TYPE(case, case_type)
-        return case
+        _SET_ID(self, case_id)
+        _SET_DESCRIPTION(self, description)
+        _SET_SCORES(self, dict(scores))
+        _SET_LABEL(self, expert_label)
+        _SET_TYPE(self, case_type)
 
     @property
     def scores(self) -> Mapping[str, float]:
         return MappingProxyType(self._scores)
-
-    def _fields(self) -> tuple:
-        return (self.case_id, self.description, self._scores, self.expert_label,
-                self.case_type)
-
-    def __eq__(self, other):
-        if other.__class__ is not Case:
-            return NotImplemented
-        return self._fields() == other._fields()
 
     def __repr__(self) -> str:
         return (f"Case(case_id={self.case_id!r}, description={self.description!r}, "
@@ -111,13 +106,8 @@ class Case:
                 f"case_type={self.case_type!r})")
 
     def __reduce__(self):
-        return (Case, self._fields())
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        return (Case, (self.case_id, self.description, self._scores, self.expert_label,
+                       self.case_type))
 
 
 _SET_ID, _SET_DESCRIPTION, _SET_SCORES, _SET_LABEL, _SET_TYPE = (

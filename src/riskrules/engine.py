@@ -125,7 +125,7 @@ def classify_mixed(case_scores: Mapping[str, float], ruleset: RuleSet,
     return _finish(case_id, rule_scores, "mixed", theta_override, ruleset)
 
 
-def mixed_operators(ruleset: RuleSet) -> list[TNormKind]:
+def mixed_operators(ruleset: RuleSet) -> tuple[TNormKind, ...]:
     """Each rule's mixed-mode operator, from its conjunction standard.
 
     Raises ValueError naming the first rule without a standard.
@@ -134,7 +134,7 @@ def mixed_operators(ruleset: RuleSet) -> list[TNormKind]:
         if rule.standard is None:
             raise ValueError(f"mixed mode requires a conjunction standard on every rule; "
                              f"rule {rule.rule_id!r} has none")
-    return [STANDARD_OPERATORS[r.standard] for r in ruleset.rules]
+    return tuple(STANDARD_OPERATORS[r.standard] for r in ruleset.rules)
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +147,10 @@ def rule_chain_scores(case_scores: Mapping[str, float], ruleset: RuleSet,
     """Chain score per rule, aligned with ``ruleset.rules`` order.
 
     ``kind`` is one operator for every rule, or a plan of one per rule
-    (mixed mode, see :func:`mixed_operators`); a plan of any other length
-    is a ValueError. Only the case's live rules, those whose conditions
-    it all scores, are folded. Any other rule scores 0.0: its
+    (mixed mode, see :func:`mixed_operators`); a plan of any other length,
+    or with an entry that is not a :class:`TNormKind`, is a ValueError.
+    Only the case's live rules, those whose conditions it all scores, are
+    folded. Any other rule scores 0.0: its
     missing condition counts as 0.0, and a chain holding 0.0 folds to zero
     under every operator (the trail's fold may keep the sign of a -0.0
     score). Every theta is in (0, 1), so such a rule never fires.
@@ -162,6 +163,9 @@ def rule_chain_scores(case_scores: Mapping[str, float], ruleset: RuleSet,
         if len(kind) != len(rules):
             raise ValueError(f"operator plan has {len(kind)} entries; "
                              f"the rule set has {len(rules)} rules")
+        for entry in kind:  # checked here: a dead rule's entry is never folded
+            if type(entry) is not TNormKind:
+                raise ValueError(f"unknown t-norm {entry!r}")
     out = [0.0] * len(rules)
     for i in ruleset.live_rules(frozenset(case_scores)):
         conds = rules[i].conditions

@@ -149,9 +149,10 @@ def _tallies(cases: Iterable[Case], ruleset: RuleSet,
     return tallies, predicted, expert
 
 
-def evaluate(dataset: Dataset, ruleset: RuleSet, kind: TNormKind,
+def evaluate(dataset: Dataset, ruleset: RuleSet, kind: TNormKind | Sequence[TNormKind],
              theta_override: float | None = None) -> EvalReport:
-    """Classify every case with one operator and report accuracy and errors."""
+    """Classify every case with one operator, or a plan of one per rule,
+    and report accuracy and errors."""
     check_theta(theta_override)
     [[tally]], _, _ = _tallies(dataset.cases, ruleset, (kind,), (theta_override,))
     return _report(tally)
@@ -163,9 +164,7 @@ def evaluate_mixed(dataset: Dataset, ruleset: RuleSet,
     check_theta(theta_override)
     if not dataset.cases:  # reported before a rule without a standard
         raise ValueError("empty dataset")
-    plan = mixed_operators(ruleset)
-    [[tally]], _, _ = _tallies(dataset.cases, ruleset, (plan,), (theta_override,))
-    return _report(tally)
+    return evaluate(dataset, ruleset, mixed_operators(ruleset), theta_override)
 
 
 def mcnemar_exact(pred_a: Sequence[RiskCategory], pred_b: Sequence[RiskCategory],
@@ -198,17 +197,22 @@ def mcnemar_exact(pred_a: Sequence[RiskCategory], pred_b: Sequence[RiskCategory]
     return McNemarResult(b, c, n, p_one, min(1.0, 2.0 * p_one))
 
 
+def _plans(kinds: Iterable) -> list:
+    """``kinds``, with each plan (a sequence, not a ``str``) as a hashable tuple."""
+    return [tuple(k) if isinstance(k, Sequence) and not isinstance(k, str) else k for k in kinds]
+
+
 def compare_operators(dataset: Dataset, ruleset: RuleSet,
-                      kinds: Sequence[TNormKind],
+                      kinds: Sequence[TNormKind | Sequence[TNormKind]],
                       theta_override: float | None = None):
     """Classify with every operator in one walk; run all pairwise McNemar tests.
 
-    Returns ``(reports, pairs)``: per-operator EvalReports keyed by kind,
-    and a list of ``(kind_a, kind_b, McNemarResult)`` for every unordered
-    pair, in the order given.
+    Returns ``(reports, pairs)``: per-operator EvalReports keyed by kind
+    (a plan as a tuple), and a list of ``(kind_a, kind_b, McNemarResult)``
+    for every unordered pair, in the order given.
     """
     check_theta(theta_override)
-    kinds = list(kinds)
+    kinds = _plans(kinds)
     if len(kinds) < 2:
         raise ValueError("need at least 2 operators to compare")
     if len(set(kinds)) != len(kinds):
@@ -250,7 +254,7 @@ def _theta_label(theta: float) -> str:
 
 
 def threshold_sweep(dataset: Dataset, ruleset: RuleSet,
-                    kinds: TNormKind | Sequence[TNormKind],
+                    kinds: TNormKind | Sequence[TNormKind | Sequence[TNormKind]],
                     theta_min: float, theta_max: float, step: float) -> list[SweepPoint]:
     """Evaluate over an inclusive arithmetic progression of thresholds.
 
@@ -260,7 +264,7 @@ def threshold_sweep(dataset: Dataset, ruleset: RuleSet,
     """
     if isinstance(kinds, TNormKind):
         kinds = (kinds,)
-    kinds = tuple(dict.fromkeys(kinds))  # a repeated operator is swept once
+    kinds = tuple(dict.fromkeys(_plans(kinds)))  # a repeated operator is swept once
     if not kinds:
         raise ValueError("need at least one operator")
     thetas = _theta_grid(theta_min, theta_max, step)

@@ -351,6 +351,27 @@ class TestLibraryErrors:
         assert evaluate(Dataset((case,)), ruleset, plan) == \
             evaluate(Dataset((case,)), ruleset, TNormKind.GOEDEL)
 
+    @pytest.mark.parametrize("entries, received", [
+        ([None] * 14, "None"),
+        ([TNormKind.GOEDEL] * 13 + ["goedel"], "'goedel'"),
+        ([TNormKind.GOEDEL, "product", None] + [TNormKind.GOEDEL] * 11, "'product'"),
+    ])
+    def test_plan_entry_that_is_not_a_member(self, ruleset, entries, received):
+        # The case scores one condition, so no rule is live and no entry is
+        # folded: a plan of 14 Nones used to give 14 zeros. The first entry
+        # that is not a member is named.
+        case = Case("c", "", {"public_space": 0.9}, MIN, CaseType.CLEAR)
+        for plan in (entries, tuple(entries)):
+            calls = (
+                lambda: rule_chain_scores(case.scores, ruleset, plan),
+                lambda: evaluate(Dataset((case,)), ruleset, plan),
+                lambda: compare_operators(Dataset((case,)), ruleset, [plan, TNormKind.PRODUCT]),
+            )
+            for call in calls:
+                with pytest.raises(ValueError) as err:
+                    call()
+                assert str(err.value) == f"unknown t-norm {received}"
+
     def test_empty_mcnemar(self):
         with pytest.raises(ValueError) as err:
             mcnemar_exact([], [], [])
@@ -365,6 +386,44 @@ class TestLibraryErrors:
         with pytest.raises(ValueError) as err:
             build_report(expert, predicted, types)
         assert str(err.value) == "expert, predicted and case_types must be aligned"
+
+
+class TestPlansAsAnySequence:
+    """compare_operators and threshold_sweep read a plan given as a list
+    as the same plan given as a tuple; a list used to raise a bare
+    ``TypeError: unhashable type: 'list'``."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return generate_synthetic(20, 1)
+
+    def test_a_list_plan_reports_as_the_tuple(self, ruleset, cases):
+        plan = [TNormKind.GOEDEL] * 14
+        as_list = compare_operators(cases, ruleset, [plan, TNormKind.PRODUCT])
+        assert as_list == compare_operators(cases, ruleset, [tuple(plan), TNormKind.PRODUCT])
+        assert as_list[0][tuple(plan)] == evaluate(cases, ruleset, TNormKind.GOEDEL)
+        swept = threshold_sweep(cases, ruleset, [plan, TNormKind.PRODUCT], 0.25, 0.75, 0.25)
+        assert swept == threshold_sweep(cases, ruleset, [tuple(plan), TNormKind.PRODUCT],
+                                        0.25, 0.75, 0.25)
+
+    def test_a_list_and_a_tuple_of_one_plan_are_one_operator(self, ruleset, cases):
+        plan = [TNormKind.GOEDEL] * 14
+        with pytest.raises(ValueError) as err:
+            compare_operators(cases, ruleset, [plan, tuple(plan)])
+        assert str(err.value) == "duplicate operator in comparison"
+        swept = threshold_sweep(cases, ruleset, [plan, tuple(plan)], 0.25, 0.75, 0.25)
+        assert swept == threshold_sweep(cases, ruleset, [tuple(plan)], 0.25, 0.75, 0.25)
+        assert [list(point.reports) for point in swept] == [[tuple(plan)]] * 3
+
+    def test_a_str_is_still_named_whole(self, ruleset, cases):
+        calls = (
+            lambda: compare_operators(cases, ruleset, ["goedel", TNormKind.PRODUCT]),
+            lambda: threshold_sweep(cases, ruleset, ["goedel"], 0.25, 0.75, 0.25),
+        )
+        for call in calls:
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == "unknown t-norm 'goedel'"
 
 
 class _CountingCases(tuple):

@@ -11,7 +11,7 @@ import json
 import math
 import pickle
 import tracemalloc
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 from pathlib import Path
 from types import MappingProxyType
 
@@ -497,6 +497,14 @@ class TestCaseModel:
             case.extra = 1
         with pytest.raises(FrozenInstanceError):
             del case.description
+
+    def test_a_frozen_dataclass_built_only_by_its_constructor(self):
+        # The field is _scores and the constructor takes scores, so
+        # dataclasses.replace cannot build a case.
+        assert is_dataclass(Case)
+        assert tuple(f.name for f in fields(Case)) == Case.__slots__
+        with pytest.raises(TypeError):
+            replace(_case(), case_id="x")
 
     def test_scores_view_is_read_only_every_time(self):
         case = _case(a=0.5)

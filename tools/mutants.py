@@ -1,0 +1,245 @@
+"""Mutation check: every listed mutant must make its tests fail.
+
+    python3 tools/mutants.py [NAME ...]
+
+Each entry of ``MUTANTS`` is one small edit to the program: a file, an
+exact old text, the new text, why the edit matters, and the tests that
+must catch it. The old text must occur exactly once in its file, so a
+mutant cannot silently do nothing. For each mutant the script copies
+``src``, ``tests`` and ``pyproject.toml`` into a new temporary
+directory, makes the one edit there and runs
+``python -m pytest -x -q -p no:cacheprovider TESTS`` with the copy's
+``src`` first on the path and warnings as errors. The mutant is killed
+if the tests fail and survives if they pass. A mutant no test can kill
+is listed with ``equivalent`` set to the reason.
+
+Before any mutant, the unedited copy must pass every listed test and
+import ``riskrules`` from the copy; otherwise a failing run would say
+nothing about the mutant. Exits 1 on an old text that does not occur
+exactly once, on a survivor not listed as equivalent, or on a run that
+neither passes nor fails (another pytest exit code, or over ``TIMEOUT``
+seconds). With NAMEs, only those mutants run.
+
+To add a mutant, append a ``Mutant`` to ``MUTANTS`` and run
+``python3 tools/mutants.py NAME``. ``tests/test_mutants.py`` checks in
+tier-1 that every old text still occurs exactly once, so a change to
+the code a mutant edits must update the mutant too.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+#: What each copy holds: the program, its tests and the pytest settings.
+COPIED = ("src", "tests", "pyproject.toml")
+PYTEST = ["-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+#: Most seconds one test run may take.
+TIMEOUT = 300
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    reason: str
+    tests: tuple[str, ...]
+    equivalent: str | None = None  # why no test can kill it, if none can
+
+
+_TNORMS = "src/riskrules/tnorms.py"
+_ENGINE = "src/riskrules/engine.py"
+_EVALUATION = "src/riskrules/evaluation.py"
+_RULES = "src/riskrules/rules.py"
+_BENCHMARK = "src/riskrules/benchmark.py"
+_FOLD_TESTS = ("tests/test_tnorms.py", "tests/test_engine.py", "tests/test_batch.py")
+_BATCH_TESTS = ("tests/test_batch.py", "tests/test_engine.py", "tests/test_evaluation.py",
+                "tests/test_acceptance.py")
+
+MUTANTS = (
+    Mutant("goedel-tie-takes-the-new-operand", _TNORMS,
+           "if x < acc:", "if x <= acc:",
+           "a Goedel tie must keep the accumulator and its sign (-0.0 against 0.0)",
+           _FOLD_TESTS),
+    Mutant("lukasiewicz-identity-skips-zero", _TNORMS,
+           "if acc == 1.0:", "if acc == 1.0 and x != 0.0:",
+           "T(1, x) = x must hold bit for bit, -0.0 included",
+           _FOLD_TESTS),
+    Mutant("decision-fires-at-theta", _ENGINE,
+           "if chain_scores[i] > (theta", "if chain_scores[i] >= (theta",
+           "a rule fires only when its score strictly exceeds theta",
+           _BATCH_TESTS),
+    Mutant("trail-fires-at-theta", _ENGINE,
+           "acc, acc > theta, tuple(steps)", "acc, acc >= theta, tuple(steps)",
+           "the trail's fired flag obeys the same strict threshold as the decision",
+           ("tests/test_engine.py", "tests/test_acceptance.py")),
+    Mutant("winner-tie-breaks-to-largest-id", _ENGINE,
+           "-rs.score, rs.rule_id)", "-rs.score, [-ord(ch) for ch in rs.rule_id])",
+           "equal scores at one severity break to the smallest rule_id",
+           ("tests/test_engine.py",)),
+    Mutant("dead-rule-scores-nonzero", _ENGINE,
+           "out = [0.0] * len(rules)", "out = [5e-324] * len(rules)",
+           "a rule with a condition the case does not score scores exactly 0.0",
+           _BATCH_TESTS),
+    Mutant("mixed-plan-uses-first-operator", _ENGINE,
+           "kind if single else kind[i]", "kind if single else kind[0]",
+           "each rule folds with its own operator in mixed mode",
+           _BATCH_TESTS),
+    Mutant("plan-entries-unchecked", _ENGINE,
+           "            if type(entry) is not TNormKind:\n",
+           "            if False:\n",
+           "a plan entry that is not a member is an error even where no rule is live",
+           ("tests/test_evaluation.py", "tests/test_engine.py")),
+    Mutant("ranked-least-severe-first", _RULES,
+           "key=lambda ranked: -ranked[2].severity", "key=lambda ranked: ranked[2].severity",
+           "the decision takes the most severe fired category",
+           _BATCH_TESTS),
+    Mutant("live-on-any-condition", _RULES,
+           "if scored.issuperset(r.conditions)", "if not scored.isdisjoint(r.conditions)",
+           "a rule is live only when the case scores all of its conditions",
+           ("tests/test_rules.py", *_BATCH_TESTS)),
+    Mutant("mcnemar-tail-one-term-short", _EVALUATION,
+           "for k in range(min(b, c)):", "for k in range(min(b, c) - (n > 40)):",
+           "the exact tail sums every term up to min(b, c), for large n too",
+           ("tests/test_evaluation.py",)),
+    Mutant("fp-and-fn-swapped", _EVALUATION,
+           "            fp += count\n        else:\n            fn += count\n",
+           "            fn += count\n        else:\n            fp += count\n",
+           "over-classification is a false positive, under-classification a false negative",
+           ("tests/test_evaluation.py", "tests/test_acceptance.py")),
+    Mutant("case-type-dropped", _EVALUATION,
+           "cell = (label * _TYPES + _TYPE_INDEX[case.case_type]) * 4",
+           "cell = label * _TYPES * 4",
+           "accuracy is reported per case type",
+           ("tests/test_batch.py", "tests/test_evaluation.py")),
+    Mutant("plans-not-read-as-tuples", _EVALUATION,
+           "return [tuple(k) if isinstance(k, Sequence) and not isinstance(k, str) else k "
+           "for k in kinds]",
+           "return list(kinds)",
+           "a plan given as a list compares and sweeps like the same plan as a tuple",
+           ("tests/test_evaluation.py",)),
+    Mutant("case-hashable", _BENCHMARK,
+           "    __hash__ = None\n", "",
+           "a case has no hash, since its scores are a mapping",
+           ("tests/test_record_parsing.py",)),
+    Mutant("case-keeps-the-callers-dict", _BENCHMARK,
+           "_SET_SCORES(self, dict(scores))", "_SET_SCORES(self, scores)",
+           "a case keeps its own copy of the scores it was given",
+           ("tests/test_record_parsing.py",)),
+)
+
+
+def check(mutants, root: Path = ROOT) -> list[str]:
+    """Errors for a name listed twice and for an old text that does not
+    occur exactly once in its file."""
+    errors = []
+    names = set()
+    for m in mutants:
+        if m.name in names:
+            errors.append(f"{m.name}: listed twice")
+        names.add(m.name)
+        count = (root / m.path).read_text(encoding="utf-8").count(m.old)
+        if count != 1:
+            errors.append(f"{m.name}: old text occurs {count} times in {m.path}, not once")
+    return errors
+
+
+def _copy(root: Path, into: Path) -> None:
+    for name in COPIED:
+        if (root / name).is_dir():
+            shutil.copytree(root / name, into / name,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        else:
+            shutil.copy2(root / name, into / name)
+
+
+def _env(copy: Path) -> dict:
+    path = os.pathsep.join(filter(None, [str(copy / "src"), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONWARNINGS="error", PYTHONPATH=path)
+
+
+def _pytest(copy: Path, tests) -> str:
+    """Run ``tests`` in ``copy``: "passed", "failed" or what else happened."""
+    try:
+        code = subprocess.run([sys.executable, *PYTEST, *tests], cwd=copy, env=_env(copy),
+                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                              timeout=TIMEOUT).returncode
+    except subprocess.TimeoutExpired:
+        return f"over {TIMEOUT} s"
+    return {0: "passed", 1: "failed"}.get(code, f"pytest exit {code}")
+
+
+def baseline(mutants, root: Path = ROOT) -> str | None:
+    """Why the unedited tree cannot judge ``mutants``, or None if it can."""
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        copy = Path(tmp)
+        _copy(root, copy)
+        probe = subprocess.run([sys.executable, "-c", "import riskrules; print(riskrules.__file__)"],
+                               cwd=copy, env=_env(copy), capture_output=True, text=True)
+        if not probe.stdout.startswith(str(copy / "src")):
+            return f"riskrules is not imported from the copy: {probe.stdout or probe.stderr}"
+        outcome = _pytest(copy, sorted({t for m in mutants for t in m.tests}))
+    return None if outcome == "passed" else f"the unedited tests did not pass ({outcome})"
+
+
+def run(mutant: Mutant, root: Path = ROOT) -> str:
+    """Make ``mutant``'s edit in a copy of the tree and run its tests:
+    "killed", "survived", or what else happened."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = Path(tmp)
+        _copy(root, copy)
+        target = copy / mutant.path
+        target.write_text(target.read_text(encoding="utf-8").replace(mutant.old, mutant.new),
+                          encoding="utf-8")
+        outcome = _pytest(copy, mutant.tests)
+    return {"failed": "killed", "passed": "survived"}.get(outcome, outcome)
+
+
+def run_all(mutants, root: Path = ROOT) -> int:
+    """Check and run ``mutants``; print one line each; 0 if each is killed
+    or a survivor listed as equivalent, else 1."""
+    errors = check(mutants, root)
+    if not errors:
+        failure = baseline(mutants, root)
+        errors = [failure] if failure else []
+    for error in errors:
+        print(f"error: {error}", flush=True)
+    if errors:
+        return 1
+    ok = True
+    for m in mutants:
+        start = time.perf_counter()
+        outcome = run(m, root)
+        note = ""
+        if outcome == "survived" and m.equivalent:
+            note = f" (equivalent: {m.equivalent})"
+        elif outcome == "killed" and m.equivalent:
+            note = " (listed as equivalent, but a test kills it)"
+        elif outcome != "killed":
+            ok = False
+        print(f"{outcome:9} {m.name} [{time.perf_counter() - start:.1f} s]{note}", flush=True)
+    return 0 if ok else 1
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("names", nargs="*", metavar="NAME", help="mutant to run (default: all)")
+    args = parser.parse_args(argv)
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [name for name in args.names if name not in by_name]
+    if unknown:
+        parser.error(f"no mutant named {unknown[0]!r}")
+    return run_all([by_name[name] for name in args.names] or MUTANTS)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
