@@ -51,8 +51,8 @@ from enum import Enum
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from riskrules.rules import (CATEGORY_BY_NAME, CATEGORY_ORDER, CONDITION_VOCABULARY,
-                             RiskCategory, RuleSet, decode_json, default_ruleset, read_lines)
+from riskrules.rules import (CATEGORY_BY_NAME, CATEGORY_ORDER, CONDITION_VOCABULARY, RiskCategory,
+                             RuleSet, check_fields, decode_json, default_ruleset, read_lines)
 from riskrules.engine import predicted_category, rule_chain_scores
 from riskrules.tnorms import TNormKind, unit_score
 
@@ -171,6 +171,7 @@ def validate_case_types(dataset: Dataset) -> list[str]:
 # JSON-Lines dataset files.
 
 _CASE_KEYS = frozenset({"case_id", "description", "case_type", "expert_label", "scores"})
+_CASE_REQUIRED = ("description", "case_type", "expert_label", "scores")
 #: Enum values -> members: the strings a record may name them by.
 _CASE_TYPES = {t.value: t for t in CaseType}
 
@@ -215,23 +216,18 @@ def parse_case(obj: dict, vocabulary: Iterable[str] | Mapping[str, str]) -> Case
     ``vocabulary`` is a collection of condition terms, or a ``{term:
     term}`` dict of them as :func:`load_dataset` passes it, built once per
     file. The case's score keys are the vocabulary's own strings, so the
-    cases of a dataset share one copy of each term. ``Case(...)`` copies
-    the checked scores. Errors name no file: the loader places them.
+    cases of a dataset share one copy of each term. Each score is checked
+    by :func:`~riskrules.tnorms.unit_score` alone, and its message follows
+    ``case 'c': score for 'k'``. ``Case(...)`` copies the checked scores.
+    Errors name no file: the loader places them.
     """
     if not isinstance(obj, dict):
         raise DatasetValidationError("case records must be JSON objects")
     case_id = obj.get("case_id")
     if not isinstance(case_id, str) or not case_id:
         raise DatasetValidationError("missing or empty case_id")
-    keys = obj.keys()
-    if keys != _CASE_KEYS:  # a record with exactly the known keys needs no probe
-        unknown = keys - _CASE_KEYS
-        if unknown:
-            raise DatasetValidationError(
-                f"case {case_id!r}: unknown field {sorted(unknown)[0]!r}")
-        for key in ("description", "case_type", "expert_label", "scores"):
-            if key not in obj:
-                raise DatasetValidationError(f"case {case_id!r}: missing field {key!r}")
+    if obj.keys() != _CASE_KEYS:  # a record with exactly the known keys needs no probe
+        check_fields(obj, _CASE_KEYS, _CASE_REQUIRED, DatasetValidationError, "case", case_id)
     description = obj["description"]
     if not isinstance(description, str):
         raise DatasetValidationError(f"case {case_id!r}: description must be a string")
@@ -253,12 +249,7 @@ def parse_case(obj: dict, vocabulary: Iterable[str] | Mapping[str, str]) -> Case
     for cond, value in raw_scores.items():
         term = terms.get(cond)
         if term is None:
-            raise DatasetValidationError(
-                f"case {case_id!r}: unknown condition {cond!r}")
-        if type(value) is not float and (
-                not isinstance(value, (int, float)) or isinstance(value, bool)):
-            raise DatasetValidationError(
-                f"case {case_id!r}: score for {cond!r} must be a number")
+            raise DatasetValidationError(f"case {case_id!r}: unknown condition {cond!r}")
         try:
             scores[term] = unit_score(value)
         except ValueError as exc:

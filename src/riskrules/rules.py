@@ -14,7 +14,7 @@ import functools
 import json
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 class RuleValidationError(ValueError):
@@ -68,7 +68,7 @@ _STANDARDS = {s.value: s for s in ConjunctionStandard}
 @dataclass(frozen=True)
 class Rule:
     """Conjunctive rule: fires when the t-norm chain over its conditions
-    strictly exceeds ``theta``."""
+    strictly exceeds ``theta``. The constructor checks every field."""
 
     rule_id: str
     category: RiskCategory
@@ -79,16 +79,36 @@ class Rule:
     synthetic: bool = False
 
     def __post_init__(self):
-        if not self.rule_id:
-            raise RuleValidationError("rule with empty rule_id")
-        if not self.conditions:
+        if not self.rule_id or not isinstance(self.rule_id, str):
+            raise RuleValidationError("rule with empty rule_id" if self.rule_id == "" else
+                                      f"rule_id must be a string, got {self.rule_id!r}")
+        if type(self.category) is not RiskCategory:
+            raise RuleValidationError(f"rule {self.rule_id!r}: unknown category {self.category!r}")
+        for cond in self.conditions if isinstance(self.conditions, (list, tuple)) else (None,):
+            if not isinstance(cond, str):
+                raise RuleValidationError(
+                    f"rule {self.rule_id!r}: conditions must be an array of strings")
+        object.__setattr__(self, "conditions", conditions := tuple(self.conditions))
+        if type(theta := self.theta) is not float:
+            if not isinstance(theta, (int, float)) or isinstance(theta, bool):
+                raise RuleValidationError(f"rule {self.rule_id!r}: theta must be a number")
+            try:
+                theta = float(theta)
+            except OverflowError:  # an int too large for a double is out of range too
+                theta = float("inf")
+            object.__setattr__(self, "theta", theta)
+        if self.standard is not None and type(self.standard) is not ConjunctionStandard:
+            raise RuleValidationError(f"rule {self.rule_id!r}: unknown standard {self.standard!r}")
+        if type(self.synthetic) is not bool:
+            raise RuleValidationError(f"rule {self.rule_id!r}: synthetic must be a boolean")
+        if not isinstance(self.article, str):
+            raise RuleValidationError(f"rule {self.rule_id!r}: article must be a string")
+        if not conditions:
             raise RuleValidationError(f"rule {self.rule_id!r}: empty condition list")
-        if len(set(self.conditions)) != len(self.conditions):
+        if len(set(conditions)) != len(conditions):
             raise RuleValidationError(f"rule {self.rule_id!r}: duplicate condition")
-        if not isinstance(self.conditions, tuple):
-            object.__setattr__(self, "conditions", tuple(self.conditions))
-        if not 0.0 < self.theta < 1.0:
-            raise RuleValidationError(f"rule {self.rule_id!r}: theta out of range (0, 1): {self.theta}")
+        if not 0.0 < theta < 1.0:
+            raise RuleValidationError(f"rule {self.rule_id!r}: theta out of range (0, 1): {theta}")
 
 
 #: Most condition sets one rule set memoises in :meth:`RuleSet.live_rules`.
@@ -243,7 +263,8 @@ def default_ruleset() -> RuleSet:
 # ---------------------------------------------------------------------------
 # Rule file format: a JSON object with keys "vocabulary" and "rules".
 
-_RULE_KEYS = {"rule_id", "category", "conditions", "theta", "article", "standard", "synthetic"}
+_RULE_KEYS = frozenset(f.name for f in fields(Rule))  # a rule entry's keys are its fields
+_RULE_REQUIRED = ("category", "conditions", "theta")
 
 
 def ruleset_to_json(ruleset: RuleSet) -> str:
@@ -282,49 +303,37 @@ def parse_ruleset(text: str) -> RuleSet:
         raise RuleValidationError("vocabulary must be an array of strings")
     if not isinstance(doc["rules"], list):
         raise RuleValidationError("rules must be an array")
-    rules = [_rule_from_obj(obj) for obj in doc["rules"]]
-    return RuleSet(frozenset(vocab), tuple(rules))
+    return RuleSet(vocab, [_rule_from_obj(obj) for obj in doc["rules"]])
 
 
 def _rule_from_obj(obj: dict) -> Rule:
+    # Only what the JSON tells; names become members, and Rule checks every field.
     if not isinstance(obj, dict):
         raise RuleValidationError("rule entries must be JSON objects")
     rule_id = obj.get("rule_id")
     if not isinstance(rule_id, str) or not rule_id:
         raise RuleValidationError("rule with missing or empty rule_id")
-    unknown = set(obj) - _RULE_KEYS
+    check_fields(obj, _RULE_KEYS, _RULE_REQUIRED, RuleValidationError, "rule", rule_id)
+    category, standard = obj["category"], obj.get("standard")
+    if standard is None and "standard" in obj:  # Rule reads None as "no standard"
+        raise RuleValidationError(f"rule {rule_id!r}: unknown standard None")
+    if type(category) is str:
+        category = CATEGORY_BY_NAME.get(category, category)
+    if type(standard) is str:
+        standard = _STANDARDS.get(standard, standard)
+    return Rule(rule_id, category, obj["conditions"], obj["theta"], obj.get("article", ""),
+                standard, obj.get("synthetic", False))
+
+
+def check_fields(obj: dict, known, required, error: type[ValueError], kind: str, name: str):
+    """Raise ``error`` for the first key of ``obj`` outside ``known`` in sorted order
+    (``<kind> '<name>': unknown field 'k'``), then the first ``required`` one it lacks."""
+    unknown = obj.keys() - known
     if unknown:
-        raise RuleValidationError(
-            f"rule {rule_id!r}: unknown field {sorted(unknown)[0]!r}")
-    for key in ("category", "conditions", "theta"):
+        raise error(f"{kind} {name!r}: unknown field {sorted(unknown)[0]!r}")
+    for key in required:
         if key not in obj:
-            raise RuleValidationError(f"rule {rule_id!r}: missing field {key!r}")
-    value = obj["category"]
-    category = CATEGORY_BY_NAME.get(value) if type(value) is str else None
-    if category is None:
-        raise RuleValidationError(f"rule {rule_id!r}: unknown category {value!r}")
-    conditions = obj["conditions"]
-    if not isinstance(conditions, list) or not all(isinstance(x, str) for x in conditions):
-        raise RuleValidationError(f"rule {rule_id!r}: conditions must be an array of strings")
-    theta = obj["theta"]
-    if not isinstance(theta, (int, float)) or isinstance(theta, bool):
-        raise RuleValidationError(f"rule {rule_id!r}: theta must be a number")
-    try:
-        theta = float(theta)
-    except OverflowError:  # an int too large for a double is out of range too
-        theta = float("inf")
-    value = obj.get("standard")
-    standard = _STANDARDS.get(value) if type(value) is str else None
-    if standard is None and "standard" in obj:
-        raise RuleValidationError(f"rule {rule_id!r}: unknown standard {value!r}")
-    synthetic = obj.get("synthetic", False)
-    if not isinstance(synthetic, bool):
-        raise RuleValidationError(f"rule {rule_id!r}: synthetic must be a boolean")
-    article = obj.get("article", "")
-    if not isinstance(article, str):
-        raise RuleValidationError(f"rule {rule_id!r}: article must be a string")
-    return Rule(rule_id, category, tuple(conditions), theta, article,
-                standard, synthetic)
+            raise error(f"{kind} {name!r}: missing field {key!r}")
 
 
 def load_ruleset(path) -> RuleSet:

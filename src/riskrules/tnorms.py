@@ -55,17 +55,16 @@ _LUKASIEWICZ, _PRODUCT, _GOEDEL, _LOGPRODUCT = TNormKind
 def unit_score(value: float) -> float:
     """Validate a confidence value and return it as a float in [0, 1].
 
-    Raises ValueError for non-finite values or anything outside the
-    closed interval. Dataset and case scores enter the system through
-    this check; the operators below then assume validated inputs.
+    Raises ValueError for anything but an int or float (a bool too), or
+    outside the closed interval. Dataset and case scores enter the system
+    through this check; the operators below then assume validated inputs.
     """
-    try:
-        v = float(value)
-    except OverflowError:  # an int too large for a double is out of range too
-        v = math.inf
-    if not 0.0 <= v <= 1.0:  # also rejects NaN, which fails every comparison
+    if type(value) is not float and (
+            not isinstance(value, (int, float)) or isinstance(value, bool)):
+        raise ValueError("score must be a number")
+    if not 0.0 <= value <= 1.0:  # NaN too; an int compares exactly, before float()
         raise ValueError(f"score must be a finite number in [0, 1], got {value!r}")
-    return v
+    return float(value)
 
 
 def apply(kind: TNormKind, a: float, b: float) -> float:
