@@ -1,3 +1,3 @@
-from riskrules.cli import run_main
+from riskrules.cli import main
 
-run_main()
+raise SystemExit(main())

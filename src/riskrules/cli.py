@@ -217,9 +217,5 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def run_main() -> None:
-    raise SystemExit(main())
-
-
 if __name__ == "__main__":
-    run_main()
+    raise SystemExit(main())

@@ -158,19 +158,26 @@ def rule_chain_scores(case_scores: Mapping[str, float], ruleset: RuleSet,
     rules = ruleset.rules
     single = isinstance(kind, TNormKind)
     if not single:
-        if isinstance(kind, str) or not isinstance(kind, Sequence):
-            raise ValueError(f"unknown t-norm {kind!r}")
-        if len(kind) != len(rules):
-            raise ValueError(f"operator plan has {len(kind)} entries; "
-                             f"the rule set has {len(rules)} rules")
-        for entry in kind:  # checked here: a dead rule's entry is never folded
-            if type(entry) is not TNormKind:
-                raise ValueError(f"unknown t-norm {entry!r}")
+        check_plan(kind, ruleset)
     out = [0.0] * len(rules)
     for i in ruleset.live_rules(frozenset(case_scores)):
         conds = rules[i].conditions
         out[i] = fold_chain(kind if single else kind[i], map(case_scores.__getitem__, conds))
     return out
+
+
+def check_plan(plan: Sequence[TNormKind], ruleset: RuleSet) -> None:
+    """Reject a per-rule plan that is not a sequence (a ``str`` included),
+    has not one entry per rule, or has an entry that is not a
+    :class:`TNormKind` (named, the first such), with ValueError."""
+    if isinstance(plan, str) or not isinstance(plan, Sequence):
+        raise ValueError(f"unknown t-norm {plan!r}")
+    if len(plan) != len(ruleset.rules):
+        raise ValueError(f"operator plan has {len(plan)} entries; "
+                         f"the rule set has {len(ruleset.rules)} rules")
+    for entry in plan:  # checked here: a dead rule's entry is never folded
+        if type(entry) is not TNormKind:
+            raise ValueError(f"unknown t-norm {entry!r}")
 
 
 def predicted_category(ruleset: RuleSet, chain_scores: Sequence[float],

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from riskrules.benchmark import Case, CaseType, Dataset
-from riskrules.engine import check_theta, mixed_operators, predicted_category, rule_chain_scores
+from riskrules.engine import (check_plan, check_theta, mixed_operators, predicted_category,
+                              rule_chain_scores)
 # Not called here; perfbench's traced run patches the name on this module.
 from riskrules.engine import classify_mixed  # noqa: F401
 from riskrules.rules import CATEGORY_ORDER, RiskCategory, RuleSet
@@ -197,22 +198,32 @@ def mcnemar_exact(pred_a: Sequence[RiskCategory], pred_b: Sequence[RiskCategory]
     return McNemarResult(b, c, n, p_one, min(1.0, 2.0 * p_one))
 
 
-def _plans(kinds: Iterable) -> list:
-    """``kinds``, with each plan (a sequence, not a ``str``) as a hashable tuple."""
-    return [tuple(k) if isinstance(k, Sequence) and not isinstance(k, str) else k for k in kinds]
+def _plans(kinds, ruleset: RuleSet) -> list:
+    """``kinds`` as a list: a bare member is one operator, a sequence of
+    them several; any other entry is a plan, checked by
+    :func:`~riskrules.engine.check_plan` before it is hashed, as a tuple."""
+    plans = [kinds] if isinstance(kinds, TNormKind) else list(kinds)
+    for i, kind in enumerate(plans):
+        if not isinstance(kind, TNormKind):
+            check_plan(kind, ruleset)
+            plans[i] = tuple(kind)
+    return plans
 
 
 def compare_operators(dataset: Dataset, ruleset: RuleSet,
-                      kinds: Sequence[TNormKind | Sequence[TNormKind]],
+                      kinds: TNormKind | Sequence[TNormKind | Sequence[TNormKind]],
                       theta_override: float | None = None):
     """Classify with every operator in one walk; run all pairwise McNemar tests.
 
-    Returns ``(reports, pairs)``: per-operator EvalReports keyed by kind
-    (a plan as a tuple), and a list of ``(kind_a, kind_b, McNemarResult)``
-    for every unordered pair, in the order given.
+    ``kinds`` is a sequence of operators, each a member or a per-rule plan
+    (a sequence of members is several operators, so a plan goes inside
+    one: ``[plan, GOEDEL]``); a bare member is one operator. Returns
+    ``(reports, pairs)``: per-operator EvalReports keyed by kind (a plan
+    as a tuple), and a list of ``(kind_a, kind_b, McNemarResult)`` for
+    every unordered pair, in the order given.
     """
     check_theta(theta_override)
-    kinds = _plans(kinds)
+    kinds = _plans(kinds, ruleset)
     if len(kinds) < 2:
         raise ValueError("need at least 2 operators to compare")
     if len(set(kinds)) != len(kinds):
@@ -258,13 +269,13 @@ def threshold_sweep(dataset: Dataset, ruleset: RuleSet,
                     theta_min: float, theta_max: float, step: float) -> list[SweepPoint]:
     """Evaluate over an inclusive arithmetic progression of thresholds.
 
-    Chain scores do not depend on theta, so one walk over the cases folds
-    each case's chains once per operator and compares them with every
-    point of the grid (see :func:`_theta_grid`).
+    ``kinds`` reads as in :func:`compare_operators`: a bare member is one
+    operator, and a sequence of members is several, so a per-rule plan is
+    swept as ``[plan]``. Chain scores do not depend on theta, so one walk
+    over the cases folds each case's chains once per operator and
+    compares them with every point of the grid (see :func:`_theta_grid`).
     """
-    if isinstance(kinds, TNormKind):
-        kinds = (kinds,)
-    kinds = tuple(dict.fromkeys(_plans(kinds)))  # a repeated operator is swept once
+    kinds = tuple(dict.fromkeys(_plans(kinds, ruleset)))  # a repeated operator is swept once
     if not kinds:
         raise ValueError("need at least one operator")
     thetas = _theta_grid(theta_min, theta_max, step)
@@ -298,13 +309,20 @@ def report_to_json(report: EvalReport) -> str:
     return json.dumps(report_to_obj(report), indent=2) + "\n"
 
 
+def _name(kind: TNormKind) -> str:
+    """An operator's name, as the writers print it; a per-rule plan has none."""
+    if not isinstance(kind, TNormKind):
+        raise ValueError(f"the writers take operators only, not the plan {kind!r}")
+    return kind.value
+
+
 def comparison_to_json(reports: dict, pairs: list) -> str:
     doc = {
-        "reports": {k.value: report_to_obj(r) for k, r in reports.items()},
+        "reports": {_name(k): report_to_obj(r) for k, r in reports.items()},
         "pairs": [
             {
-                "a": a.value,
-                "b_kind": b.value,
+                "a": _name(a),
+                "b_kind": _name(b),
                 "b": res.b,
                 "c": res.c,
                 "p_one_sided": res.p_one_sided,
@@ -320,7 +338,7 @@ def sweep_to_csv(points: list[SweepPoint]) -> str:
     lines = ["theta,kind,accuracy,fp_rate,fn_rate"]
     for pt in points:
         for kind, report in pt.reports.items():
-            lines.append(f"{_theta_label(pt.theta)},{kind.value},"
+            lines.append(f"{_theta_label(pt.theta)},{_name(kind)},"
                          f"{report.accuracy_overall:.6f},"
                          f"{report.fp_rate:.6f},{report.fn_rate:.6f}")
     return "\n".join(lines) + "\n"

@@ -68,7 +68,16 @@ _STANDARDS = {s.value: s for s in ConjunctionStandard}
 @dataclass(frozen=True)
 class Rule:
     """Conjunctive rule: fires when the t-norm chain over its conditions
-    strictly exceeds ``theta``. The constructor checks every field."""
+    strictly exceeds ``theta``.
+
+    The constructor checks every field and raises RuleValidationError
+    with the rule file's message. In order: a non-empty str ``rule_id``;
+    a :class:`RiskCategory`; a list or tuple of str ``conditions``,
+    stored as a tuple; an int or float ``theta``, not a bool, stored as a
+    float (an int too large for a double reads as inf); ``standard`` None
+    or a :class:`ConjunctionStandard`; a bool ``synthetic``; a str
+    ``article``; then non-empty, distinct conditions and theta in (0, 1).
+    """
 
     rule_id: str
     category: RiskCategory
@@ -84,10 +93,10 @@ class Rule:
                                       f"rule_id must be a string, got {self.rule_id!r}")
         if type(self.category) is not RiskCategory:
             raise RuleValidationError(f"rule {self.rule_id!r}: unknown category {self.category!r}")
-        for cond in self.conditions if isinstance(self.conditions, (list, tuple)) else (None,):
-            if not isinstance(cond, str):
-                raise RuleValidationError(
-                    f"rule {self.rule_id!r}: conditions must be an array of strings")
+        if not isinstance(self.conditions, (list, tuple)) or not all(
+                isinstance(c, str) for c in self.conditions):
+            raise RuleValidationError(
+                f"rule {self.rule_id!r}: conditions must be an array of strings")
         object.__setattr__(self, "conditions", conditions := tuple(self.conditions))
         if type(theta := self.theta) is not float:
             if not isinstance(theta, (int, float)) or isinstance(theta, bool):

@@ -426,6 +426,74 @@ class TestPlansAsAnySequence:
             assert str(err.value) == "unknown t-norm 'goedel'"
 
 
+class TestOperatorEntries:
+    """compare_operators and threshold_sweep read ``kinds`` alike and name
+    each bad entry; the writers name a plan. Before, a bare member was a
+    bare ``TypeError`` in compare_operators, a list inside a plan an
+    ``unhashable type: 'list'`` in both, and a plan an ``AttributeError``
+    in the writers."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return generate_synthetic(20, 1)
+
+    def _both(self, cases, ruleset, kinds):
+        return (lambda: compare_operators(cases, ruleset, kinds),
+                lambda: threshold_sweep(cases, ruleset, kinds, 0.25, 0.75, 0.25))
+
+    def test_a_bare_member_is_one_operator(self, ruleset, cases):
+        with pytest.raises(ValueError) as err:
+            compare_operators(cases, ruleset, TNormKind.GOEDEL)
+        assert str(err.value) == "need at least 2 operators to compare"
+        assert (threshold_sweep(cases, ruleset, TNormKind.GOEDEL, 0.25, 0.75, 0.25)
+                == threshold_sweep(cases, ruleset, [TNormKind.GOEDEL], 0.25, 0.75, 0.25))
+
+    @pytest.mark.parametrize("plan,named", [
+        ([[TNormKind.GOEDEL]] * 14, [TNormKind.GOEDEL]),
+        ([TNormKind.GOEDEL] * 13 + [{"goedel"}], {"goedel"}),
+        ({TNormKind.GOEDEL}, {TNormKind.GOEDEL}),
+        ({}, {}),
+    ], ids=["list-entry", "set-entry", "set-plan", "dict-plan"])
+    def test_an_unhashable_entry_is_named(self, ruleset, cases, plan, named):
+        for call in self._both(cases, ruleset, [plan, TNormKind.PRODUCT]):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == f"unknown t-norm {named!r}"
+
+    def test_a_plan_is_checked_before_the_walk(self, ruleset):
+        for call in self._both(Dataset(()), ruleset, [[TNormKind.GOEDEL] * 3, TNormKind.PRODUCT]):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == "operator plan has 3 entries; the rule set has 14 rules"
+
+    def test_the_writers_name_a_plan(self, ruleset, cases):
+        plan = (TNormKind.GOEDEL,) * 14
+        message = f"the writers take operators only, not the plan {plan!r}"
+        with pytest.raises(ValueError) as err:
+            comparison_to_json(*compare_operators(cases, ruleset, [plan, TNormKind.PRODUCT]))
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            comparison_to_json(*compare_operators(cases, ruleset, [TNormKind.PRODUCT, plan]))
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            sweep_to_csv(threshold_sweep(cases, ruleset, [plan], 0.25, 0.75, 0.25))
+        assert str(err.value) == message
+
+    def test_a_sequence_of_members_is_several_operators(self, ruleset, cases):
+        plan = [TNormKind.LUKASIEWICZ] + [TNormKind.GOEDEL] * 13
+        several = threshold_sweep(cases, ruleset, plan, 0.5, 0.5, 0.1)
+        assert [list(point.reports) for point in several] == [
+            [TNormKind.LUKASIEWICZ, TNormKind.GOEDEL]]
+        with pytest.raises(ValueError) as err:
+            compare_operators(cases, ruleset, plan)
+        assert str(err.value) == "duplicate operator in comparison"
+        # A plan is one operator inside the sequence.
+        [point] = threshold_sweep(cases, ruleset, [plan], 0.5, 0.5, 0.1)
+        assert point.reports == {tuple(plan): evaluate(cases, ruleset, plan, 0.5)}
+        reports, _ = compare_operators(cases, ruleset, [plan, TNormKind.GOEDEL], 0.5)
+        assert list(reports) == [tuple(plan), TNormKind.GOEDEL]
+
+
 class _CountingCases(tuple):
     """A tuple of cases that counts how often it is iterated."""
 

@@ -24,8 +24,9 @@ from riskrules.benchmark import (
     load_dataset,
     parse_case,
 )
-from riskrules.rules import (CONDITION_VOCABULARY, RiskCategory, RuleValidationError,
-                             decode_json, load_ruleset, parse_ruleset, read_lines)
+from riskrules.rules import (CATEGORY_BY_NAME, CONDITION_VOCABULARY, ConjunctionStandard,
+                             RiskCategory, Rule, RuleValidationError, decode_json, load_ruleset,
+                             parse_ruleset, read_lines)
 
 
 def rec(case_id, ensure_ascii=True, **fields):
@@ -314,6 +315,12 @@ RULE_FILES = {
                           "rule 'r': unknown condition 'b'"),
 }
 
+#: The RULE_FILES entries whose one fault Rule itself names: each reaches
+#: Rule, since the reader checks only what the JSON alone tells.
+RULE_FIELD_FAULTS = ("unknown_category", "conditions_not_strings", "theta_not_number",
+                     "unknown_standard", "synthetic_not_bool", "article_not_string",
+                     "empty_conditions", "duplicate_condition", "theta_out_of_range")
+
 # name -> (case file text, the parser's bare message); each record has
 # the fields load_case would otherwise fill in.
 CASE_FILES = {
@@ -363,6 +370,32 @@ class TestErrorPlacement:
         with pytest.raises(RuleValidationError) as err:
             load_ruleset(path)
         assert str(err.value) == f"{path}: {message}"
+
+
+class TestOneOwner:
+    """A rule's fields are checked by Rule alone: ``Rule(...)`` on a file's
+    entry, its names turned into members, names the fault as
+    ``parse_ruleset`` does."""
+
+    @pytest.mark.parametrize("name", RULE_FIELD_FAULTS)
+    def test_rule_names_the_files_fault(self, name):
+        text, message = RULE_FILES[name]
+        [entry] = json.loads(text)["rules"]
+        entry["category"] = CATEGORY_BY_NAME.get(entry["category"], entry["category"])
+        if "standard" in entry:
+            entry["standard"] = {s.value: s for s in ConjunctionStandard}.get(
+                entry["standard"], entry["standard"])
+        with pytest.raises(RuleValidationError) as err:
+            Rule(**entry)
+        assert str(err.value) == message
+
+    def test_every_other_entry_fault_is_the_readers(self):
+        # The faults RULE_FILES lists for one entry that Rule does not name.
+        readers = {"entry_not_object", "empty_rule_id", "unknown_field", "missing_field"}
+        entry_faults = {name for name, (_, message) in RULE_FILES.items()
+                        if message.startswith(("rule ", "rule entries"))
+                        and "unknown condition" not in message}
+        assert entry_faults == readers | set(RULE_FIELD_FAULTS)
 
 
 class TestReadOnlyScores:

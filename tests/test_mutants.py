@@ -3,6 +3,7 @@ the source it names, and the script fails on a survivor or an edit that
 would do nothing. The mutants themselves run in their own CI step."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).parent.parent
@@ -19,8 +20,16 @@ def test_every_old_text_occurs_once():
 
 
 def test_every_mutant_names_tests_that_exist():
+    # A test is a file, or a node id in it: each name after "::" is a
+    # class or function that file defines.
     for m in mutants.MUTANTS:
-        assert m.tests and all((ROOT / t).is_file() for t in m.tests), m.name
+        assert m.tests, m.name
+        for test in m.tests:
+            path, *names = test.split("::")
+            assert (ROOT / path).is_file(), (m.name, test)
+            source = (ROOT / path).read_text(encoding="utf-8")
+            for name in names:
+                assert re.search(rf"^ *(class|def) {name}\b", source, re.M), (m.name, test)
 
 
 def test_an_edit_that_would_do_nothing_is_an_error(capsys):

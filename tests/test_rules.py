@@ -8,6 +8,7 @@ import pickle
 import pytest
 
 from riskrules.rules import (
+    CATEGORY_BY_NAME,
     CATEGORY_ORDER,
     CONDITION_VOCABULARY,
     ConjunctionStandard,
@@ -15,11 +16,13 @@ from riskrules.rules import (
     Rule,
     RuleSet,
     RuleValidationError,
+    check_fields,
     default_ruleset,
     load_ruleset,
     parse_ruleset,
     ruleset_to_json,
 )
+from riskrules.tnorms import TNormKind
 
 
 class TestSeverity:
@@ -331,3 +334,124 @@ class TestValidation:
         with pytest.raises(KeyError) as err:
             ruleset.rule("no_such_rule")
         assert err.value.args == ("no rule 'no_such_rule'",)
+
+
+def _as_members(entry):
+    """A rule entry with its category and standard names turned into members,
+    as the reader turns them, for ``Rule(**entry)``."""
+    standards = {s.value: s for s in ConjunctionStandard}
+    entry = dict(entry)
+    for key, members in (("category", CATEGORY_BY_NAME), ("standard", standards)):
+        if type(entry.get(key)) is str:
+            entry[key] = members.get(entry[key], entry[key])
+    return entry
+
+
+class TestRuleChecksEveryField:
+    """``Rule(...)`` checks each field it holds, with the rule file's messages;
+    before, a Python caller got a bare AttributeError or TypeError, or a
+    string split into conditions."""
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"category": "high_risk"}, "rule 'r': unknown category 'high_risk'"),
+        ({"category": None}, "rule 'r': unknown category None"),
+        ({"conditions": "ab"}, "rule 'r': conditions must be an array of strings"),
+        ({"conditions": {"a"}}, "rule 'r': conditions must be an array of strings"),
+        ({"conditions": iter(["a"])}, "rule 'r': conditions must be an array of strings"),
+        ({"conditions": ("a", 1)}, "rule 'r': conditions must be an array of strings"),
+        ({"theta": "0.5"}, "rule 'r': theta must be a number"),
+        ({"theta": True}, "rule 'r': theta must be a number"),
+        ({"theta": None}, "rule 'r': theta must be a number"),
+        ({"standard": "strong"}, "rule 'r': unknown standard 'strong'"),
+        ({"standard": TNormKind.GOEDEL}, "rule 'r': unknown standard <TNormKind.GOEDEL: 'goedel'>"),
+        ({"synthetic": 1}, "rule 'r': synthetic must be a boolean"),
+        ({"synthetic": None}, "rule 'r': synthetic must be a boolean"),
+        ({"article": None}, "rule 'r': article must be a string"),
+        ({"article": 5}, "rule 'r': article must be a string"),
+        ({"rule_id": 5}, "rule_id must be a string, got 5"),
+        ({"rule_id": None}, "rule_id must be a string, got None"),
+        ({"rule_id": b"r"}, "rule_id must be a string, got b'r'"),
+        ({"theta": 1}, "rule 'r': theta out of range (0, 1): 1.0"),
+        ({"theta": 10 ** 400}, "rule 'r': theta out of range (0, 1): inf"),
+    ])
+    def test_names_the_field(self, fields, message):
+        with pytest.raises(RuleValidationError) as err:
+            Rule(**{"rule_id": "r", "category": RiskCategory.HIGH_RISK, "conditions": ("a",),
+                    **fields})
+        assert str(err.value) == message
+
+    def test_a_rule_set_of_a_category_name_names_it(self):
+        with pytest.raises(RuleValidationError) as err:
+            RuleSet(frozenset({"a"}), (Rule("r", "high_risk", ("a",)),))
+        assert str(err.value) == "rule 'r': unknown category 'high_risk'"
+
+
+#: Each fault Rule names, as (name, field, value, message), in the order
+#: Rule checks them.
+_FAULTS = [
+    ("category", "category", "x", "unknown category 'x'"),
+    ("conditions_type", "conditions", [1], "conditions must be an array of strings"),
+    ("theta_type", "theta", "0.5", "theta must be a number"),
+    ("standard", "standard", "weak", "unknown standard 'weak'"),
+    ("synthetic", "synthetic", 1, "synthetic must be a boolean"),
+    ("article", "article", 5, "article must be a string"),
+    ("empty", "conditions", [], "empty condition list"),
+    ("duplicate", "conditions", ["employment_context"] * 2, "duplicate condition"),
+    ("theta_range", "theta", 1.5, "theta out of range (0, 1): 1.5"),
+]
+_FAULT_PAIRS = [(a, b) for i, a in enumerate(_FAULTS) for b in _FAULTS[i + 1:] if a[1] != b[1]]
+
+
+class TestCheckOrder:
+    """With two faults in one rule entry, the one named is the one the
+    parent named: first the reader's order (category, conditions, theta
+    type, standard, synthetic, article), then Rule's (empty list,
+    duplicate, theta range). The file and ``Rule(...)`` agree."""
+
+    @pytest.mark.parametrize("first,second", _FAULT_PAIRS,
+                             ids=[f"{a[0]}-before-{b[0]}" for a, b in _FAULT_PAIRS])
+    def test_first_fault_named(self, first, second):
+        entry = _rule_obj(**{first[1]: first[2], second[1]: second[2]})
+        message = f"rule 'test_rule': {first[3]}"
+        with pytest.raises(RuleValidationError) as err:
+            parse_ruleset(_doc([entry]))
+        assert str(err.value) == message
+        with pytest.raises(RuleValidationError) as err:
+            Rule(**_as_members(entry))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("fault", [f for f in _FAULTS if f[1] != "standard"],
+                             ids=[f[0] for f in _FAULTS if f[1] != "standard"])
+    def test_explicit_null_standard_named_first(self, fault):
+        # The one exception: Rule reads None as "no standard", so the
+        # reader names an explicit null before any field Rule checks.
+        entry = _rule_obj(standard=None, **{fault[1]: fault[2]})
+        with pytest.raises(RuleValidationError) as err:
+            parse_ruleset(_doc([entry]))
+        assert str(err.value) == "rule 'test_rule': unknown standard None"
+
+
+class TestFieldNames:
+    """One function, ``check_fields``, names a rule entry's or a case
+    record's unknown and missing fields."""
+
+    def test_first_unknown_field_in_sorted_order(self):
+        # Sets of strings iterate in hash order, which differs from run to
+        # run; over twenty sets, some first key is not the smallest.
+        for n in range(2, 22):
+            extra = {f"zz_{i:02d}": 1 for i in reversed(range(n))}
+            with pytest.raises(RuleValidationError) as err:
+                parse_ruleset(_doc([_rule_obj(**extra)]))
+            assert str(err.value) == "rule 'test_rule': unknown field 'zz_00'"
+            with pytest.raises(ValueError) as err:
+                check_fields(extra, set(), (), ValueError, "case", "c")
+            assert str(err.value) == "case 'c': unknown field 'zz_00'"
+
+    def test_unknown_before_missing_in_required_order(self):
+        with pytest.raises(KeyError) as err:
+            check_fields({"b": 1, "zz": 2}, {"a", "b", "c"}, ("c", "a"), KeyError, "x", "y")
+        assert err.value.args == ("x 'y': unknown field 'zz'",)
+        with pytest.raises(KeyError) as err:
+            check_fields({"b": 1}, {"a", "b", "c"}, ("c", "a"), KeyError, "x", "y")
+        assert err.value.args == ("x 'y': missing field 'c'",)
+        assert check_fields({"a": 1, "c": 2}, {"a", "b", "c"}, ("c", "a"), KeyError, "x", "y") is None

@@ -241,3 +241,16 @@ class TestUnitScore:
         with pytest.raises(ValueError) as err:
             unit_score(2.0)
         assert str(err.value) == "score must be a finite number in [0, 1], got 2.0"
+
+    @pytest.mark.parametrize("value", ["0.5", b"1", True, False, None, [0.5], 0.5j])
+    def test_rejects_what_is_not_a_number(self, value):
+        # Before, float() took "0.5", b"1" and True.
+        with pytest.raises(ValueError) as err:
+            unit_score(value)
+        assert str(err.value) == "score must be a number"
+
+    @pytest.mark.parametrize("value,score", [(0, 0.0), (1, 1.0), (0.25, 0.25), (-0.0, -0.0)])
+    def test_returns_a_float(self, value, score):
+        result = unit_score(value)
+        assert type(result) is float and math.copysign(1, result) == math.copysign(1, score)
+        assert result == score

@@ -95,8 +95,8 @@ MUTANTS = (
            "each rule folds with its own operator in mixed mode",
            _BATCH_TESTS),
     Mutant("plan-entries-unchecked", _ENGINE,
-           "            if type(entry) is not TNormKind:\n",
-           "            if False:\n",
+           "        if type(entry) is not TNormKind:\n",
+           "        if False:\n",
            "a plan entry that is not a member is an error even where no rule is live",
            ("tests/test_evaluation.py", "tests/test_engine.py")),
     Mutant("ranked-least-severe-first", _RULES,
@@ -122,9 +122,7 @@ MUTANTS = (
            "accuracy is reported per case type",
            ("tests/test_batch.py", "tests/test_evaluation.py")),
     Mutant("plans-not-read-as-tuples", _EVALUATION,
-           "return [tuple(k) if isinstance(k, Sequence) and not isinstance(k, str) else k "
-           "for k in kinds]",
-           "return list(kinds)",
+           "plans[i] = tuple(kind)", "plans[i] = kind",
            "a plan given as a list compares and sweeps like the same plan as a tuple",
            ("tests/test_evaluation.py",)),
     Mutant("case-hashable", _BENCHMARK,
@@ -135,6 +133,86 @@ MUTANTS = (
            "_SET_SCORES(self, dict(scores))", "_SET_SCORES(self, scores)",
            "a case keeps its own copy of the scores it was given",
            ("tests/test_record_parsing.py",)),
+    # Hand mutations of earlier changes, kept where their code still exists.
+    Mutant("dataset-line-keeps-its-terminator", _BENCHMARK,
+           'decode_json(line.rstrip("\\n"), DatasetValidationError)',
+           "decode_json(line, DatasetValidationError)",
+           "a dataset line's JSON error gives the column on that line, not on the next",
+           ("tests/test_load_dataset.py",)),
+    Mutant("bad-utf8-byte-read", _RULES,
+           "if not line.isascii() and (bad := _ESCAPED_BYTE.search(line)):",
+           "if False and (bad := _ESCAPED_BYTE.search(line)):",
+           "a byte that is not UTF-8 is an error naming the file, line and column",
+           ("tests/test_load_dataset.py",)),
+    Mutant("whitespace-line-not-blank", _BENCHMARK,
+           "if line.isspace():", 'if not line.strip("\\n"):',
+           "a line of spaces or tabs is blank and skipped, like an empty one",
+           ("tests/test_load_dataset.py",)),
+    Mutant("scores-view-writable", _BENCHMARK,
+           "return MappingProxyType(self._scores)", "return self._scores",
+           "a case's scores cannot be changed through case.scores",
+           ("tests/test_load_dataset.py", "tests/test_record_parsing.py::TestCaseModel")),
+    Mutant("strict-utf8-decoding", _RULES,
+           'errors="surrogateescape"', 'errors="strict"',
+           "a bad byte is reported with its file, line and column, not as a UnicodeDecodeError",
+           ("tests/test_load_dataset.py",)),
+    Mutant("trail-writes-non-ascii", _ENGINE,
+           "_str = json.encoder.encode_basestring_ascii", "_str = json.encoder.encode_basestring",
+           "the proof trail is written as json.dumps writes it: ASCII only",
+           ("tests/test_engine.py::TestTrailWriter",)),
+    Mutant("slot-counts-overflow-n", _BENCHMARK,
+           '_TYPE_RATIO = {"marginal": 325 / 1035,', '_TYPE_RATIO = {"marginal": 1000 / 1035,',
+           "every n the generator accepts splits into counts that are not negative",
+           ("tests/test_benchmark.py::TestGenerateSynthetic::test_slot_counts_fit_every_n",)),
+    Mutant("decode-accepts-trailing-data", _RULES,
+           "if end == len(text) or json.decoder.WHITESPACE.match(text, end).end() == len(text):",
+           "if True:",
+           "text with data after its JSON value is an error, as json.loads makes it",
+           ("tests/test_record_parsing.py::TestDecodeJson",)),
+    Mutant("score-keys-not-the-vocabularys", _BENCHMARK,
+           "scores[term] = unit_score(value)", "scores[cond] = unit_score(value)",
+           "a parsed case keys its scores by the vocabulary's own strings",
+           ("tests/test_record_parsing.py::TestSharedKeys",)),
+    Mutant("dataset-error-without-line", _BENCHMARK,
+           'f"{name}:{lineno}: {exc}"', 'f"{name}: {exc}"',
+           "a dataset record's error names its file and line",
+           ("tests/test_load_dataset.py",)),
+    Mutant("case-type-guard-dropped", _BENCHMARK,
+           "case_type = _CASE_TYPES.get(value) if type(value) is str else None",
+           "case_type = _CASE_TYPES.get(value)",
+           "a case_type that is not a string is named, not a bare TypeError",
+           ("tests/test_benchmark.py::TestParseCase",)),
+    Mutant("labeler-counts-only-above-055", _BENCHMARK,
+           "math.nextafter(ORACLE_PRESENCE_THRESHOLD, 0.0))", "ORACLE_PRESENCE_THRESHOLD)",
+           "the labeler counts a condition scoring exactly 0.55 as present",
+           ("tests/test_benchmark.py::TestReferenceLabel",)),
+    Mutant("description-per-case", _BENCHMARK,
+           "descriptions[text, rule.rule_id], scores,",
+           'f"Synthetic {text} case targeting rule {rule.rule_id}", scores,',
+           "generated cases share one description string per (archetype, rule)",
+           ("tests/test_record_parsing.py::TestSharedKeys",)),
+    Mutant("jsonl-joined-unchunked", _BENCHMARK,
+           '    return "".join([\n'
+           '        "".join([json.dumps(_case_to_obj(c)) + "\\n" '
+           "for c in cases[i:i + _LINES_PER_CHUNK]])\n"
+           "        for i in range(0, len(cases), _LINES_PER_CHUNK)])\n",
+           '    return "".join(json.dumps(_case_to_obj(c)) + "\\n" for c in cases)\n',
+           "the dataset writer's peak stays about twice its output",
+           ("tests/test_benchmark.py::TestDatasetToJsonl",)),
+    # Each input check has one owner.
+    Mutant("rule-category-unchecked", _RULES,
+           "        if type(self.category) is not RiskCategory:\n", "        if False:\n",
+           "Rule(...) names a category that is not a RiskCategory",
+           ("tests/test_rules.py",)),
+    Mutant("unit-score-takes-bools", _TNORMS,
+           "not isinstance(value, (int, float)) or isinstance(value, bool)):",
+           "not isinstance(value, (int, float))):",
+           "a bool is not a score",
+           ("tests/test_tnorms.py",)),
+    Mutant("unknown-field-not-sorted", _RULES,
+           "sorted(unknown)[0]", "next(iter(unknown))",
+           "of several unknown fields, the first in sorted order is named",
+           ("tests/test_rules.py",)),
 )
 
 
