@@ -28,12 +28,12 @@ the view, where the fold's dict fast paths apply.
 
 Loading (:func:`load_dataset`) takes one JSON-Lines record at a time from
 :func:`~riskrules.rules.read_lines`, the one reader of input files:
-:func:`~riskrules.rules.decode_json` decodes it in one scan, and
-:func:`parse_case`, the one record parser, checks it and builds the
-case. Score keys are mapped onto the vocabulary's own strings, so a
-dataset holds one copy of each term, not one per case. The decoder and
-the parser name no file; the loader puts ``path:line: `` in front of a
-failed record's error.
+:func:`~riskrules.rules.decode_json` decodes it in one scan, the record
+parser that :func:`parse_case` runs reads what the JSON alone tells, and
+``Case(...)`` checks every field. Score keys are mapped onto the
+vocabulary's own strings, so a dataset holds one copy of each term, not
+one per case. The decoder, the parser and ``Case`` name no file; the
+loader puts ``path:line: `` in front of a failed record's error.
 
 Writing (:func:`dataset_to_jsonl`) joins the ``json.dumps`` lines a
 bounded chunk at a time, so its peak is about twice its result. The
@@ -46,13 +46,14 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import Iterable, Mapping
 
 from riskrules.rules import (CATEGORY_BY_NAME, CATEGORY_ORDER, CONDITION_VOCABULARY, RiskCategory,
-                             RuleSet, check_fields, decode_json, default_ruleset, read_lines)
+                             RuleSet, _vocabulary, check_fields, decode_json, default_ruleset,
+                             read_lines)
 from riskrules.engine import predicted_category, rule_chain_scores
 from riskrules.tnorms import TNormKind, unit_score
 
@@ -74,6 +75,14 @@ class Case:
     ``dataclasses.replace`` raises TypeError. ``scores`` is a read-only view
     (``types.MappingProxyType``) of the case's own copy, made on each read.
 
+    The constructor raises DatasetValidationError with the case file's
+    message unless, in order: ``case_id`` is a non-empty ``str``,
+    ``description`` a ``str``, ``case_type`` a :class:`CaseType`,
+    ``expert_label`` a :class:`RiskCategory`, ``scores`` a non-empty
+    mapping, and key by key a ``str`` whose score
+    :func:`~riskrules.tnorms.unit_score` takes (stored as its float).
+    Which conditions exist, :func:`parse_case` checks.
+
     A frozen dataclass over declared slots, with no ``__dict__``: unlike
     ``slots=True``, it raises FrozenInstanceError for an unknown name too.
     It has no hash, since its scores are a mapping.
@@ -89,10 +98,33 @@ class Case:
     case_type: CaseType
 
     def __init__(self, case_id, description, scores, expert_label, case_type):
+        if not isinstance(case_id, str) or not case_id:
+            raise DatasetValidationError("missing or empty case_id")
+        if not isinstance(description, str):
+            raise DatasetValidationError(f"case {case_id!r}: description must be a string")
+        if type(case_type) is not CaseType:
+            raise DatasetValidationError(f"case {case_id!r}: unknown case_type {case_type!r}")
+        if type(expert_label) is not RiskCategory:
+            raise DatasetValidationError(
+                f"case {case_id!r}: unknown expert_label {expert_label!r}")
+        # A dict needs no Mapping ABC check, the slow part of isinstance.
+        if (type(scores) is not dict and not isinstance(scores, Mapping)) or not scores:
+            raise DatasetValidationError(f"case {case_id!r}: scores must be a non-empty object")
+        own = {}
+        for cond, value in scores.items():
+            if not isinstance(cond, str):
+                raise DatasetValidationError(f"case {case_id!r}: unknown condition {cond!r}")
+            try:
+                own[cond] = unit_score(value)
+            except ValueError as exc:
+                # unit_score's message starts with "score".
+                raise DatasetValidationError(
+                    f"case {case_id!r}: score for {cond!r}{str(exc).removeprefix('score')}"
+                ) from None
         # The slots are set past the frozen __setattr__.
         _SET_ID(self, case_id)
         _SET_DESCRIPTION(self, description)
-        _SET_SCORES(self, dict(scores))
+        _SET_SCORES(self, own)
         _SET_LABEL(self, expert_label)
         _SET_TYPE(self, case_type)
 
@@ -116,7 +148,18 @@ _SET_ID, _SET_DESCRIPTION, _SET_SCORES, _SET_LABEL, _SET_TYPE = (
 
 @dataclass(frozen=True)
 class Dataset:
+    """The cases of a benchmark: a tuple of :class:`Case`, which the
+    constructor checks. The loader keeps case ids distinct, naming the line."""
+
     cases: tuple[Case, ...]
+
+    def __post_init__(self):
+        if not isinstance(self.cases, tuple):
+            raise DatasetValidationError(
+                f"dataset cases must be a tuple, got {type(self.cases).__name__}")
+        for case in self.cases:
+            if type(case) is not Case:
+                raise DatasetValidationError(f"dataset cases must be Case objects, got {case!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -205,22 +248,28 @@ def dataset_to_jsonl(dataset: Dataset) -> str:
 
 
 def _term_map(vocabulary: Iterable[str]) -> dict[str, str]:
-    """``{term: term}`` over a vocabulary: a lookup that hands back the
-    vocabulary's own string for any equal one."""
-    return {term: term for term in vocabulary}
+    """``{term: term}`` over a vocabulary, checked as :class:`RuleSet`
+    checks one: a lookup that hands back the vocabulary's own string for
+    any equal one."""
+    return {term: term for term in _vocabulary(vocabulary)}
 
 
-def parse_case(obj: dict, vocabulary: Iterable[str] | Mapping[str, str]) -> Case:
-    """Validate one case record against the schema and vocabulary.
+def parse_case(obj: dict, vocabulary: Iterable[str]) -> Case:
+    """Check one case record against the schema and vocabulary, and build
+    the case.
 
-    ``vocabulary`` is a collection of condition terms, or a ``{term:
-    term}`` dict of them as :func:`load_dataset` passes it, built once per
-    file. The case's score keys are the vocabulary's own strings, so the
-    cases of a dataset share one copy of each term. Each score is checked
-    by :func:`~riskrules.tnorms.unit_score` alone, and its message follows
-    ``case 'c': score for 'k'``. ``Case(...)`` copies the checked scores.
-    Errors name no file: the loader places them.
+    ``vocabulary`` is a collection of condition terms (a dict reads as
+    its keys), checked as :class:`~riskrules.rules.RuleSet` checks its
+    own. The case's score keys are the vocabulary's own strings, so the
+    cases of a dataset share one copy of each term. Errors name no file:
+    the loader places them.
     """
+    return _case_from_obj(obj, _term_map(vocabulary))
+
+
+def _case_from_obj(obj: dict, terms: dict[str, str]) -> Case:
+    # Only what the JSON tells: an object, its case_id, its keys, names
+    # made members and conditions made terms; Case checks every field.
     if not isinstance(obj, dict):
         raise DatasetValidationError("case records must be JSON objects")
     case_id = obj.get("case_id")
@@ -228,35 +277,22 @@ def parse_case(obj: dict, vocabulary: Iterable[str] | Mapping[str, str]) -> Case
         raise DatasetValidationError("missing or empty case_id")
     if obj.keys() != _CASE_KEYS:  # a record with exactly the known keys needs no probe
         check_fields(obj, _CASE_KEYS, _CASE_REQUIRED, DatasetValidationError, "case", case_id)
-    description = obj["description"]
-    if not isinstance(description, str):
-        raise DatasetValidationError(f"case {case_id!r}: description must be a string")
-    # Each table holds every member's string value, and no other JSON
-    # value equals one.
-    value = obj["case_type"]
-    case_type = _CASE_TYPES.get(value) if type(value) is str else None
-    if case_type is None:
-        raise DatasetValidationError(f"case {case_id!r}: unknown case_type {value!r}")
-    value = obj["expert_label"]
-    label = CATEGORY_BY_NAME.get(value) if type(value) is str else None
-    if label is None:
-        raise DatasetValidationError(f"case {case_id!r}: unknown expert_label {value!r}")
+    description, case_type, label = obj["description"], obj["case_type"], obj["expert_label"]
+    if type(case_type) is str:
+        case_type = _CASE_TYPES.get(case_type, case_type)
+    if type(label) is str:
+        label = CATEGORY_BY_NAME.get(label, label)
     raw_scores = obj["scores"]
-    if not isinstance(raw_scores, dict) or not raw_scores:
-        raise DatasetValidationError(f"case {case_id!r}: scores must be a non-empty object")
-    terms = vocabulary if type(vocabulary) is dict else _term_map(vocabulary)
-    scores: dict[str, float] = {}
-    for cond, value in raw_scores.items():
-        term = terms.get(cond)
-        if term is None:
-            raise DatasetValidationError(f"case {case_id!r}: unknown condition {cond!r}")
-        try:
-            scores[term] = unit_score(value)
-        except ValueError as exc:
-            # unit_score's message starts with "score".
-            raise DatasetValidationError(
-                f"case {case_id!r}: score for {cond!r}{str(exc).removeprefix('score')}"
-            ) from None
+    scores = {}  # anything but an object stays empty, and Case names it
+    if isinstance(raw_scores, dict):
+        for cond, value in raw_scores.items():
+            term = terms.get(cond)
+            if term is None:
+                # Case names any fault before this one; a valid score stands in.
+                scores[cond] = 0.0
+                Case(case_id, description, scores, label, case_type)
+                raise DatasetValidationError(f"case {case_id!r}: unknown condition {cond!r}")
+            scores[term] = value
     return Case(case_id, description, scores, label, case_type)
 
 
@@ -281,7 +317,7 @@ def load_dataset(path, vocabulary: Iterable[str] | None = None) -> Dataset:
             continue
         try:
             # Without its terminator, a JSON error's column is the line's.
-            case = parse_case(decode_json(line.rstrip("\n"), DatasetValidationError), terms)
+            case = _case_from_obj(decode_json(line.rstrip("\n"), DatasetValidationError), terms)
             if case.case_id in seen:
                 raise DatasetValidationError(f"duplicate case_id {case.case_id!r}")
         except DatasetValidationError as exc:
@@ -306,7 +342,7 @@ def load_case(path, vocabulary: Iterable[str] | None = None) -> Case:
             obj.setdefault("description", "")
             obj.setdefault("case_type", CaseType.MARGINAL.value)
             obj.setdefault("expert_label", RiskCategory.MINIMAL_RISK.value)
-        return parse_case(obj, terms)
+        return _case_from_obj(obj, terms)
     except DatasetValidationError as exc:
         raise DatasetValidationError(f"{name}: {exc}") from None
 
@@ -447,10 +483,14 @@ def _slots(counts: list[tuple[str, RiskCategory | None, int]],
 def generate_synthetic(n: int, seed: int, ruleset: RuleSet | None = None) -> Dataset:
     """Generate a deterministic synthetic benchmark of ``n`` cases.
 
-    Equal (n, seed, ruleset) always produce identical datasets; ``seed``
-    is a 64-bit unsigned integer. Each case draws scores for exactly one
+    Equal (n, seed, ruleset) always produce identical datasets; ``n`` and
+    ``seed`` are ``int``s (not ``bool``s), and ``seed`` is a 64-bit
+    unsigned integer. Each case draws scores for exactly one
     target rule; expert labels come from :func:`reference_label`.
     """
+    for name, value in (("n", n), ("seed", seed)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if n < 4:
         raise ValueError(f"need at least 4 cases, got {n}")
     if not 0 <= seed <= _MASK64:

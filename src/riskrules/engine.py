@@ -68,8 +68,13 @@ class ClassificationOutcome:
 
 
 def check_theta(theta_override: float | None) -> None:
-    """Reject a global threshold override outside (0, 1), NaN included."""
-    if theta_override is not None and not 0.0 < theta_override < 1.0:
+    """Reject a global threshold override that is not an int or float, or
+    lies outside (0, 1), NaN included."""
+    if theta_override is None:
+        return
+    if not isinstance(theta_override, (int, float)):
+        raise ValueError(f"theta must be a number, got {theta_override!r}")
+    if not 0.0 < theta_override < 1.0:
         raise ValueError(f"theta out of range (0, 1): {theta_override}")
 
 

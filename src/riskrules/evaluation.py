@@ -201,8 +201,13 @@ def mcnemar_exact(pred_a: Sequence[RiskCategory], pred_b: Sequence[RiskCategory]
 def _plans(kinds, ruleset: RuleSet) -> list:
     """``kinds`` as a list: a bare member is one operator, a sequence of
     them several; any other entry is a plan, checked by
-    :func:`~riskrules.engine.check_plan` before it is hashed, as a tuple."""
-    plans = [kinds] if isinstance(kinds, TNormKind) else list(kinds)
+    :func:`~riskrules.engine.check_plan` before it is hashed, as a tuple.
+    A ``str`` or anything not iterable is named whole."""
+    if isinstance(kinds, TNormKind):
+        return [kinds]
+    if isinstance(kinds, str) or not isinstance(kinds, Iterable):
+        raise ValueError(f"unknown t-norm {kinds!r}")
+    plans = list(kinds)
     for i, kind in enumerate(plans):
         if not isinstance(kind, TNormKind):
             check_plan(kind, ruleset)
@@ -241,8 +246,12 @@ def _theta_grid(theta_min: float, theta_max: float, step: float) -> tuple[float,
 
     A point up to ``1e-9 * step`` past ``theta_max`` is float drift and
     becomes ``theta_max``; anything further is not part of the grid. A
-    grid with two points the CSV would print alike is rejected.
+    grid with two points the CSV would print alike is rejected, and so is
+    a bound or step that is not an int or float.
     """
+    for name, value in (("theta_min", theta_min), ("theta_max", theta_max), ("step", step)):
+        if not isinstance(value, (int, float)):
+            raise ValueError(f"{name} must be a number, got {value!r}")
     if not (0.0 < theta_min <= theta_max < 1.0):
         raise ValueError(f"invalid theta range [{theta_min}, {theta_max}]; "
                          "need 0 < theta_min <= theta_max < 1")

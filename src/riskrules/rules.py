@@ -124,9 +124,29 @@ class Rule:
 LIVE_MEMO_SIZE = 4096
 
 
+def _vocabulary(terms) -> frozenset[str]:
+    """``terms`` as a frozenset, if a collection of ``str`` and not itself
+    one (a dict reads as its keys): RuleSet's check, which the case readers reuse."""
+    try:
+        vocabulary = None if isinstance(terms, str) else frozenset(terms)
+    except TypeError:  # not iterable, or an unhashable item
+        vocabulary = None
+    if vocabulary is None or not all(isinstance(term, str) for term in vocabulary):
+        raise RuleValidationError("vocabulary must be an array of strings")
+    return vocabulary
+
+
 @dataclass(frozen=True)
 class RuleSet:
-    """A closed vocabulary plus the rules defined over it."""
+    """A closed vocabulary plus the rules defined over it.
+
+    The constructor raises RuleValidationError with the rule file's
+    message unless, in order: ``vocabulary`` is a collection of ``str``
+    (see :func:`_vocabulary`), stored as a frozenset; ``rules`` is a list
+    or tuple of :class:`Rule`, stored as a tuple; each term is a
+    lowercase_underscore identifier; rule ids are distinct and every
+    condition is in the vocabulary.
+    """
 
     vocabulary: frozenset[str]
     rules: tuple[Rule, ...]
@@ -138,7 +158,12 @@ class RuleSet:
     _live: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "vocabulary", frozenset(self.vocabulary))
+        object.__setattr__(self, "vocabulary", _vocabulary(self.vocabulary))
+        if not isinstance(self.rules, (list, tuple)):
+            raise RuleValidationError("rules must be an array")
+        for rule in self.rules:
+            if type(rule) is not Rule:
+                raise RuleValidationError(f"rules must hold only Rule objects, got {rule!r}")
         object.__setattr__(self, "rules", tuple(self.rules))
         for name in sorted(self.vocabulary):
             if not _IDENT_RE.fullmatch(name):
@@ -301,18 +326,26 @@ def _rule_to_obj(rule: Rule) -> dict:
 
 
 def parse_ruleset(text: str) -> RuleSet:
+    """The rule set a rule file's text holds. Checks only what the JSON
+    alone tells (an object with both keys, a vocabulary that is not an
+    object, each entry as :func:`_rule_from_obj` reads it); RuleSet checks
+    the rest, and a bad vocabulary is still named before a bad entry."""
     doc = decode_json(text, RuleValidationError)
     if not isinstance(doc, dict):
         raise RuleValidationError("expected a JSON object")
     for key in ("vocabulary", "rules"):
         if key not in doc:
             raise RuleValidationError(f"missing top-level key {key!r}")
-    vocab = doc["vocabulary"]
-    if not isinstance(vocab, list) or not all(isinstance(v, str) for v in vocab):
+    vocabulary, rules = doc["vocabulary"], doc["rules"]
+    if isinstance(vocabulary, dict):  # RuleSet would read an object as its keys
         raise RuleValidationError("vocabulary must be an array of strings")
-    if not isinstance(doc["rules"], list):
-        raise RuleValidationError("rules must be an array")
-    return RuleSet(vocab, [_rule_from_obj(obj) for obj in doc["rules"]])
+    if isinstance(rules, list):  # anything else, RuleSet names
+        try:
+            rules = [_rule_from_obj(obj) for obj in rules]
+        except RuleValidationError:
+            _vocabulary(vocabulary)  # RuleSet names a bad vocabulary first
+            raise
+    return RuleSet(vocabulary, rules)
 
 
 def _rule_from_obj(obj: dict) -> Rule:
@@ -363,7 +396,8 @@ _raw_decode = json.JSONDecoder().raw_decode
 def decode_json(text: str, error: type[ValueError]):
     """``json.loads(text)``; text that is not JSON raises ``error``, naming
     no file (its loader places it). That covers an integer literal too long
-    to convert and nesting too deep for the decoder.
+    to convert, nesting too deep for the decoder, and a ``text`` that is
+    not a ``str``, ``bytes`` or ``bytearray``.
 
     The common case, one value that starts the text and is followed by
     JSON whitespace at most (a file's last newline), takes one
@@ -381,6 +415,8 @@ def decode_json(text: str, error: type[ValueError]):
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise error(f"not valid JSON: {exc}") from None
+    except TypeError:  # neither str, bytes nor bytearray
+        raise error(f"not valid JSON: expected text, got {text!r}") from None
 
 
 #: What undecodable bytes become under ``surrogateescape``; valid UTF-8

@@ -60,7 +60,9 @@ def rulesets(draw, annotated=False):
 def datasets(draw, ruleset):
     cases = []
     for i in range(draw(st.integers(1, 12))):
-        scored = draw(st.lists(st.sampled_from(sorted(ruleset.vocabulary)), unique=True))
+        # A case scores at least one condition: Case rejects empty scores.
+        scored = draw(st.lists(st.sampled_from(sorted(ruleset.vocabulary)), min_size=1,
+                               unique=True))
         cases.append(Case(f"c{i}", "", {c: draw(scores) for c in scored},
                           draw(st.sampled_from(RiskCategory)), draw(st.sampled_from(CaseType))))
     return Dataset(tuple(cases))

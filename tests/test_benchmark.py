@@ -396,6 +396,18 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError, match="at least 4"):
             generate_synthetic(3, 1)
 
+    @pytest.mark.parametrize("n, seed, named", [
+        ("5", 1, "n must be an int, got '5'"),
+        (10.0, 1, "n must be an int, got 10.0"),
+        (True, 1, "n must be an int, got True"),
+        (10, 1.5, "seed must be an int, got 1.5"),
+        (10, None, "seed must be an int, got None"),
+    ])
+    def test_n_and_seed_must_be_ints(self, n, seed, named):
+        with pytest.raises(ValueError) as err:
+            generate_synthetic(n, seed)
+        assert str(err.value) == named
+
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
     def test_seed_outside_64_bits_rejected(self, seed):
         with pytest.raises(ValueError, match=rf"seed must be in \[0, 2\*\*64\), got {seed}$"):

@@ -1,0 +1,163 @@
+"""The input contract of the constructors and parsers that take user data.
+
+``Case``, ``Dataset``, ``Rule``, ``RuleSet``, ``parse_case`` and
+``parse_ruleset`` each end a call in a result or in a ``ValueError`` (or
+subclass) that names the argument or the value at fault. What they return
+is usable: a case or dataset evaluates, a rule or rule set classifies.
+Each of 14 hostile values goes into each argument in turn; hypothesis then
+draws several arguments at once from those values and from any JSON-like
+value.
+
+Excluded, because their docstrings say they take checked inputs: the
+per-case kernels ``fold_chain``, ``apply``, ``rule_chain_scores`` and
+``predicted_category``.
+"""
+
+import math
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from riskrules.benchmark import Case, CaseType, Dataset, parse_case
+from riskrules.engine import classify
+from riskrules.evaluation import evaluate
+from riskrules.rules import (CONDITION_VOCABULARY, RiskCategory, Rule, RuleSet, default_ruleset,
+                             parse_ruleset, ruleset_to_json)
+from riskrules.tnorms import TNormKind
+
+HOSTILE = (None, 5, "x", "goedel", b"x", [1], {"a": 1}, 0.5, math.nan, -1, True, (), [[1]],
+           object())
+
+_HIGH = RiskCategory.HIGH_RISK
+_RULE = Rule("r", _HIGH, ("a",))
+_CASE = Case("c", "d", {"public_space": 0.5}, _HIGH, CaseType.CLEAR)
+
+#: Entry point -> (callable, a valid value for each argument, by name).
+ENTRIES = {
+    "Case": (Case, {"case_id": "c", "description": "d", "scores": {"public_space": 0.5},
+                    "expert_label": _HIGH, "case_type": CaseType.CLEAR}),
+    "Dataset": (Dataset, {"cases": (_CASE,)}),
+    "Rule": (Rule, {"rule_id": "r", "category": _HIGH, "conditions": ("a",), "theta": 0.5,
+                    "article": "", "standard": None, "synthetic": False}),
+    "RuleSet": (RuleSet, {"vocabulary": frozenset({"a"}), "rules": (_RULE,)}),
+    "parse_case": (parse_case, {"obj": {"case_id": "c", "description": "d",
+                                        "case_type": "clear", "expert_label": "high_risk",
+                                        "scores": {"public_space": 0.5}},
+                                "vocabulary": CONDITION_VOCABULARY}),
+    "parse_ruleset": (parse_ruleset,
+                      {"text": ruleset_to_json(RuleSet(frozenset({"a"}), (_RULE,)))}),
+}
+
+#: Words besides its own name that name an argument, where the message
+#: names the part of it at fault: a case record by its case, a score by
+#: its condition, a vocabulary by the condition it lacks, a rule file's
+#: text by its JSON, a rule's conditions by its condition list.
+ALIASES = {
+    "obj": ("case",),
+    "scores": ("score for",),
+    "vocabulary": ("unknown condition",),
+    "text": ("JSON",),
+    "conditions": ("condition list",),
+}
+
+ARGUMENTS = [(entry, name) for entry, (_, valid) in ENTRIES.items() for name in valid]
+
+
+def _names(message: str, name: str, value) -> bool:
+    """Whether ``message`` names the argument ``name``, its ``value``, or
+    one item of a collection ``value``."""
+    items = [*value, *value.values()] if isinstance(value, dict) else (
+        value if isinstance(value, (list, tuple)) else ())
+    return any(word in message
+               for word in (name, repr(value), *map(repr, items), *ALIASES.get(name, ())))
+
+
+def _use(result):
+    """Use what an entry returned the way the program does."""
+    if isinstance(result, Case):
+        result = Dataset((result,))
+    if isinstance(result, Dataset):
+        if result.cases:
+            evaluate(result, default_ruleset(), TNormKind.GOEDEL)
+        return
+    if isinstance(result, Rule):
+        result = RuleSet(frozenset(result.conditions), (result,))
+    assert isinstance(result, RuleSet)
+    classify({}, result, TNormKind.GOEDEL)
+
+
+def _call(entry: str, hostile: dict):
+    """Call ``entry`` with ``hostile`` over its valid arguments; None if it
+    returned a usable result, else the ValueError it raised (any other
+    exception fails the test)."""
+    function, valid = ENTRIES[entry]
+    try:
+        _use(function(**{**valid, **hostile}))
+    except ValueError as exc:
+        return exc
+    return None
+
+
+@pytest.mark.parametrize("entry, name", ARGUMENTS, ids=[f"{e}-{n}" for e, n in ARGUMENTS])
+@pytest.mark.parametrize("value", HOSTILE, ids=[repr(v)[:12] for v in HOSTILE])
+def test_each_argument_in_turn(entry, name, value):
+    error = _call(entry, {name: value})
+    assert error is None or _names(str(error), name, value), str(error)
+
+
+_json_like = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.tuples(inner)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5)
+
+
+@st.composite
+def _several(draw):
+    entry = draw(st.sampled_from(sorted(ENTRIES)))
+    names = draw(st.lists(st.sampled_from(sorted(ENTRIES[entry][1])), min_size=1, unique=True))
+    return entry, {name: draw(st.sampled_from(HOSTILE) | _json_like) for name in names}
+
+
+@settings(max_examples=400, deadline=None)
+@given(_several())
+@example(("Rule", {"conditions": ("",)}))  # a RuleSet names the term the rule holds
+def test_several_arguments_at_once(drawn):
+    entry, hostile = drawn
+    error = _call(entry, hostile)
+    assert error is None or any(_names(str(error), name, value)
+                                for name, value in hostile.items()), str(error)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Case(None, 5, {"a": "x"}, "goedel", [1]), "missing or empty case_id"),
+    (lambda: Case("c", "", {"a": 0.5}, _HIGH, [1]), "case 'c': unknown case_type [1]"),
+    (lambda: Case("c", "", {"a": "x"}, _HIGH, CaseType.CLEAR),
+     "case 'c': score for 'a' must be a number"),
+    (lambda: Case("c", "", {5: 0.5}, _HIGH, CaseType.CLEAR), "case 'c': unknown condition 5"),
+    (lambda: Case("c", "", {}, _HIGH, CaseType.CLEAR),
+     "case 'c': scores must be a non-empty object"),
+    (lambda: Dataset((_CASE, "c")), "dataset cases must be Case objects, got 'c'"),
+    (lambda: Dataset([_CASE]), "dataset cases must be a tuple, got list"),
+    (lambda: RuleSet("ab", ()), "vocabulary must be an array of strings"),
+    (lambda: RuleSet(frozenset({5}), ()), "vocabulary must be an array of strings"),
+    (lambda: RuleSet(["a", 5], ()), "vocabulary must be an array of strings"),
+    (lambda: RuleSet(frozenset({"a"}), ("r",)), "rules must hold only Rule objects, got 'r'"),
+    (lambda: RuleSet(frozenset({"a"}), 5), "rules must be an array"),
+    (lambda: parse_ruleset(5), "not valid JSON: expected text, got 5"),
+    (lambda: parse_case(_CASE, CONDITION_VOCABULARY), "case records must be JSON objects"),
+    (lambda: parse_case({}, "public_space"), "vocabulary must be an array of strings"),
+], ids=["case-motivation", "case-type", "case-score", "case-key", "case-empty-scores",
+        "dataset-element", "dataset-container", "ruleset-str-vocabulary", "ruleset-int-term",
+        "ruleset-list-with-int", "ruleset-str-rule", "ruleset-int-rules", "ruleset-not-text",
+        "parse-case-of-a-case", "parse-case-str-vocabulary"])
+def test_messages(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_a_vocabulary_reads_any_collection_of_terms():
+    rules = (_RULE,)
+    for vocabulary in (["a"], ("a",), {"a"}, {"a": "a"}, iter(["a"])):
+        assert RuleSet(vocabulary, rules).vocabulary == frozenset({"a"})

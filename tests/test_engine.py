@@ -310,6 +310,19 @@ class TestThetaOverrideRange:
         with pytest.raises(ValueError, match=r"^theta out of range \(0, 1\): "):
             classify_mixed({"public_space": 0.4}, _annotated(ruleset), theta)
 
+    @pytest.mark.parametrize("theta", ["0.5", "x", b"0.5", [0.5], 0.5j])
+    def test_what_is_not_a_number_is_named(self, ruleset, theta):
+        # Each used to be a bare TypeError from the range comparison.
+        calls = (
+            lambda: check_theta(theta),
+            lambda: classify({"public_space": 0.4}, ruleset, TNormKind.GOEDEL, theta),
+            lambda: classify_mixed({"public_space": 0.4}, _annotated(ruleset), theta),
+        )
+        for call in calls:
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == f"theta must be a number, got {theta!r}"
+
     def test_classify_mixed_checks_theta_before_annotations(self, ruleset):
         with pytest.raises(ValueError, match="theta out of range"):
             classify_mixed(HRM04, ruleset, 1.5)

@@ -244,6 +244,17 @@ class TestEvaluate:
             with pytest.raises(ValueError, match=r"theta out of range \(0, 1\)"):
                 call()
 
+    @pytest.mark.parametrize("theta", ["0.5", b"0.5", [0.5]])
+    def test_theta_override_not_a_number_named(self, appendix_dataset, ruleset, theta):
+        calls = (
+            lambda: evaluate(appendix_dataset, ruleset, TNormKind.GOEDEL, theta),
+            lambda: compare_operators(appendix_dataset, ruleset, CANONICAL_KINDS, theta),
+        )
+        for call in calls:
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == f"theta must be a number, got {theta!r}"
+
 
 class TestCompareOperators:
     def test_three_way(self, appendix_dataset, ruleset):
@@ -460,6 +471,17 @@ class TestOperatorEntries:
                 call()
             assert str(err.value) == f"unknown t-norm {named!r}"
 
+    @pytest.mark.parametrize("call", [
+        lambda cases, ruleset, kinds: compare_operators(cases, ruleset, kinds),
+        lambda cases, ruleset, kinds: threshold_sweep(cases, ruleset, kinds, 0.5, 0.5, 0.1),
+    ], ids=["compare_operators", "threshold_sweep"])
+    @pytest.mark.parametrize("kinds", ["goedel", "g", 5, None])
+    def test_a_bare_str_or_non_sequence_is_named_whole(self, ruleset, cases, call, kinds):
+        # A str used to be read as one operator per character ('g').
+        with pytest.raises(ValueError) as err:
+            call(cases, ruleset, kinds)
+        assert str(err.value) == f"unknown t-norm {kinds!r}"
+
     def test_a_plan_is_checked_before_the_walk(self, ruleset):
         for call in self._both(Dataset(()), ruleset, [[TNormKind.GOEDEL] * 3, TNormKind.PRODUCT]):
             with pytest.raises(ValueError) as err:
@@ -519,7 +541,10 @@ class TestSingleWalk:
             dataclasses.replace(r, standard=ConjunctionStandard.STRONG) for r in ruleset.rules))
         plain = generate_synthetic(200, 3)
         cases = _CountingCases(plain.cases)
-        result = call(Dataset(cases), ruleset, strong)
+        dataset = Dataset(cases)
+        assert cases.walks == 1  # Dataset checks each case
+        cases.walks = 0
+        result = call(dataset, ruleset, strong)
         assert cases.walks == 1
         assert result == call(plain, ruleset, strong)
 
@@ -565,6 +590,18 @@ class TestThresholdSweep:
     def test_negative_or_non_finite_step_rejected(self, hrm04_singleton, ruleset, step):
         with pytest.raises(ValueError, match="invalid step"):
             threshold_sweep(hrm04_singleton, ruleset, TNormKind.PRODUCT, 0.3, 0.6, step)
+
+    @pytest.mark.parametrize("grid, named", [
+        (("0.2", 0.5, 0.1), "theta_min must be a number, got '0.2'"),
+        ((0.2, [0.5], 0.1), "theta_max must be a number, got [0.5]"),
+        ((0.2, 0.5, "0.1"), "step must be a number, got '0.1'"),
+        ((0.2, 0.5, None), "step must be a number, got None"),
+    ])
+    def test_bound_or_step_not_a_number(self, hrm04_singleton, ruleset, grid, named):
+        # Each used to be a bare TypeError from a comparison.
+        with pytest.raises(ValueError) as err:
+            threshold_sweep(hrm04_singleton, ruleset, [TNormKind.GOEDEL], *grid)
+        assert str(err.value) == named
 
     def test_bench_grid_unchanged(self, hrm04_singleton, ruleset):
         points = threshold_sweep(hrm04_singleton, ruleset, TNormKind.PRODUCT, 0.25, 0.75, 0.05)

@@ -310,6 +310,20 @@ class TestValidation:
         with pytest.raises(OSError):
             load_ruleset(tmp_path / "absent.json")
 
+    @pytest.mark.parametrize("vocabulary", [[1], "abc", {"abc": 1}, 5])
+    def test_bad_vocabulary_named_before_a_bad_entry(self, vocabulary):
+        # RuleSet owns the vocabulary check; the reader still names it
+        # before any rule entry it reads first.
+        for rules in ([5], [_rule_obj(category="x")], {}):
+            with pytest.raises(RuleValidationError) as err:
+                parse_ruleset(_doc(rules, vocabulary=vocabulary))
+            assert str(err.value) == "vocabulary must be an array of strings"
+
+    def test_bad_entry_named_before_a_bad_vocabulary_term(self):
+        with pytest.raises(RuleValidationError) as err:
+            parse_ruleset(_doc([_rule_obj(category="x")], vocabulary=["A"]))
+        assert str(err.value) == "rule 'test_rule': unknown category 'x'"
+
     def test_bad_vocabulary_identifier(self):
         doc = _doc([], vocabulary=["Uppercase_Term"])
         with pytest.raises(RuleValidationError, match="Uppercase_Term"):

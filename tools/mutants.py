@@ -61,6 +61,7 @@ _ENGINE = "src/riskrules/engine.py"
 _EVALUATION = "src/riskrules/evaluation.py"
 _RULES = "src/riskrules/rules.py"
 _BENCHMARK = "src/riskrules/benchmark.py"
+_CONTRACT = "tests/test_contract.py"
 _FOLD_TESTS = ("tests/test_tnorms.py", "tests/test_engine.py", "tests/test_batch.py")
 _BATCH_TESTS = ("tests/test_batch.py", "tests/test_engine.py", "tests/test_evaluation.py",
                 "tests/test_acceptance.py")
@@ -130,7 +131,7 @@ MUTANTS = (
            "a case has no hash, since its scores are a mapping",
            ("tests/test_record_parsing.py",)),
     Mutant("case-keeps-the-callers-dict", _BENCHMARK,
-           "_SET_SCORES(self, dict(scores))", "_SET_SCORES(self, scores)",
+           "_SET_SCORES(self, own)", "_SET_SCORES(self, scores)",
            "a case keeps its own copy of the scores it was given",
            ("tests/test_record_parsing.py",)),
     # Hand mutations of earlier changes, kept where their code still exists.
@@ -170,7 +171,7 @@ MUTANTS = (
            "text with data after its JSON value is an error, as json.loads makes it",
            ("tests/test_record_parsing.py::TestDecodeJson",)),
     Mutant("score-keys-not-the-vocabularys", _BENCHMARK,
-           "scores[term] = unit_score(value)", "scores[cond] = unit_score(value)",
+           "scores[term] = value", "scores[cond] = value",
            "a parsed case keys its scores by the vocabulary's own strings",
            ("tests/test_record_parsing.py::TestSharedKeys",)),
     Mutant("dataset-error-without-line", _BENCHMARK,
@@ -178,8 +179,8 @@ MUTANTS = (
            "a dataset record's error names its file and line",
            ("tests/test_load_dataset.py",)),
     Mutant("case-type-guard-dropped", _BENCHMARK,
-           "case_type = _CASE_TYPES.get(value) if type(value) is str else None",
-           "case_type = _CASE_TYPES.get(value)",
+           "    if type(case_type) is str:\n        case_type = _CASE_TYPES",
+           "    if True:\n        case_type = _CASE_TYPES",
            "a case_type that is not a string is named, not a bare TypeError",
            ("tests/test_benchmark.py::TestParseCase",)),
     Mutant("labeler-counts-only-above-055", _BENCHMARK,
@@ -213,6 +214,72 @@ MUTANTS = (
            "sorted(unknown)[0]", "next(iter(unknown))",
            "of several unknown fields, the first in sorted order is named",
            ("tests/test_rules.py",)),
+    # Each constructor owns its input checks; the readers keep what the JSON tells.
+    Mutant("case-label-unchecked", _BENCHMARK,
+           "        if type(expert_label) is not RiskCategory:\n", "        if False:\n",
+           "Case(...) names an expert_label that is not a RiskCategory",
+           (_CONTRACT, "tests/test_benchmark.py::TestParseCase")),
+    Mutant("case-type-unchecked", _BENCHMARK,
+           "        if type(case_type) is not CaseType:\n", "        if False:\n",
+           "Case(...) names a case_type that is not a CaseType",
+           (_CONTRACT, "tests/test_benchmark.py::TestParseCase")),
+    Mutant("case-scores-shape-unchecked", _BENCHMARK,
+           "if (type(scores) is not dict and not isinstance(scores, Mapping)) or not scores:",
+           "if not scores:",
+           "Case(...) names scores that are not a mapping",
+           (_CONTRACT,)),
+    Mutant("case-score-keys-unchecked", _BENCHMARK,
+           "            if not isinstance(cond, str):\n", "            if False:\n",
+           "Case(...) names a score key that is not a condition name",
+           (_CONTRACT,)),
+    Mutant("dataset-elements-unchecked", _BENCHMARK,
+           "            if type(case) is not Case:\n", "            if False:\n",
+           "Dataset(...) names an element that is not a Case",
+           (_CONTRACT,)),
+    Mutant("unknown-condition-named-first", _BENCHMARK,
+           "                Case(case_id, description, scores, label, case_type)\n", "",
+           "parse_case names an earlier field's or score's fault before a later unknown condition",
+           ("tests/test_benchmark.py::TestParseCase",
+            "tests/test_record_parsing.py::TestParseCaseOracle")),
+    Mutant("vocabulary-items-unchecked", _RULES,
+           "or not all(isinstance(term, str) for term in vocabulary):", ":",
+           "RuleSet(...) names a vocabulary term that is not a str",
+           (_CONTRACT, "tests/test_load_dataset.py::TestErrorPlacement")),
+    Mutant("vocabulary-str-split", _RULES,
+           "None if isinstance(terms, str) else frozenset(terms)", "frozenset(terms)",
+           "a vocabulary given as a str is not read as its characters",
+           (_CONTRACT,)),
+    Mutant("ruleset-rules-unchecked", _RULES,
+           "            if type(rule) is not Rule:\n", "            if False:\n",
+           "RuleSet(...) names a rule that is not a Rule",
+           (_CONTRACT,)),
+    Mutant("vocabulary-named-after-entries", _RULES,
+           "            _vocabulary(vocabulary)  # RuleSet names a bad vocabulary first\n", "",
+           "a rule file's bad vocabulary is named before its bad rule entries",
+           ("tests/test_rules.py::TestValidation",)),
+    Mutant("decode-lets-type-errors-out", _RULES,
+           "    except TypeError:  # neither str, bytes nor bytearray\n",
+           "    except ZeroDivisionError:\n",
+           "parse_ruleset of a value that is not text names it",
+           (_CONTRACT,)),
+    Mutant("plans-read-a-str-as-a-sequence", _EVALUATION,
+           "if isinstance(kinds, str) or not isinstance(kinds, Iterable):",
+           "if not isinstance(kinds, Iterable):",
+           "a bare str of kinds is named whole, not one operator per character",
+           ("tests/test_evaluation.py::TestOperatorEntries",)),
+    Mutant("theta-type-unchecked", _ENGINE,
+           "    if not isinstance(theta_override, (int, float)):\n", "    if False:\n",
+           "a theta override that is not a number is named, not a bare TypeError",
+           ("tests/test_engine.py::TestThetaOverrideRange",)),
+    Mutant("theta-grid-type-unchecked", _EVALUATION,
+           "        if not isinstance(value, (int, float)):\n", "        if False:\n",
+           "a sweep bound or step that is not a number is named, not a bare TypeError",
+           ("tests/test_evaluation.py::TestThresholdSweep",)),
+    Mutant("generator-takes-a-float-seed", _BENCHMARK,
+           "        if not isinstance(value, int) or isinstance(value, bool):\n",
+           "        if False:\n",
+           "generate_synthetic names an n or seed that is not an int",
+           ("tests/test_benchmark.py::TestGenerateSynthetic::test_n_and_seed_must_be_ints",)),
 )
 
 
