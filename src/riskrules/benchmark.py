@@ -35,15 +35,18 @@ vocabulary's own strings, so a dataset holds one copy of each term, not
 one per case. The decoder, the parser and ``Case`` name no file; the
 loader puts ``path:line: `` in front of a failed record's error.
 
-Writing (:func:`dataset_to_jsonl`) joins the ``json.dumps`` lines a
-bounded chunk at a time, so its peak is about twice its result. The
-generator builds one description string per (archetype, rule), shared by
-the cases that draw that pair.
+Writing (:func:`dataset_to_jsonl`) writes each record's fixed layout
+directly, the bytes ``json.dumps`` writes for it, as
+:func:`~riskrules.engine.outcome_to_json` does for the proof trail;
+``tests/test_benchmark.py::TestDatasetToJsonl`` holds the reference
+record (``_case_to_obj``) and checks the writer against ``json.dumps``
+on random cases. It joins the lines a bounded chunk at a time, so its
+peak is about twice its result. The generator builds one description
+string per (archetype, rule), shared by the cases that draw that pair.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from collections.abc import Iterable, Mapping
@@ -54,7 +57,7 @@ from types import MappingProxyType
 from riskrules.rules import (CATEGORY_BY_NAME, CATEGORY_ORDER, CONDITION_VOCABULARY, RiskCategory,
                              RuleSet, _vocabulary, check_fields, decode_json, default_ruleset,
                              read_lines)
-from riskrules.engine import predicted_category, rule_chain_scores
+from riskrules.engine import _str, predicted_category, rule_chain_scores
 from riskrules.tnorms import TNormKind, unit_score
 
 
@@ -162,6 +165,14 @@ class Dataset:
                 raise DatasetValidationError(f"dataset cases must be Case objects, got {case!r}")
 
 
+def _require(value, cls: type, name: str) -> None:
+    """Reject an argument ``name`` that is not a ``cls`` with ValueError,
+    which names the argument and the type it got: the check an entry
+    point makes once, before it reads any case."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+
+
 # ---------------------------------------------------------------------------
 # Expert-label stand-in.
 
@@ -219,14 +230,12 @@ _CASE_REQUIRED = ("description", "case_type", "expert_label", "scores")
 _CASE_TYPES = {t.value: t for t in CaseType}
 
 
-def _case_to_obj(case: Case) -> dict:
-    return {
-        "case_id": case.case_id,
-        "description": case.description,
-        "case_type": case.case_type.value,
-        "expert_label": case.expert_label.value,
-        "scores": case._scores,
-    }
+def _case_line(case: Case) -> str:
+    # A Case holds only exact, finite floats, which json spells as repr does.
+    scores = ", ".join([f"{_str(cond)}: {value!r}" for cond, value in case._scores.items()])
+    return (f'{{"case_id": {_str(case.case_id)}, "description": {_str(case.description)}, '
+            f'"case_type": "{case.case_type._value_}", '
+            f'"expert_label": "{case.expert_label._value_}", "scores": {{{scores}}}}}\n')
 
 
 #: Lines per ``str.join`` in :func:`dataset_to_jsonl`: only one chunk's
@@ -235,15 +244,19 @@ _LINES_PER_CHUNK = 256
 
 
 def dataset_to_jsonl(dataset: Dataset) -> str:
-    """The dataset as JSON Lines: one ``json.dumps(record) + "\\n"`` per
-    case, with the keys in the order ``case_id``, ``description``,
-    ``case_type``, ``expert_label``, ``scores``. Lines are joined a
-    bounded chunk at a time, so no list of every line sits beside the
-    result.
+    """The dataset as JSON Lines, one record per case, with the keys in
+    the order ``case_id``, ``description``, ``case_type``,
+    ``expert_label``, ``scores``. Each line is the layout of
+    ``json.dumps(record) + "\\n"``, written directly; the parity test in
+    ``tests/test_benchmark.py`` holds it to ``json.dumps``. Lines are
+    joined a bounded chunk at a time, so no list of every line sits
+    beside the result. Raises ValueError unless ``dataset`` is a
+    :class:`Dataset`.
     """
+    _require(dataset, Dataset, "dataset")
     cases = dataset.cases
     return "".join([
-        "".join([json.dumps(_case_to_obj(c)) + "\n" for c in cases[i:i + _LINES_PER_CHUNK]])
+        "".join([_case_line(c) for c in cases[i:i + _LINES_PER_CHUNK]])
         for i in range(0, len(cases), _LINES_PER_CHUNK)])
 
 
@@ -484,9 +497,10 @@ def generate_synthetic(n: int, seed: int, ruleset: RuleSet | None = None) -> Dat
     """Generate a deterministic synthetic benchmark of ``n`` cases.
 
     Equal (n, seed, ruleset) always produce identical datasets; ``n`` and
-    ``seed`` are ``int``s (not ``bool``s), and ``seed`` is a 64-bit
-    unsigned integer. Each case draws scores for exactly one
-    target rule; expert labels come from :func:`reference_label`.
+    ``seed`` are ``int``s (not ``bool``s), ``seed`` is a 64-bit unsigned
+    integer, and ``ruleset`` is a :class:`RuleSet` or None (the default
+    rules). Each case draws scores for exactly one target rule; expert
+    labels come from :func:`reference_label`.
     """
     for name, value in (("n", n), ("seed", seed)):
         if not isinstance(value, int) or isinstance(value, bool):
@@ -497,6 +511,7 @@ def generate_synthetic(n: int, seed: int, ruleset: RuleSet | None = None) -> Dat
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     if ruleset is None:
         ruleset = default_ruleset()
+    _require(ruleset, RuleSet, "ruleset")
     # Each category's rules in declared order; None draws from every rule.
     pools = {cat: tuple(r for r in ruleset.rules if r.category is cat) for cat in _POSITIVE}
     counts = _slot_counts(n)

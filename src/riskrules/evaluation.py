@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from riskrules.benchmark import Case, CaseType, Dataset
+from riskrules.benchmark import Case, CaseType, Dataset, _require
 from riskrules.engine import (check_plan, check_theta, mixed_operators, predicted_category,
                               rule_chain_scores)
 # Not called here; perfbench's traced run patches the name on this module.
@@ -122,6 +122,13 @@ def _report(tally: Sequence[int]) -> EvalReport:
 # live rules only (see rule_chain_scores), and decided at every threshold;
 # each decision is counted into that threshold's tally, read by _report.
 
+def _check_inputs(dataset: Dataset, ruleset: RuleSet) -> None:
+    """Reject a ``dataset`` that is not a :class:`Dataset` or a ``ruleset``
+    that is not a :class:`RuleSet`, once per call, with ValueError."""
+    _require(dataset, Dataset, "dataset")
+    _require(ruleset, RuleSet, "ruleset")
+
+
 def _tallies(cases: Iterable[Case], ruleset: RuleSet,
              plans: Sequence[TNormKind | Sequence[TNormKind]], thetas: Sequence[float | None],
              ) -> tuple[list[list[list[int]]], list[bytearray], bytearray]:
@@ -154,6 +161,7 @@ def evaluate(dataset: Dataset, ruleset: RuleSet, kind: TNormKind | Sequence[TNor
              theta_override: float | None = None) -> EvalReport:
     """Classify every case with one operator, or a plan of one per rule,
     and report accuracy and errors."""
+    _check_inputs(dataset, ruleset)
     check_theta(theta_override)
     [[tally]], _, _ = _tallies(dataset.cases, ruleset, (kind,), (theta_override,))
     return _report(tally)
@@ -162,6 +170,7 @@ def evaluate(dataset: Dataset, ruleset: RuleSet, kind: TNormKind | Sequence[TNor
 def evaluate_mixed(dataset: Dataset, ruleset: RuleSet,
                    theta_override: float | None = None) -> EvalReport:
     """Like :func:`evaluate` but with per-rule operators (mixed mode)."""
+    _check_inputs(dataset, ruleset)
     check_theta(theta_override)
     if not dataset.cases:  # reported before a rule without a standard
         raise ValueError("empty dataset")
@@ -227,6 +236,7 @@ def compare_operators(dataset: Dataset, ruleset: RuleSet,
     as a tuple), and a list of ``(kind_a, kind_b, McNemarResult)`` for
     every unordered pair, in the order given.
     """
+    _check_inputs(dataset, ruleset)
     check_theta(theta_override)
     kinds = _plans(kinds, ruleset)
     if len(kinds) < 2:
@@ -284,6 +294,7 @@ def threshold_sweep(dataset: Dataset, ruleset: RuleSet,
     over the cases folds each case's chains once per operator and
     compares them with every point of the grid (see :func:`_theta_grid`).
     """
+    _check_inputs(dataset, ruleset)
     kinds = tuple(dict.fromkeys(_plans(kinds, ruleset)))  # a repeated operator is swept once
     if not kinds:
         raise ValueError("need at least one operator")

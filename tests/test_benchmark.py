@@ -424,7 +424,46 @@ class TestGenerateSynthetic:
 # The JSON-Lines writer.
 
 
+def _case_to_obj(case):
+    """The record a JSON-Lines line stands for, in key order."""
+    return {
+        "case_id": case.case_id,
+        "description": case.description,
+        "case_type": case.case_type.value,
+        "expert_label": case.expert_label.value,
+        "scores": dict(case.scores),
+    }
+
+
+class _Shout(str):
+    """A ``str`` whose ``__str__`` is not its value: json writes the value."""
+
+    def __str__(self):
+        return "SHOUT"
+
+
+#: Text with quotes, backslashes, control, non-ASCII, non-BMP and lone
+#: surrogate characters, some of it as a ``str`` subclass.
+_text = st.text(st.sampled_from('a"\\\x00\x1f\x7f\n\té\u2028\U0001f600\ud800\udfff '),
+                max_size=5) | st.text(max_size=5)
+_text = _text | st.builds(_Shout, _text)
+#: Signed zeros, the ends of [0, 1], the least subnormal, and any score a case holds.
+_scores = st.sampled_from([0.0, -0.0, 1.0, 5e-324, math.nextafter(1.0, 0.0)]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def _cases(draw):
+    return Case(draw(_text.filter(bool)), draw(_text),
+                draw(st.dictionaries(_text, _scores, min_size=1, max_size=4)),
+                draw(st.sampled_from(RiskCategory)), draw(st.sampled_from(CaseType)))
+
+
 class TestDatasetToJsonl:
+    @settings(max_examples=300, deadline=None)
+    @given(_cases())
+    def test_matches_json_dumps(self, case):
+        assert dataset_to_jsonl(Dataset((case,))) == json.dumps(_case_to_obj(case)) + "\n"
+
     def test_peak_is_about_the_result_twice(self):
         # The chunks and the joined result; a list of every line beside
         # the result peaked at 2.19x the output.

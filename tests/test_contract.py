@@ -1,9 +1,13 @@
-"""The input contract of the constructors and parsers that take user data.
+"""The input contract of the constructors, parsers and dataset entry
+points that take user data.
 
-``Case``, ``Dataset``, ``Rule``, ``RuleSet``, ``parse_case`` and
-``parse_ruleset`` each end a call in a result or in a ``ValueError`` (or
+``Case``, ``Dataset``, ``Rule``, ``RuleSet``, ``parse_case``,
+``parse_ruleset``, ``dataset_to_jsonl``, ``generate_synthetic``,
+``evaluate``, ``evaluate_mixed``, ``compare_operators`` and
+``threshold_sweep`` each end a call in a result or in a ``ValueError`` (or
 subclass) that names the argument or the value at fault. What they return
-is usable: a case or dataset evaluates, a rule or rule set classifies.
+is usable: a case or dataset evaluates, a rule or rule set classifies, a
+report, comparison or sweep is written as the CLI writes it.
 Each of 14 hostile values goes into each argument in turn; hypothesis then
 draws several arguments at once from those values and from any JSON-like
 value.
@@ -18,11 +22,13 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from riskrules.benchmark import Case, CaseType, Dataset, parse_case
+from riskrules.benchmark import (Case, CaseType, Dataset, dataset_to_jsonl, generate_synthetic,
+                                 parse_case)
 from riskrules.engine import classify
-from riskrules.evaluation import evaluate
-from riskrules.rules import (CONDITION_VOCABULARY, RiskCategory, Rule, RuleSet, default_ruleset,
-                             parse_ruleset, ruleset_to_json)
+from riskrules.evaluation import (EvalReport, comparison_to_json, compare_operators, evaluate,
+                                  evaluate_mixed, report_to_json, sweep_to_csv, threshold_sweep)
+from riskrules.rules import (CONDITION_VOCABULARY, ConjunctionStandard, RiskCategory, Rule,
+                             RuleSet, default_ruleset, parse_ruleset, ruleset_to_json)
 from riskrules.tnorms import TNormKind
 
 HOSTILE = (None, 5, "x", "goedel", b"x", [1], {"a": 1}, 0.5, math.nan, -1, True, (), [[1]],
@@ -31,6 +37,11 @@ HOSTILE = (None, 5, "x", "goedel", b"x", [1], {"a": 1}, 0.5, math.nan, -1, True,
 _HIGH = RiskCategory.HIGH_RISK
 _RULE = Rule("r", _HIGH, ("a",))
 _CASE = Case("c", "d", {"public_space": 0.5}, _HIGH, CaseType.CLEAR)
+_DATASET = Dataset((_CASE,))
+#: A rule set the case's condition fires, with a standard for mixed mode.
+_MIXED = RuleSet(frozenset({"public_space"}),
+                 (Rule("r", _HIGH, ("public_space",), standard=ConjunctionStandard.STRONG),))
+_GOEDEL, _PRODUCT = TNormKind.GOEDEL, TNormKind.PRODUCT
 
 #: Entry point -> (callable, a valid value for each argument, by name).
 ENTRIES = {
@@ -46,18 +57,33 @@ ENTRIES = {
                                 "vocabulary": CONDITION_VOCABULARY}),
     "parse_ruleset": (parse_ruleset,
                       {"text": ruleset_to_json(RuleSet(frozenset({"a"}), (_RULE,)))}),
+    "dataset_to_jsonl": (dataset_to_jsonl, {"dataset": _DATASET}),
+    "generate_synthetic": (generate_synthetic, {"n": 10, "seed": 1, "ruleset": default_ruleset()}),
+    "evaluate": (evaluate, {"dataset": _DATASET, "ruleset": _MIXED, "kind": _GOEDEL,
+                            "theta_override": None}),
+    "evaluate_mixed": (evaluate_mixed, {"dataset": _DATASET, "ruleset": _MIXED,
+                                        "theta_override": None}),
+    "compare_operators": (compare_operators, {"dataset": _DATASET, "ruleset": _MIXED,
+                                              "kinds": [_GOEDEL, _PRODUCT],
+                                              "theta_override": None}),
+    "threshold_sweep": (threshold_sweep, {"dataset": _DATASET, "ruleset": _MIXED,
+                                          "kinds": [_GOEDEL], "theta_min": 0.4,
+                                          "theta_max": 0.6, "step": 0.1}),
 }
 
 #: Words besides its own name that name an argument, where the message
 #: names the part of it at fault: a case record by its case, a score by
 #: its condition, a vocabulary by the condition it lacks, a rule file's
-#: text by its JSON, a rule's conditions by its condition list.
+#: text by its JSON, a rule's conditions by its condition list, and
+#: operators, or a plan of them, as what they are.
 ALIASES = {
     "obj": ("case",),
     "scores": ("score for",),
     "vocabulary": ("unknown condition",),
     "text": ("JSON",),
     "conditions": ("condition list",),
+    "kind": ("t-norm", "operator plan"),
+    "kinds": ("t-norm", "operator"),
 }
 
 ARGUMENTS = [(entry, name) for entry, (_, valid) in ENTRIES.items() for name in valid]
@@ -74,6 +100,17 @@ def _names(message: str, name: str, value) -> bool:
 
 def _use(result):
     """Use what an entry returned the way the program does."""
+    if isinstance(result, str):  # a dataset file's text
+        return
+    if isinstance(result, EvalReport):
+        report_to_json(result)
+        return
+    if isinstance(result, tuple) and len(result) == 2:  # a comparison
+        comparison_to_json(*result)
+        return
+    if isinstance(result, list):  # a sweep
+        sweep_to_csv(result)
+        return
     if isinstance(result, Case):
         result = Dataset((result,))
     if isinstance(result, Dataset):
@@ -147,10 +184,15 @@ def test_several_arguments_at_once(drawn):
     (lambda: parse_ruleset(5), "not valid JSON: expected text, got 5"),
     (lambda: parse_case(_CASE, CONDITION_VOCABULARY), "case records must be JSON objects"),
     (lambda: parse_case({}, "public_space"), "vocabulary must be an array of strings"),
+    (lambda: dataset_to_jsonl(None), "dataset must be a Dataset, got NoneType"),
+    (lambda: evaluate(None, _MIXED, _GOEDEL), "dataset must be a Dataset, got NoneType"),
+    (lambda: evaluate_mixed(_DATASET, "x"), "ruleset must be a RuleSet, got str"),
+    (lambda: generate_synthetic(10, 1, 5), "ruleset must be a RuleSet, got int"),
 ], ids=["case-motivation", "case-type", "case-score", "case-key", "case-empty-scores",
         "dataset-element", "dataset-container", "ruleset-str-vocabulary", "ruleset-int-term",
         "ruleset-list-with-int", "ruleset-str-rule", "ruleset-int-rules", "ruleset-not-text",
-        "parse-case-of-a-case", "parse-case-str-vocabulary"])
+        "parse-case-of-a-case", "parse-case-str-vocabulary", "jsonl-none", "evaluate-none",
+        "mixed-str-ruleset", "generate-int-ruleset"])
 def test_messages(call, message):
     with pytest.raises(ValueError) as err:
         call()

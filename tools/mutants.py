@@ -159,8 +159,9 @@ MUTANTS = (
            ("tests/test_load_dataset.py",)),
     Mutant("trail-writes-non-ascii", _ENGINE,
            "_str = json.encoder.encode_basestring_ascii", "_str = json.encoder.encode_basestring",
-           "the proof trail is written as json.dumps writes it: ASCII only",
-           ("tests/test_engine.py::TestTrailWriter",)),
+           "the proof trail and the dataset file are written as json.dumps writes them: "
+           "ASCII only",
+           ("tests/test_engine.py::TestTrailWriter", "tests/test_benchmark.py::TestDatasetToJsonl")),
     Mutant("slot-counts-overflow-n", _BENCHMARK,
            '_TYPE_RATIO = {"marginal": 325 / 1035,', '_TYPE_RATIO = {"marginal": 1000 / 1035,',
            "every n the generator accepts splits into counts that are not negative",
@@ -194,11 +195,14 @@ MUTANTS = (
            ("tests/test_record_parsing.py::TestSharedKeys",)),
     Mutant("jsonl-joined-unchunked", _BENCHMARK,
            '    return "".join([\n'
-           '        "".join([json.dumps(_case_to_obj(c)) + "\\n" '
-           "for c in cases[i:i + _LINES_PER_CHUNK]])\n"
+           '        "".join([_case_line(c) for c in cases[i:i + _LINES_PER_CHUNK]])\n'
            "        for i in range(0, len(cases), _LINES_PER_CHUNK)])\n",
-           '    return "".join(json.dumps(_case_to_obj(c)) + "\\n" for c in cases)\n',
+           '    return "".join(_case_line(c) for c in cases)\n',
            "the dataset writer's peak stays about twice its output",
+           ("tests/test_benchmark.py::TestDatasetToJsonl",)),
+    Mutant("jsonl-score-keys-unescaped", _BENCHMARK,
+           'f"{_str(cond)}: {value!r}"', """f'"{cond}": {value!r}'""",
+           "the dataset writer escapes a score's condition as json.dumps does",
            ("tests/test_benchmark.py::TestDatasetToJsonl",)),
     # Each input check has one owner.
     Mutant("rule-category-unchecked", _RULES,
@@ -280,6 +284,15 @@ MUTANTS = (
            "        if False:\n",
            "generate_synthetic names an n or seed that is not an int",
            ("tests/test_benchmark.py::TestGenerateSynthetic::test_n_and_seed_must_be_ints",)),
+    Mutant("batch-entry-inputs-unchecked", _EVALUATION,
+           '    _require(dataset, Dataset, "dataset")\n    _require(ruleset, RuleSet, "ruleset")\n',
+           "    pass\n",
+           "evaluate, compare and sweep name a dataset or rule set of the wrong type",
+           (_CONTRACT,)),
+    Mutant("generator-ruleset-unchecked", _BENCHMARK,
+           '    _require(ruleset, RuleSet, "ruleset")\n', "",
+           "generate_synthetic names a rule set of the wrong type",
+           (_CONTRACT,)),
 )
 
 
