@@ -48,15 +48,14 @@ string per (archetype, rule), shared by the cases that draw that pair.
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
 
 from riskrules.rules import (CATEGORY_BY_NAME, CATEGORY_ORDER, CONDITION_VOCABULARY, RiskCategory,
-                             RuleSet, _vocabulary, check_fields, decode_json, default_ruleset,
-                             read_lines)
+                             RuleSet, _file_name, _vocabulary, check_fields, decode_json,
+                             default_ruleset, read_lines)
 from riskrules.engine import _str, predicted_category, rule_chain_scores
 from riskrules.tnorms import TNormKind, unit_score
 
@@ -321,7 +320,7 @@ def load_dataset(path, vocabulary: Iterable[str] | None = None) -> Dataset:
     a bad byte's too, start with ``path:line: ``; an ``OSError`` names the file.
     Errors name ``path`` as given, not normalised.
     """
-    name = os.fsdecode(path)
+    name = _file_name(path, DatasetValidationError)
     terms = _term_map(CONDITION_VOCABULARY if vocabulary is None else vocabulary)
     cases: list[Case] = []
     seen: set[str] = set()
@@ -345,7 +344,7 @@ def load_dataset(path, vocabulary: Iterable[str] | None = None) -> Dataset:
 def load_case(path, vocabulary: Iterable[str] | None = None) -> Case:
     """Load a one-record JSON case file for classification, read through
     :func:`~riskrules.rules.read_lines`; errors start with its path."""
-    name = os.fsdecode(path)
+    name = _file_name(path, DatasetValidationError)
     terms = _term_map(CONDITION_VOCABULARY if vocabulary is None else vocabulary)
     text = "".join(read_lines(name, DatasetValidationError))
     try:

@@ -30,6 +30,8 @@ from typing import Mapping, Sequence
 from riskrules.rules import RiskCategory, Rule, RuleSet, ConjunctionStandard
 from riskrules.tnorms import TNormKind, apply, fold_chain
 
+#: Sequences named whole where operators are read, never one per item.
+_TEXT = (str, bytes, bytearray, memoryview)
 #: Operator used for a rule's conjunction standard in mixed mode.
 STANDARD_OPERATORS = {
     ConjunctionStandard.STRONG: TNormKind.LUKASIEWICZ,
@@ -106,28 +108,33 @@ def _finish(case_id, rule_scores, tnorm_name, theta_override, ruleset):
                                  tuple(rule_scores), winning_rule)
 
 
-def classify(case_scores: Mapping[str, float], ruleset: RuleSet, kind: TNormKind,
-             theta_override: float | None = None, case_id: str = "case") -> ClassificationOutcome:
-    """Score every rule with one operator and pick the final category."""
+def classify(case_scores: Mapping[str, float], ruleset: RuleSet,
+             kind: TNormKind | Sequence[TNormKind], theta_override: float | None = None,
+             case_id: str = "case") -> ClassificationOutcome:
+    """Score every rule and pick the final category.
+
+    ``kind`` is one operator for every rule, or a plan of one per rule,
+    read by :func:`check_plan` as :func:`rule_chain_scores` reads it. The
+    trail names a plan's operator on each rule score, and the outcome's
+    ``tnorm`` is ``"mixed"``.
+    """
     check_theta(theta_override)
-    rule_scores = [score_rule(r, case_scores, kind, theta_override) for r in ruleset.rules]
-    return _finish(case_id, rule_scores, kind.value, theta_override, ruleset)
+    kind = check_plan(kind, ruleset)
+    plan = kind if type(kind) is tuple else (kind,) * len(ruleset.rules)
+    rule_scores = [score_rule(r, case_scores, k, theta_override)
+                   for r, k in zip(ruleset.rules, plan)]
+    tnorm = "mixed" if plan is kind else kind.value
+    return _finish(case_id, rule_scores, tnorm, theta_override, ruleset)
 
 
 def classify_mixed(case_scores: Mapping[str, float], ruleset: RuleSet,
                    theta_override: float | None = None, case_id: str = "case") -> ClassificationOutcome:
-    """Classify with per-rule operators chosen by each rule's conjunction standard.
-
-    Every rule must carry an explicit standard annotation; the mapping is
-    strong -> lukasiewicz, bottleneck -> goedel. Annotations are never
-    inferred.
+    """:func:`classify` with the plan :func:`mixed_operators` reads from
+    each rule's conjunction standard (strong -> lukasiewicz, bottleneck ->
+    goedel). Every rule needs a standard; standards are never inferred.
     """
     check_theta(theta_override)
-    rule_scores = [
-        score_rule(r, case_scores, kind, theta_override)
-        for r, kind in zip(ruleset.rules, mixed_operators(ruleset))
-    ]
-    return _finish(case_id, rule_scores, "mixed", theta_override, ruleset)
+    return classify(case_scores, ruleset, mixed_operators(ruleset), theta_override, case_id)
 
 
 def mixed_operators(ruleset: RuleSet) -> tuple[TNormKind, ...]:
@@ -152,11 +159,10 @@ def rule_chain_scores(case_scores: Mapping[str, float], ruleset: RuleSet,
     """Chain score per rule, aligned with ``ruleset.rules`` order.
 
     ``kind`` is one operator for every rule, or a plan of one per rule
-    (mixed mode, see :func:`mixed_operators`); a plan of any other length,
-    or with an entry that is not a :class:`TNormKind`, is a ValueError.
-    Only the case's live rules, those whose conditions it all scores, are
-    folded. Any other rule scores 0.0: its
-    missing condition counts as 0.0, and a chain holding 0.0 folds to zero
+    (mixed mode, see :func:`mixed_operators`); anything else raises
+    :func:`check_plan`'s ValueError. Only the case's live rules, those
+    whose conditions it all scores, are folded. Any other rule scores 0.0:
+    its missing condition counts as 0.0, and a chain holding 0.0 folds to zero
     under every operator (the trail's fold may keep the sign of a -0.0
     score). Every theta is in (0, 1), so such a rule never fires.
     """
@@ -171,18 +177,25 @@ def rule_chain_scores(case_scores: Mapping[str, float], ruleset: RuleSet,
     return out
 
 
-def check_plan(plan: Sequence[TNormKind], ruleset: RuleSet) -> None:
-    """Reject a per-rule plan that is not a sequence (a ``str`` included),
-    has not one entry per rule, or has an entry that is not a
-    :class:`TNormKind` (named, the first such), with ValueError."""
-    if isinstance(plan, str) or not isinstance(plan, Sequence):
-        raise ValueError(f"unknown t-norm {plan!r}")
-    if len(plan) != len(ruleset.rules):
-        raise ValueError(f"operator plan has {len(plan)} entries; "
+def check_plan(kind: TNormKind | Sequence[TNormKind],
+               ruleset: RuleSet) -> TNormKind | tuple[TNormKind, ...]:
+    """The one reader of an operator argument: a :class:`TNormKind` comes
+    back unchanged, and a per-rule plan as a tuple. Raises ValueError for
+    anything else: a value that is not a sequence, or is a ``str`` or
+    bytes-like (see ``_TEXT``), is named whole; a plan without one entry
+    per rule is named by its length; else the first entry that is not a
+    member is named."""
+    if type(kind) is TNormKind:
+        return kind
+    if isinstance(kind, _TEXT) or not isinstance(kind, Sequence):
+        raise ValueError(f"unknown t-norm {kind!r}")
+    if len(kind) != len(ruleset.rules):
+        raise ValueError(f"operator plan has {len(kind)} entries; "
                          f"the rule set has {len(ruleset.rules)} rules")
-    for entry in plan:  # checked here: a dead rule's entry is never folded
+    for entry in kind:  # checked here: a dead rule's entry is never folded
         if type(entry) is not TNormKind:
             raise ValueError(f"unknown t-norm {entry!r}")
+    return tuple(kind)
 
 
 def predicted_category(ruleset: RuleSet, chain_scores: Sequence[float],

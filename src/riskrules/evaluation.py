@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sized
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from riskrules.benchmark import Case, CaseType, Dataset, _require
-from riskrules.engine import (check_plan, check_theta, mixed_operators, predicted_category,
-                              rule_chain_scores)
+from riskrules.engine import (_TEXT, check_plan, check_theta, mixed_operators,
+                              predicted_category, rule_chain_scores)
 # Not called here; perfbench's traced run patches the name on this module.
 from riskrules.engine import classify_mixed  # noqa: F401
 from riskrules.rules import CATEGORY_ORDER, RiskCategory, RuleSet
@@ -72,13 +73,24 @@ _ORDER_INDEX = {cat.severity: i for i, cat in enumerate(CATEGORY_ORDER)}
 
 def build_report(expert: Sequence[RiskCategory], predicted: Sequence[RiskCategory],
                  case_types: Sequence[CaseType]) -> EvalReport:
-    """Aggregate aligned expert/predicted labels into an EvalReport."""
+    """Aggregate aligned expert/predicted labels into an EvalReport.
+
+    Names the first argument without a length, then the first label that
+    is not a :class:`RiskCategory` or case type that is not a
+    :class:`CaseType`, with ValueError."""
+    for name, values in (("expert", expert), ("predicted", predicted), ("case_types", case_types)):
+        _require(values, Sized, name)
     if not expert:
         raise ValueError("empty dataset")
     if not (len(predicted) == len(case_types) == len(expert)):
         raise ValueError("expert, predicted and case_types must be aligned")
     tally = [0] * (4 * _TYPES * 4)
     for exp, pred, ctype in zip(expert, predicted, case_types):
+        for name, label in (("expert", exp), ("predicted", pred)):
+            if type(label) is not RiskCategory:
+                raise ValueError(f"{name} must hold RiskCategory members, got {label!r}")
+        if type(ctype) is not CaseType:
+            raise ValueError(f"case_types must hold CaseType members, got {ctype!r}")
         tally[(exp.severity * _TYPES + _TYPE_INDEX[ctype]) * 4 + pred.severity] += 1
     return _report(tally)
 
@@ -182,8 +194,11 @@ def mcnemar_exact(pred_a: Sequence[RiskCategory], pred_b: Sequence[RiskCategory]
     """Exact binomial McNemar test on paired predictions.
 
     Labels are compared with ``==``, so any consistent encoding works
-    (categories, or their severities).
+    (categories, or their severities); an argument without a length is
+    named with ValueError.
     """
+    for name, labels in (("pred_a", pred_a), ("pred_b", pred_b), ("expert", expert)):
+        _require(labels, Sized, name)
     if not (len(pred_a) == len(pred_b) == len(expert)):
         raise ValueError("prediction and label sequences must have equal length")
     if not expert:
@@ -208,20 +223,15 @@ def mcnemar_exact(pred_a: Sequence[RiskCategory], pred_b: Sequence[RiskCategory]
 
 
 def _plans(kinds, ruleset: RuleSet) -> list:
-    """``kinds`` as a list: a bare member is one operator, a sequence of
-    them several; any other entry is a plan, checked by
-    :func:`~riskrules.engine.check_plan` before it is hashed, as a tuple.
-    A ``str`` or anything not iterable is named whole."""
+    """``kinds`` as a list of operators, each read by
+    :func:`~riskrules.engine.check_plan` (a plan as a tuple, so it can be
+    hashed). A bare member is one operator; a ``str``, a bytes-like value
+    or anything not iterable is named whole."""
     if isinstance(kinds, TNormKind):
         return [kinds]
-    if isinstance(kinds, str) or not isinstance(kinds, Iterable):
+    if isinstance(kinds, _TEXT) or not isinstance(kinds, Iterable):
         raise ValueError(f"unknown t-norm {kinds!r}")
-    plans = list(kinds)
-    for i, kind in enumerate(plans):
-        if not isinstance(kind, TNormKind):
-            check_plan(kind, ruleset)
-            plans[i] = tuple(kind)
-    return plans
+    return [check_plan(kind, ruleset) for kind in kinds]
 
 
 def compare_operators(dataset: Dataset, ruleset: RuleSet,
@@ -230,11 +240,12 @@ def compare_operators(dataset: Dataset, ruleset: RuleSet,
     """Classify with every operator in one walk; run all pairwise McNemar tests.
 
     ``kinds`` is a sequence of operators, each a member or a per-rule plan
-    (a sequence of members is several operators, so a plan goes inside
-    one: ``[plan, GOEDEL]``); a bare member is one operator. Returns
-    ``(reports, pairs)``: per-operator EvalReports keyed by kind (a plan
-    as a tuple), and a list of ``(kind_a, kind_b, McNemarResult)`` for
-    every unordered pair, in the order given.
+    read by :func:`~riskrules.engine.check_plan` (a sequence of members is
+    several operators, so a plan goes inside one: ``[plan, GOEDEL]``); a
+    bare member is one operator. Returns ``(reports, pairs)``:
+    per-operator EvalReports keyed by kind (a plan as the tuple
+    ``check_plan`` returns), and a list of ``(kind_a, kind_b,
+    McNemarResult)`` for every unordered pair, in the order given.
     """
     _check_inputs(dataset, ruleset)
     check_theta(theta_override)
@@ -289,8 +300,9 @@ def threshold_sweep(dataset: Dataset, ruleset: RuleSet,
     """Evaluate over an inclusive arithmetic progression of thresholds.
 
     ``kinds`` reads as in :func:`compare_operators`: a bare member is one
-    operator, and a sequence of members is several, so a per-rule plan is
-    swept as ``[plan]``. Chain scores do not depend on theta, so one walk
+    operator, and a sequence is several, each read by
+    :func:`~riskrules.engine.check_plan`, so a per-rule plan is swept as
+    ``[plan]``. Chain scores do not depend on theta, so one walk
     over the cases folds each case's chains once per operator and
     compares them with every point of the grid (see :func:`_theta_grid`).
     """

@@ -329,7 +329,8 @@ def parse_ruleset(text: str) -> RuleSet:
     """The rule set a rule file's text holds. Checks only what the JSON
     alone tells (an object with both keys, a vocabulary that is not an
     object, each entry as :func:`_rule_from_obj` reads it); RuleSet checks
-    the rest, and a bad vocabulary is still named before a bad entry."""
+    the rest. The vocabulary is read by :func:`_vocabulary` before the
+    entries, so a bad vocabulary is named before a bad entry."""
     doc = decode_json(text, RuleValidationError)
     if not isinstance(doc, dict):
         raise RuleValidationError("expected a JSON object")
@@ -339,12 +340,9 @@ def parse_ruleset(text: str) -> RuleSet:
     vocabulary, rules = doc["vocabulary"], doc["rules"]
     if isinstance(vocabulary, dict):  # RuleSet would read an object as its keys
         raise RuleValidationError("vocabulary must be an array of strings")
+    vocabulary = _vocabulary(vocabulary)
     if isinstance(rules, list):  # anything else, RuleSet names
-        try:
-            rules = [_rule_from_obj(obj) for obj in rules]
-        except RuleValidationError:
-            _vocabulary(vocabulary)  # RuleSet names a bad vocabulary first
-            raise
+        rules = [_rule_from_obj(obj) for obj in rules]
     return RuleSet(vocabulary, rules)
 
 
@@ -381,7 +379,7 @@ def check_fields(obj: dict, known, required, error: type[ValueError], kind: str,
 def load_ruleset(path) -> RuleSet:
     """Load and validate a rule file, read through :func:`read_lines`;
     errors start with its path and name the rule and field."""
-    name = os.fsdecode(path)
+    name = _file_name(path, RuleValidationError)
     text = "".join(read_lines(name, RuleValidationError))
     try:
         return parse_ruleset(text)
@@ -422,6 +420,20 @@ def decode_json(text: str, error: type[ValueError]):
 #: What undecodable bytes become under ``surrogateescape``; valid UTF-8
 #: never decodes to a surrogate.
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+def _file_name(path, error: type[ValueError]) -> str:
+    """``path`` as a loader names it: a ``str``, ``bytes`` or
+    ``os.PathLike`` through ``os.fsdecode``. Anything else, an int (which
+    ``open`` reads as a file descriptor) included, raises ``error``, and
+    so does a name holding a NUL character, which no file has."""
+    try:
+        name = os.fsdecode(path)
+    except TypeError:
+        raise error(f"path must be a str, bytes or os.PathLike, got {path!r}") from None
+    if "\0" in name:
+        raise error(f"path must not hold a NUL character, got {name!r}")
+    return name
 
 
 def read_lines(path, error: type[ValueError]):

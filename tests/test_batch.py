@@ -14,6 +14,7 @@ from riskrules.benchmark import Case, CaseType, Dataset
 from riskrules.engine import (
     classify,
     classify_mixed,
+    mixed_operators,
     predicted_category,
     rule_chain_scores,
     score_rule,
@@ -137,6 +138,33 @@ def test_evaluate_mixed_matches_classify_mixed(data):
     override = data.draw(overrides(dataset, ruleset))
     scalar = [classify_mixed(c.scores, ruleset, override).predicted for c in dataset.cases]
     assert evaluate_mixed(dataset, ruleset, override) == _scalar_report(dataset, scalar)
+
+
+@SETTINGS
+@given(st.data())
+def test_evaluate_matches_classify_on_any_plan(data):
+    # classify reads a plan as evaluate does: one operator per rule, any
+    # mix of the four, as a list or a tuple.
+    ruleset = data.draw(rulesets())
+    dataset = data.draw(datasets(ruleset))
+    plan = [data.draw(st.sampled_from(ALL_KINDS)) for _ in ruleset.rules]
+    plan = data.draw(st.sampled_from([plan, tuple(plan)]))
+    override = data.draw(overrides(dataset, ruleset))
+    scalar = [classify(c.scores, ruleset, plan, override).predicted for c in dataset.cases]
+    assert evaluate(dataset, ruleset, plan, override) == _scalar_report(dataset, scalar)
+
+
+@SETTINGS
+@given(st.data())
+def test_classify_mixed_is_classify_with_the_mixed_plan(data):
+    ruleset = data.draw(rulesets(annotated=True))
+    dataset = data.draw(datasets(ruleset))
+    override = data.draw(overrides(dataset, ruleset))
+    plan = mixed_operators(ruleset)
+    for case in dataset.cases:
+        outcome = classify(case.scores, ruleset, plan, override, case.case_id)
+        assert outcome == classify_mixed(case.scores, ruleset, override, case.case_id)
+        assert outcome.tnorm == "mixed"
 
 
 @SETTINGS

@@ -2,12 +2,15 @@
 points that take user data.
 
 ``Case``, ``Dataset``, ``Rule``, ``RuleSet``, ``parse_case``,
-``parse_ruleset``, ``dataset_to_jsonl``, ``generate_synthetic``,
-``evaluate``, ``evaluate_mixed``, ``compare_operators`` and
-``threshold_sweep`` each end a call in a result or in a ``ValueError`` (or
-subclass) that names the argument or the value at fault. What they return
-is usable: a case or dataset evaluates, a rule or rule set classifies, a
-report, comparison or sweep is written as the CLI writes it.
+``parse_ruleset``, the three loaders, ``dataset_to_jsonl``,
+``generate_synthetic``, ``evaluate``, ``evaluate_mixed``,
+``compare_operators``, ``threshold_sweep``, ``mcnemar_exact`` and
+``build_report`` each end a call in a result or in a ``ValueError`` (or
+subclass) that names the argument or the value at fault. A loader's
+``path`` may also end in the ``OSError`` that names it, as a file that
+does not exist does. What they return is usable: a case or dataset
+evaluates, a rule or rule set classifies, a report, comparison or sweep
+is written as the CLI writes it.
 Each of 14 hostile values goes into each argument in turn; hypothesis then
 draws several arguments at once from those values and from any JSON-like
 value.
@@ -18,17 +21,22 @@ per-case kernels ``fold_chain``, ``apply``, ``rule_chain_scores`` and
 """
 
 import math
+import os
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from riskrules.benchmark import (Case, CaseType, Dataset, dataset_to_jsonl, generate_synthetic,
+from conftest import DATA_DIR
+from riskrules.benchmark import (Case, CaseType, Dataset, DatasetValidationError,
+                                 dataset_to_jsonl, generate_synthetic, load_case, load_dataset,
                                  parse_case)
 from riskrules.engine import classify
-from riskrules.evaluation import (EvalReport, comparison_to_json, compare_operators, evaluate,
-                                  evaluate_mixed, report_to_json, sweep_to_csv, threshold_sweep)
+from riskrules.evaluation import (EvalReport, McNemarResult, build_report, comparison_to_json,
+                                  compare_operators, evaluate, evaluate_mixed, mcnemar_exact,
+                                  report_to_json, sweep_to_csv, threshold_sweep)
 from riskrules.rules import (CONDITION_VOCABULARY, ConjunctionStandard, RiskCategory, Rule,
-                             RuleSet, default_ruleset, parse_ruleset, ruleset_to_json)
+                             RuleSet, RuleValidationError, default_ruleset, load_ruleset,
+                             parse_ruleset, ruleset_to_json)
 from riskrules.tnorms import TNormKind
 
 HOSTILE = (None, 5, "x", "goedel", b"x", [1], {"a": 1}, 0.5, math.nan, -1, True, (), [[1]],
@@ -69,13 +77,22 @@ ENTRIES = {
     "threshold_sweep": (threshold_sweep, {"dataset": _DATASET, "ruleset": _MIXED,
                                           "kinds": [_GOEDEL], "theta_min": 0.4,
                                           "theta_max": 0.6, "step": 0.1}),
+    "load_dataset": (load_dataset, {"path": DATA_DIR / "cases_appendix.jsonl",
+                                    "vocabulary": CONDITION_VOCABULARY}),
+    "load_case": (load_case, {"path": DATA_DIR / "hrm04.json",
+                              "vocabulary": CONDITION_VOCABULARY}),
+    "load_ruleset": (load_ruleset, {"path": DATA_DIR / "one_rule.json"}),
+    "mcnemar_exact": (mcnemar_exact, {"pred_a": [_HIGH], "pred_b": [_HIGH], "expert": [_HIGH]}),
+    "build_report": (build_report, {"expert": [_HIGH], "predicted": [_HIGH],
+                                    "case_types": [CaseType.CLEAR]}),
 }
 
 #: Words besides its own name that name an argument, where the message
 #: names the part of it at fault: a case record by its case, a score by
 #: its condition, a vocabulary by the condition it lacks, a rule file's
-#: text by its JSON, a rule's conditions by its condition list, and
-#: operators, or a plan of them, as what they are.
+#: text by its JSON, a rule's conditions by its condition list,
+#: operators, or a plan of them, as what they are, and label sequences
+#: as the predictions and labels (or, empty, the dataset) they hold.
 ALIASES = {
     "obj": ("case",),
     "scores": ("score for",),
@@ -84,6 +101,9 @@ ALIASES = {
     "conditions": ("condition list",),
     "kind": ("t-norm", "operator plan"),
     "kinds": ("t-norm", "operator"),
+    "pred_a": ("prediction",),
+    "pred_b": ("prediction",),
+    "expert": ("label", "dataset"),
 }
 
 ARGUMENTS = [(entry, name) for entry, (_, valid) in ENTRIES.items() for name in valid]
@@ -100,7 +120,7 @@ def _names(message: str, name: str, value) -> bool:
 
 def _use(result):
     """Use what an entry returned the way the program does."""
-    if isinstance(result, str):  # a dataset file's text
+    if isinstance(result, (str, McNemarResult)):  # a dataset file's text, or a McNemar test
         return
     if isinstance(result, EvalReport):
         report_to_json(result)
@@ -125,13 +145,17 @@ def _use(result):
 
 def _call(entry: str, hostile: dict):
     """Call ``entry`` with ``hostile`` over its valid arguments; None if it
-    returned a usable result, else the ValueError it raised (any other
-    exception fails the test)."""
+    returned a usable result or raised the OSError that names a hostile
+    ``path`` (as the loader names it), else the ValueError it raised (any
+    other exception fails the test)."""
     function, valid = ENTRIES[entry]
     try:
         _use(function(**{**valid, **hostile}))
     except ValueError as exc:
         return exc
+    except OSError as exc:
+        if "path" not in hostile or exc.filename != os.fsdecode(hostile["path"]):
+            raise
     return None
 
 
@@ -188,15 +212,45 @@ def test_several_arguments_at_once(drawn):
     (lambda: evaluate(None, _MIXED, _GOEDEL), "dataset must be a Dataset, got NoneType"),
     (lambda: evaluate_mixed(_DATASET, "x"), "ruleset must be a RuleSet, got str"),
     (lambda: generate_synthetic(10, 1, 5), "ruleset must be a RuleSet, got int"),
+    (lambda: load_dataset(None), "path must be a str, bytes or os.PathLike, got None"),
+    (lambda: load_case(0), "path must be a str, bytes or os.PathLike, got 0"),
+    (lambda: load_ruleset(5), "path must be a str, bytes or os.PathLike, got 5"),
+    (lambda: load_case("a\0b"), "path must not hold a NUL character, got 'a\\x00b'"),
+    (lambda: load_dataset(b"\0"), "path must not hold a NUL character, got '\\x00'"),
+    (lambda: mcnemar_exact(5, 5, 5), "pred_a must be a Sized, got int"),
+    (lambda: mcnemar_exact([_HIGH], None, [_HIGH]), "pred_b must be a Sized, got NoneType"),
+    (lambda: build_report([_HIGH], [_HIGH], 0.5), "case_types must be a Sized, got float"),
+    (lambda: build_report([1], [1], [1]), "expert must hold RiskCategory members, got 1"),
+    (lambda: build_report([_HIGH], ["high_risk"], [CaseType.CLEAR]),
+     "predicted must hold RiskCategory members, got 'high_risk'"),
+    (lambda: build_report([_HIGH], [_HIGH], ["clear"]),
+     "case_types must hold CaseType members, got 'clear'"),
 ], ids=["case-motivation", "case-type", "case-score", "case-key", "case-empty-scores",
         "dataset-element", "dataset-container", "ruleset-str-vocabulary", "ruleset-int-term",
         "ruleset-list-with-int", "ruleset-str-rule", "ruleset-int-rules", "ruleset-not-text",
         "parse-case-of-a-case", "parse-case-str-vocabulary", "jsonl-none", "evaluate-none",
-        "mixed-str-ruleset", "generate-int-ruleset"])
+        "mixed-str-ruleset", "generate-int-ruleset", "load-dataset-none", "load-case-fd-0",
+        "load-ruleset-int", "load-case-nul", "load-dataset-bytes-nul", "mcnemar-int",
+        "mcnemar-none", "report-float-types", "report-int-labels", "report-name-label",
+        "report-name-type"])
 def test_messages(call, message):
     with pytest.raises(ValueError) as err:
         call()
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("load, error", [
+    (load_dataset, DatasetValidationError),
+    (load_case, DatasetValidationError),
+    (load_ruleset, RuleValidationError),
+], ids=["load_dataset", "load_case", "load_ruleset"])
+def test_each_loader_names_a_bad_path_with_its_own_error(load, error, tmp_path):
+    with pytest.raises(error):
+        load(5)
+    missing = tmp_path / "missing.json"
+    with pytest.raises(FileNotFoundError) as err:
+        load(missing)
+    assert err.value.filename == str(missing)
 
 
 def test_a_vocabulary_reads_any_collection_of_terms():

@@ -130,6 +130,28 @@ class TestClassify:
             outcome = classify(HRM04, ruleset, kind, case_id="HRM04")
             assert outcome.predicted is want, kind
 
+    @pytest.mark.parametrize("kind, message", [
+        (None, "unknown t-norm None"),
+        ("goedel", "unknown t-norm 'goedel'"),
+        (b"g", "unknown t-norm b'g'"),
+        ([TNormKind.GOEDEL] * 2, "operator plan has 2 entries; the rule set has 1 rules"),
+    ], ids=["none", "str", "bytes", "plan-too-long"])
+    def test_an_operator_that_is_no_member_or_plan_is_named(self, kind, message):
+        # A one-condition rule never applies its operator: each of these
+        # used to fail only on kind.value, with an AttributeError.
+        one = RuleSet(frozenset({"a"}), (Rule("r", RiskCategory.HIGH_RISK, ("a",)),))
+        with pytest.raises(ValueError) as err:
+            classify({"a": 0.9}, one, kind)
+        assert str(err.value) == message
+
+    def test_a_plan_is_read_as_evaluate_reads_it(self, ruleset):
+        # A valid plan on the 14 default rules used to be "unknown t-norm [...]".
+        plan = [TNormKind.GOEDEL] * len(ruleset.rules)
+        outcome = classify(HRM04, ruleset, plan, case_id="HRM04")
+        assert outcome.tnorm == "mixed"
+        assert dataclasses.replace(outcome, tnorm="goedel") == \
+            classify(HRM04, ruleset, TNormKind.GOEDEL, case_id="HRM04")
+
     def test_hrm05_predictions(self, ruleset):
         assert classify(HRM05, ruleset, TNormKind.GOEDEL).predicted is RiskCategory.HIGH_RISK
         assert classify(HRM05, ruleset, TNormKind.LUKASIEWICZ).predicted is RiskCategory.MINIMAL_RISK

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from riskrules import evaluation
 from riskrules.benchmark import Case, CaseType, Dataset, generate_synthetic, load_dataset
-from riskrules.engine import rule_chain_scores
+from riskrules.engine import check_plan, rule_chain_scores
 from riskrules.evaluation import (
     build_report,
     compare_operators,
@@ -481,6 +481,24 @@ class TestOperatorEntries:
         with pytest.raises(ValueError) as err:
             call(cases, ruleset, kinds)
         assert str(err.value) == f"unknown t-norm {kinds!r}"
+
+    @pytest.mark.parametrize("text", [b"g" * 14, bytearray(b"g" * 14), memoryview(b"g" * 14)],
+                             ids=["bytes", "bytearray", "memoryview"])
+    def test_a_bytes_like_plan_is_named_whole(self, ruleset, cases, text):
+        # Each used to be read as a plan of ints: "unknown t-norm 103".
+        message = f"unknown t-norm {text!r}"
+        calls = (
+            lambda: check_plan(text, ruleset),
+            lambda: evaluate(cases, ruleset, text),
+            lambda: compare_operators(cases, ruleset, [text, TNormKind.PRODUCT]),
+            lambda: compare_operators(cases, ruleset, text),
+            lambda: threshold_sweep(cases, ruleset, [text], 0.5, 0.5, 0.1),
+            lambda: threshold_sweep(cases, ruleset, text, 0.5, 0.5, 0.1),
+        )
+        for call in calls:
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == message
 
     def test_a_plan_is_checked_before_the_walk(self, ruleset):
         for call in self._both(Dataset(()), ruleset, [[TNormKind.GOEDEL] * 3, TNormKind.PRODUCT]):

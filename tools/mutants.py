@@ -122,8 +122,8 @@ MUTANTS = (
            "cell = label * _TYPES * 4",
            "accuracy is reported per case type",
            ("tests/test_batch.py", "tests/test_evaluation.py")),
-    Mutant("plans-not-read-as-tuples", _EVALUATION,
-           "plans[i] = tuple(kind)", "plans[i] = kind",
+    Mutant("plans-not-read-as-tuples", _ENGINE,
+           "    return tuple(kind)\n", "    return kind\n",
            "a plan given as a list compares and sweeps like the same plan as a tuple",
            ("tests/test_evaluation.py",)),
     Mutant("case-hashable", _BENCHMARK,
@@ -258,7 +258,7 @@ MUTANTS = (
            "RuleSet(...) names a rule that is not a Rule",
            (_CONTRACT,)),
     Mutant("vocabulary-named-after-entries", _RULES,
-           "            _vocabulary(vocabulary)  # RuleSet names a bad vocabulary first\n", "",
+           "    vocabulary = _vocabulary(vocabulary)\n", "",
            "a rule file's bad vocabulary is named before its bad rule entries",
            ("tests/test_rules.py::TestValidation",)),
     Mutant("decode-lets-type-errors-out", _RULES,
@@ -267,7 +267,7 @@ MUTANTS = (
            "parse_ruleset of a value that is not text names it",
            (_CONTRACT,)),
     Mutant("plans-read-a-str-as-a-sequence", _EVALUATION,
-           "if isinstance(kinds, str) or not isinstance(kinds, Iterable):",
+           "if isinstance(kinds, _TEXT) or not isinstance(kinds, Iterable):",
            "if not isinstance(kinds, Iterable):",
            "a bare str of kinds is named whole, not one operator per character",
            ("tests/test_evaluation.py::TestOperatorEntries",)),
@@ -292,6 +292,42 @@ MUTANTS = (
     Mutant("generator-ruleset-unchecked", _BENCHMARK,
            '    _require(ruleset, RuleSet, "ruleset")\n', "",
            "generate_synthetic names a rule set of the wrong type",
+           (_CONTRACT,)),
+    # check_plan is the one reader of an operator argument.
+    Mutant("plan-reads-bytes-as-a-sequence", _ENGINE,
+           "if isinstance(kind, _TEXT) or not isinstance(kind, Sequence):",
+           "if isinstance(kind, str) or not isinstance(kind, Sequence):",
+           "a bytes or bytearray plan is named whole, not read as a plan of ints",
+           ("tests/test_evaluation.py::TestOperatorEntries",)),
+    Mutant("classify-reads-kind-unchecked", _ENGINE,
+           "    kind = check_plan(kind, ruleset)\n", "",
+           "classify reads its operator through check_plan, as evaluate does",
+           ("tests/test_engine.py::TestClassify", "tests/test_batch.py")),
+    # The loaders, mcnemar_exact and build_report name a bad argument.
+    Mutant("path-type-unchecked", _RULES,
+           "        name = os.fsdecode(path)\n    except TypeError:\n",
+           "        name = os.fsdecode(path)\n    except ZeroDivisionError:\n",
+           "a loader names a path that is not a str, bytes or os.PathLike",
+           (_CONTRACT,)),
+    Mutant("path-nul-unchecked", _RULES,
+           '    if "\\0" in name:\n', "    if False:\n",
+           "a loader names a path holding a NUL character",
+           (_CONTRACT,)),
+    Mutant("mcnemar-lengths-unchecked", _EVALUATION,
+           "        _require(labels, Sized, name)\n", "        pass\n",
+           "mcnemar_exact names an argument without a length",
+           (_CONTRACT,)),
+    Mutant("report-lengths-unchecked", _EVALUATION,
+           "        _require(values, Sized, name)\n", "        pass\n",
+           "build_report names an argument without a length",
+           (_CONTRACT,)),
+    Mutant("report-labels-unchecked", _EVALUATION,
+           "            if type(label) is not RiskCategory:\n", "            if False:\n",
+           "build_report names a label that is not a RiskCategory",
+           (_CONTRACT,)),
+    Mutant("report-case-types-unchecked", _EVALUATION,
+           "        if type(ctype) is not CaseType:\n", "        if False:\n",
+           "build_report names a case type that is not a CaseType",
            (_CONTRACT,)),
 )
 
