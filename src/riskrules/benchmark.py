@@ -33,7 +33,9 @@ parser that :func:`parse_case` runs reads what the JSON alone tells, and
 ``Case(...)`` checks every field. Score keys are mapped onto the
 vocabulary's own strings, so a dataset holds one copy of each term, not
 one per case. The decoder, the parser and ``Case`` name no file; the
-loader puts ``path:line: `` in front of a failed record's error.
+loader puts ``path:line: `` in front of a failed record's error. A case
+file (:func:`load_case`) is one record, read whole by
+:func:`~riskrules.rules.read_json`, which places its errors at ``path: ``.
 
 Writing (:func:`dataset_to_jsonl`) writes each record's fixed layout
 directly, the bytes ``json.dumps`` writes for it, as
@@ -54,8 +56,8 @@ from enum import Enum
 from types import MappingProxyType
 
 from riskrules.rules import (CATEGORY_BY_NAME, CATEGORY_ORDER, CONDITION_VOCABULARY, RiskCategory,
-                             RuleSet, _file_name, _vocabulary, check_fields, decode_json,
-                             default_ruleset, read_lines)
+                             RuleSet, _file_name, _require, _vocabulary, check_fields,
+                             decode_json, default_ruleset, read_json, read_lines)
 from riskrules.engine import _str, predicted_category, rule_chain_scores
 from riskrules.tnorms import TNormKind, unit_score
 
@@ -164,14 +166,6 @@ class Dataset:
                 raise DatasetValidationError(f"dataset cases must be Case objects, got {case!r}")
 
 
-def _require(value, cls: type, name: str) -> None:
-    """Reject an argument ``name`` that is not a ``cls`` with ValueError,
-    which names the argument and the type it got: the check an entry
-    point makes once, before it reads any case."""
-    if not isinstance(value, cls):
-        raise ValueError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # Expert-label stand-in.
 
@@ -201,8 +195,10 @@ def validate_case_types(dataset: Dataset) -> list[str]:
 
     Clear cases must keep every score outside [0.12, 0.80]; marginal
     cases need at least one score inside [0.12, 0.65]. Borderline cases
-    are expert-flagged and never warned about.
+    are expert-flagged and never warned about. Raises ValueError unless
+    ``dataset`` is a :class:`Dataset`.
     """
+    _require(dataset, Dataset, "dataset")
     warnings = []
     for case in dataset.cases:
         if case.case_type is CaseType.CLEAR:
@@ -341,22 +337,24 @@ def load_dataset(path, vocabulary: Iterable[str] | None = None) -> Dataset:
     return Dataset(tuple(cases))
 
 
+#: The benchmark-only fields a case file may omit, and what they read as.
+_CASE_FILE_DEFAULTS = {"description": "", "case_type": CaseType.MARGINAL.value,
+                       "expert_label": RiskCategory.MINIMAL_RISK.value}
+
+
 def load_case(path, vocabulary: Iterable[str] | None = None) -> Case:
-    """Load a one-record JSON case file for classification, read through
-    :func:`~riskrules.rules.read_lines`; errors start with its path."""
+    """Load a one-record JSON case file for classification.
+
+    The file is read by :func:`~riskrules.rules.read_json`, so errors
+    start with its path. Its record, merged over
+    :data:`_CASE_FILE_DEFAULTS` (the benchmark-only fields it may omit),
+    is read as a dataset record is. ``path`` is checked before
+    ``vocabulary``, which reads as in :func:`load_dataset`.
+    """
     name = _file_name(path, DatasetValidationError)
     terms = _term_map(CONDITION_VOCABULARY if vocabulary is None else vocabulary)
-    text = "".join(read_lines(name, DatasetValidationError))
-    try:
-        obj = decode_json(text, DatasetValidationError)
-        # Classification inputs may omit the benchmark-only fields.
-        if isinstance(obj, dict):
-            obj.setdefault("description", "")
-            obj.setdefault("case_type", CaseType.MARGINAL.value)
-            obj.setdefault("expert_label", RiskCategory.MINIMAL_RISK.value)
-        return _case_from_obj(obj, terms)
-    except DatasetValidationError as exc:
-        raise DatasetValidationError(f"{name}: {exc}") from None
+    return read_json(name, DatasetValidationError, lambda obj: _case_from_obj(
+        {**_CASE_FILE_DEFAULTS, **obj} if isinstance(obj, dict) else obj, terms))
 
 
 # ---------------------------------------------------------------------------

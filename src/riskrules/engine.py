@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from riskrules.rules import RiskCategory, Rule, RuleSet, ConjunctionStandard
+from riskrules.rules import RiskCategory, Rule, RuleSet, ConjunctionStandard, _require
 from riskrules.tnorms import TNormKind, apply, fold_chain
 
 #: Sequences named whole where operators are read, never one per item.
@@ -117,9 +117,16 @@ def classify(case_scores: Mapping[str, float], ruleset: RuleSet,
     read by :func:`check_plan` as :func:`rule_chain_scores` reads it. The
     trail names a plan's operator on each rule score, and the outcome's
     ``tnorm`` is ``"mixed"``.
+
+    After the theta override, ValueError names a ``ruleset`` that is not
+    a :class:`RuleSet`, then a bad ``kind``, then a ``case_id`` that is
+    not a ``str``. ``case_scores`` is taken as checked, as the per-case
+    kernels take it: a loaded :class:`~riskrules.benchmark.Case`'s scores.
     """
     check_theta(theta_override)
+    _require(ruleset, RuleSet, "ruleset")
     kind = check_plan(kind, ruleset)
+    _require(case_id, str, "case_id")
     plan = kind if type(kind) is tuple else (kind,) * len(ruleset.rules)
     rule_scores = [score_rule(r, case_scores, k, theta_override)
                    for r, k in zip(ruleset.rules, plan)]
@@ -132,8 +139,10 @@ def classify_mixed(case_scores: Mapping[str, float], ruleset: RuleSet,
     """:func:`classify` with the plan :func:`mixed_operators` reads from
     each rule's conjunction standard (strong -> lukasiewicz, bottleneck ->
     goedel). Every rule needs a standard; standards are never inferred.
+    A ``ruleset`` that is not a :class:`RuleSet` is named before that.
     """
     check_theta(theta_override)
+    _require(ruleset, RuleSet, "ruleset")
     return classify(case_scores, ruleset, mixed_operators(ruleset), theta_override, case_id)
 
 

@@ -26,12 +26,12 @@ from collections.abc import Sized
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from riskrules.benchmark import Case, CaseType, Dataset, _require
+from riskrules.benchmark import Case, CaseType, Dataset
 from riskrules.engine import (_TEXT, check_plan, check_theta, mixed_operators,
                               predicted_category, rule_chain_scores)
 # Not called here; perfbench's traced run patches the name on this module.
 from riskrules.engine import classify_mixed  # noqa: F401
-from riskrules.rules import CATEGORY_ORDER, RiskCategory, RuleSet
+from riskrules.rules import CATEGORY_ORDER, RiskCategory, RuleSet, _require
 from riskrules.tnorms import TNormKind
 
 
@@ -225,11 +225,13 @@ def mcnemar_exact(pred_a: Sequence[RiskCategory], pred_b: Sequence[RiskCategory]
 def _plans(kinds, ruleset: RuleSet) -> list:
     """``kinds`` as a list of operators, each read by
     :func:`~riskrules.engine.check_plan` (a plan as a tuple, so it can be
-    hashed). A bare member is one operator; a ``str``, a bytes-like value
-    or anything not iterable is named whole."""
+    hashed). A bare member is one operator. Otherwise ``kinds`` is read by
+    ``check_plan``'s rule for a plan: an ordered sequence that is not a
+    ``str`` or bytes-like value. Anything else (a set, a dict, a generator)
+    is named whole, so the operators' order is always the caller's."""
     if isinstance(kinds, TNormKind):
         return [kinds]
-    if isinstance(kinds, _TEXT) or not isinstance(kinds, Iterable):
+    if isinstance(kinds, _TEXT) or not isinstance(kinds, Sequence):
         raise ValueError(f"unknown t-norm {kinds!r}")
     return [check_plan(kind, ruleset) for kind in kinds]
 
@@ -239,10 +241,11 @@ def compare_operators(dataset: Dataset, ruleset: RuleSet,
                       theta_override: float | None = None):
     """Classify with every operator in one walk; run all pairwise McNemar tests.
 
-    ``kinds`` is a sequence of operators, each a member or a per-rule plan
-    read by :func:`~riskrules.engine.check_plan` (a sequence of members is
-    several operators, so a plan goes inside one: ``[plan, GOEDEL]``); a
-    bare member is one operator. Returns ``(reports, pairs)``:
+    ``kinds`` is an ordered sequence of operators, each a member or a
+    per-rule plan read by :func:`~riskrules.engine.check_plan` (a sequence
+    of members is several operators, so a plan goes inside one: ``[plan,
+    GOEDEL]``); a bare member is one operator. A set, dict or generator
+    is named whole (see :func:`_plans`). Returns ``(reports, pairs)``:
     per-operator EvalReports keyed by kind (a plan as the tuple
     ``check_plan`` returns), and a list of ``(kind_a, kind_b,
     McNemarResult)`` for every unordered pair, in the order given.
@@ -300,11 +303,13 @@ def threshold_sweep(dataset: Dataset, ruleset: RuleSet,
     """Evaluate over an inclusive arithmetic progression of thresholds.
 
     ``kinds`` reads as in :func:`compare_operators`: a bare member is one
-    operator, and a sequence is several, each read by
+    operator, and an ordered sequence is several, each read by
     :func:`~riskrules.engine.check_plan`, so a per-rule plan is swept as
-    ``[plan]``. Chain scores do not depend on theta, so one walk
-    over the cases folds each case's chains once per operator and
-    compares them with every point of the grid (see :func:`_theta_grid`).
+    ``[plan]``; a set, dict or generator is named whole, and each point's
+    reports follow the order given. Chain scores do not depend on theta,
+    so one walk over the cases folds each case's chains once per operator
+    and compares them with every point of the grid (see
+    :func:`_theta_grid`).
     """
     _check_inputs(dataset, ruleset)
     kinds = tuple(dict.fromkeys(_plans(kinds, ruleset)))  # a repeated operator is swept once

@@ -326,12 +326,18 @@ def _rule_to_obj(rule: Rule) -> dict:
 
 
 def parse_ruleset(text: str) -> RuleSet:
-    """The rule set a rule file's text holds. Checks only what the JSON
-    alone tells (an object with both keys, a vocabulary that is not an
-    object, each entry as :func:`_rule_from_obj` reads it); RuleSet checks
-    the rest. The vocabulary is read by :func:`_vocabulary` before the
-    entries, so a bad vocabulary is named before a bad entry."""
-    doc = decode_json(text, RuleValidationError)
+    """The rule set a rule file's text holds: the text decoded by
+    :func:`decode_json`, then read by :func:`_ruleset_from_obj`, the reader
+    :func:`load_ruleset` passes to :func:`read_json`. Errors name no file."""
+    return _ruleset_from_obj(decode_json(text, RuleValidationError))
+
+
+def _ruleset_from_obj(doc) -> RuleSet:
+    """The rule set a rule file's decoded value holds. Checks only what
+    the JSON alone tells (an object with both keys, a vocabulary that is
+    not an object, each entry as :func:`_rule_from_obj` reads it); RuleSet
+    checks the rest. The vocabulary is read by :func:`_vocabulary` before
+    the entries, so a bad vocabulary is named before a bad entry."""
     if not isinstance(doc, dict):
         raise RuleValidationError("expected a JSON object")
     for key in ("vocabulary", "rules"):
@@ -376,15 +382,33 @@ def check_fields(obj: dict, known, required, error: type[ValueError], kind: str,
             raise error(f"{kind} {name!r}: missing field {key!r}")
 
 
+def _require(value, cls: type, name: str) -> None:
+    """Reject an argument ``name`` that is not a ``cls`` with ValueError,
+    which names the argument and the type it got: the check an entry
+    point makes once, before it reads any case."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+
+
 def load_ruleset(path) -> RuleSet:
-    """Load and validate a rule file, read through :func:`read_lines`;
-    errors start with its path and name the rule and field."""
-    name = _file_name(path, RuleValidationError)
-    text = "".join(read_lines(name, RuleValidationError))
+    """Load and validate a rule file: :func:`read_json` runs
+    :func:`_ruleset_from_obj` on its value, so errors start with its path
+    and name the rule and field."""
+    return read_json(_file_name(path, RuleValidationError), RuleValidationError, _ruleset_from_obj)
+
+
+def read_json(name: str, error: type[ValueError], build):
+    """``build(value)`` for the one JSON value a whole file holds: the one
+    reader of rule and case files. The file is read by :func:`read_lines`
+    and decoded by :func:`decode_json`; an ``error`` from the decoder or
+    from ``build`` gets ``name: `` in front (a bad byte's error already
+    names the file and line). ``name`` is a loader's checked path, from
+    :func:`_file_name`."""
+    text = "".join(read_lines(name, error))
     try:
-        return parse_ruleset(text)
-    except RuleValidationError as exc:
-        raise RuleValidationError(f"{name}: {exc}") from None
+        return build(decode_json(text, error))
+    except error as exc:
+        raise error(f"{name}: {exc}") from None
 
 
 #: The default decoder's scanner, without ``json.loads``' checks around it.
@@ -439,9 +463,10 @@ def _file_name(path, error: type[ValueError]) -> str:
 def read_lines(path, error: type[ValueError]):
     """Each line of a UTF-8 text file with its terminator, as a text-mode
     ``open`` yields it: LF, CRLF and CR each end a line and read as LF.
-    The only reader of input files. A byte that is not UTF-8 raises
-    ``error`` naming the file, line and column; an unreadable file raises
-    the ``OSError`` itself."""
+    The only reader of input files: :func:`read_json` joins the lines of a
+    rule or case file, and the dataset loader takes one line at a time.
+    A byte that is not UTF-8 raises ``error`` naming the file, line and
+    column; an unreadable file raises the ``OSError`` itself."""
     with open(path, encoding="utf-8", errors="surrogateescape") as lines:
         for lineno, line in enumerate(lines, start=1):
             if not line.isascii() and (bad := _ESCAPED_BYTE.search(line)):

@@ -162,6 +162,18 @@ class TestLoadDataset:
         path.write_text(json.dumps({"case_id": "m1", "scores": {"public_space": 0.4}}))
         case = load_case(path)
         assert case.case_id == "m1"
+        assert case.description == ""
+        assert case.case_type is CaseType.MARGINAL
+        assert case.expert_label is RiskCategory.MINIMAL_RISK
+
+    def test_a_case_files_own_fields_win_over_the_defaults(self, tmp_path):
+        path = tmp_path / "own.json"
+        path.write_text(json.dumps({"case_id": "m2", "description": "d", "case_type": "clear",
+                                    "expert_label": "high_risk",
+                                    "scores": {"public_space": 0.9}}))
+        case = load_case(path)
+        assert (case.description, case.case_type, case.expert_label) == (
+            "d", CaseType.CLEAR, RiskCategory.HIGH_RISK)
 
 
 _RECORD = {"case_id": "x", "description": "", "case_type": "clear",

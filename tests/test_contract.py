@@ -3,21 +3,23 @@ points that take user data.
 
 ``Case``, ``Dataset``, ``Rule``, ``RuleSet``, ``parse_case``,
 ``parse_ruleset``, the three loaders, ``dataset_to_jsonl``,
-``generate_synthetic``, ``evaluate``, ``evaluate_mixed``,
-``compare_operators``, ``threshold_sweep``, ``mcnemar_exact`` and
-``build_report`` each end a call in a result or in a ``ValueError`` (or
-subclass) that names the argument or the value at fault. A loader's
-``path`` may also end in the ``OSError`` that names it, as a file that
-does not exist does. What they return is usable: a case or dataset
-evaluates, a rule or rule set classifies, a report, comparison or sweep
-is written as the CLI writes it.
+``generate_synthetic``, ``validate_case_types``, ``evaluate``,
+``evaluate_mixed``, ``compare_operators``, ``threshold_sweep``,
+``mcnemar_exact``, ``build_report``, ``classify`` and ``classify_mixed``
+each end a call in a result or in a ``ValueError`` (or subclass) that
+names the argument or the value at fault. A loader's ``path`` may also
+end in the ``OSError`` that names it, as a file that does not exist
+does. What they return is usable: a case or dataset evaluates, a rule
+or rule set classifies, a report, comparison, sweep, warning list or
+proof trail is written as the CLI writes it.
 Each of 14 hostile values goes into each argument in turn; hypothesis then
 draws several arguments at once from those values and from any JSON-like
 value.
 
 Excluded, because their docstrings say they take checked inputs: the
 per-case kernels ``fold_chain``, ``apply``, ``rule_chain_scores`` and
-``predicted_category``.
+``predicted_category``, and the ``case_scores`` of ``classify`` and
+``classify_mixed`` (see ``UNCHECKED``).
 """
 
 import math
@@ -29,8 +31,8 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import DATA_DIR
 from riskrules.benchmark import (Case, CaseType, Dataset, DatasetValidationError,
                                  dataset_to_jsonl, generate_synthetic, load_case, load_dataset,
-                                 parse_case)
-from riskrules.engine import classify
+                                 parse_case, validate_case_types)
+from riskrules.engine import ClassificationOutcome, classify, classify_mixed, outcome_to_json
 from riskrules.evaluation import (EvalReport, McNemarResult, build_report, comparison_to_json,
                                   compare_operators, evaluate, evaluate_mixed, mcnemar_exact,
                                   report_to_json, sweep_to_csv, threshold_sweep)
@@ -85,7 +87,18 @@ ENTRIES = {
     "mcnemar_exact": (mcnemar_exact, {"pred_a": [_HIGH], "pred_b": [_HIGH], "expert": [_HIGH]}),
     "build_report": (build_report, {"expert": [_HIGH], "predicted": [_HIGH],
                                     "case_types": [CaseType.CLEAR]}),
+    "validate_case_types": (validate_case_types, {"dataset": _DATASET}),
+    "classify": (classify, {"case_scores": {"public_space": 0.9}, "ruleset": _MIXED,
+                            "kind": _GOEDEL, "theta_override": None, "case_id": "c"}),
+    "classify_mixed": (classify_mixed, {"case_scores": {"public_space": 0.9}, "ruleset": _MIXED,
+                                        "theta_override": None, "case_id": "c"}),
 }
+
+#: Arguments that get no hostile value: ``classify`` takes its scores
+#: checked, as the per-case kernels do (a loaded case's, or a caller's
+#: own). Checking them per call would copy ``Case``'s per-key loop; the
+#: one shared loop waits on the benchmark's tracer (ROADMAP item 1b).
+UNCHECKED = {("classify", "case_scores"), ("classify_mixed", "case_scores")}
 
 #: Words besides its own name that name an argument, where the message
 #: names the part of it at fault: a case record by its case, a score by
@@ -106,7 +119,8 @@ ALIASES = {
     "expert": ("label", "dataset"),
 }
 
-ARGUMENTS = [(entry, name) for entry, (_, valid) in ENTRIES.items() for name in valid]
+ARGUMENTS = [(entry, name) for entry, (_, valid) in ENTRIES.items() for name in valid
+             if (entry, name) not in UNCHECKED]
 
 
 def _names(message: str, name: str, value) -> bool:
@@ -122,11 +136,17 @@ def _use(result):
     """Use what an entry returned the way the program does."""
     if isinstance(result, (str, McNemarResult)):  # a dataset file's text, or a McNemar test
         return
+    if isinstance(result, ClassificationOutcome):
+        outcome_to_json(result)
+        return
     if isinstance(result, EvalReport):
         report_to_json(result)
         return
     if isinstance(result, tuple) and len(result) == 2:  # a comparison
         comparison_to_json(*result)
+        return
+    if isinstance(result, list) and all(isinstance(line, str) for line in result):
+        "\n".join(result + [f"{len(result)} warning(s)"])  # as validate prints its warnings
         return
     if isinstance(result, list):  # a sweep
         sweep_to_csv(result)
@@ -176,7 +196,8 @@ _json_like = st.recursive(
 @st.composite
 def _several(draw):
     entry = draw(st.sampled_from(sorted(ENTRIES)))
-    names = draw(st.lists(st.sampled_from(sorted(ENTRIES[entry][1])), min_size=1, unique=True))
+    names = draw(st.lists(st.sampled_from(sorted(n for e, n in ARGUMENTS if e == entry)),
+                          min_size=1, unique=True))
     return entry, {name: draw(st.sampled_from(HOSTILE) | _json_like) for name in names}
 
 
@@ -225,6 +246,13 @@ def test_several_arguments_at_once(drawn):
      "predicted must hold RiskCategory members, got 'high_risk'"),
     (lambda: build_report([_HIGH], [_HIGH], ["clear"]),
      "case_types must hold CaseType members, got 'clear'"),
+    (lambda: classify({"public_space": 0.9}, None, _GOEDEL),
+     "ruleset must be a RuleSet, got NoneType"),
+    (lambda: classify_mixed({"public_space": 0.9}, None),
+     "ruleset must be a RuleSet, got NoneType"),
+    (lambda: classify({"public_space": 0.9}, _MIXED, _GOEDEL, case_id=5),
+     "case_id must be a str, got int"),
+    (lambda: validate_case_types(None), "dataset must be a Dataset, got NoneType"),
 ], ids=["case-motivation", "case-type", "case-score", "case-key", "case-empty-scores",
         "dataset-element", "dataset-container", "ruleset-str-vocabulary", "ruleset-int-term",
         "ruleset-list-with-int", "ruleset-str-rule", "ruleset-int-rules", "ruleset-not-text",
@@ -232,7 +260,8 @@ def test_several_arguments_at_once(drawn):
         "mixed-str-ruleset", "generate-int-ruleset", "load-dataset-none", "load-case-fd-0",
         "load-ruleset-int", "load-case-nul", "load-dataset-bytes-nul", "mcnemar-int",
         "mcnemar-none", "report-float-types", "report-int-labels", "report-name-label",
-        "report-name-type"])
+        "report-name-type", "classify-none-ruleset", "mixed-none-ruleset", "classify-int-case-id",
+        "validate-none"])
 def test_messages(call, message):
     with pytest.raises(ValueError) as err:
         call()

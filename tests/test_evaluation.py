@@ -475,9 +475,16 @@ class TestOperatorEntries:
         lambda cases, ruleset, kinds: compare_operators(cases, ruleset, kinds),
         lambda cases, ruleset, kinds: threshold_sweep(cases, ruleset, kinds, 0.5, 0.5, 0.1),
     ], ids=["compare_operators", "threshold_sweep"])
-    @pytest.mark.parametrize("kinds", ["goedel", "g", 5, None])
+    @pytest.mark.parametrize("kinds", [
+        "goedel", "g", 5, None,
+        {TNormKind.LUKASIEWICZ, TNormKind.PRODUCT, TNormKind.GOEDEL},
+        dict.fromkeys([TNormKind.LUKASIEWICZ, TNormKind.GOEDEL]),
+        (k for k in (TNormKind.LUKASIEWICZ, TNormKind.GOEDEL)),
+    ], ids=["goedel", "g", "5", "None", "set", "dict", "generator"])
     def test_a_bare_str_or_non_sequence_is_named_whole(self, ruleset, cases, call, kinds):
-        # A str used to be read as one operator per character ('g').
+        # A str used to be read as one operator per character ('g'). A set
+        # was read in its hash order, which differs between processes, a
+        # dict as its keys, and a generator as its members.
         with pytest.raises(ValueError) as err:
             call(cases, ruleset, kinds)
         assert str(err.value) == f"unknown t-norm {kinds!r}"

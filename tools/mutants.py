@@ -267,8 +267,8 @@ MUTANTS = (
            "parse_ruleset of a value that is not text names it",
            (_CONTRACT,)),
     Mutant("plans-read-a-str-as-a-sequence", _EVALUATION,
-           "if isinstance(kinds, _TEXT) or not isinstance(kinds, Iterable):",
-           "if not isinstance(kinds, Iterable):",
+           "if isinstance(kinds, _TEXT) or not isinstance(kinds, Sequence):",
+           "if not isinstance(kinds, Sequence):",
            "a bare str of kinds is named whole, not one operator per character",
            ("tests/test_evaluation.py::TestOperatorEntries",)),
     Mutant("theta-type-unchecked", _ENGINE,
@@ -328,6 +328,41 @@ MUTANTS = (
     Mutant("report-case-types-unchecked", _EVALUATION,
            "        if type(ctype) is not CaseType:\n", "        if False:\n",
            "build_report names a case type that is not a CaseType",
+           (_CONTRACT,)),
+    # One reading per input shape: whole files through read_json, operator
+    # lists by check_plan's rule; the last entry points under the contract.
+    Mutant("plans-read-any-iterable", _EVALUATION,
+           "if isinstance(kinds, _TEXT) or not isinstance(kinds, Sequence):",
+           "if isinstance(kinds, _TEXT) or not isinstance(kinds, Iterable):",
+           "a set, dict or generator of kinds is named whole, so no report order "
+           "follows the hash seed",
+           ("tests/test_evaluation.py::TestOperatorEntries",)),
+    Mutant("whole-file-error-unplaced", _RULES,
+           'raise error(f"{name}: {exc}") from None', "raise",
+           "a rule file's and a case file's errors start with the path",
+           ("tests/test_load_dataset.py::TestErrorPlacement",)),
+    Mutant("case-file-default-type-changed", _BENCHMARK,
+           '"case_type": CaseType.MARGINAL.value,', '"case_type": CaseType.CLEAR.value,',
+           "a case file without a case_type reads as marginal",
+           ("tests/test_benchmark.py::TestLoadDataset::test_load_minimal_case_record",)),
+    Mutant("validate-dataset-unchecked", _BENCHMARK,
+           '    _require(dataset, Dataset, "dataset")\n    warnings = []\n',
+           "    warnings = []\n",
+           "validate_case_types names a dataset of the wrong type",
+           (_CONTRACT,)),
+    Mutant("classify-ruleset-unchecked", _ENGINE,
+           '    _require(ruleset, RuleSet, "ruleset")\n    kind = check_plan',
+           "    kind = check_plan",
+           "classify names a rule set of the wrong type",
+           (_CONTRACT,)),
+    Mutant("classify-mixed-ruleset-unchecked", _ENGINE,
+           '    _require(ruleset, RuleSet, "ruleset")\n    return classify(',
+           "    return classify(",
+           "classify_mixed names a rule set of the wrong type before reading its standards",
+           (_CONTRACT,)),
+    Mutant("classify-case-id-unchecked", _ENGINE,
+           '    _require(case_id, str, "case_id")\n', "",
+           "classify names a case_id that is not a str, which the trail could not write",
            (_CONTRACT,)),
 )
 
