@@ -27,7 +27,7 @@ read-only view of it. The batch pass in :mod:`riskrules.evaluation` reads the di
 the view, where the fold's dict fast paths apply.
 
 Loading (:func:`load_dataset`) takes one JSON-Lines record at a time from
-:func:`~riskrules.rules.read_lines`, the one reader of input files:
+:func:`~riskrules.rules.read_lines`, the reader of dataset files:
 :func:`~riskrules.rules.decode_json` decodes it in one scan, the record
 parser that :func:`parse_case` runs reads what the JSON alone tells, and
 ``Case(...)`` checks every field. Score keys are mapped onto the
@@ -58,7 +58,7 @@ from types import MappingProxyType
 from riskrules.rules import (CATEGORY_BY_NAME, CATEGORY_ORDER, CONDITION_VOCABULARY, RiskCategory,
                              RuleSet, _file_name, _require, _vocabulary, check_fields,
                              decode_json, default_ruleset, read_json, read_lines)
-from riskrules.engine import _str, predicted_category, rule_chain_scores
+from riskrules.engine import _setters, _str, predicted_category, rule_chain_scores
 from riskrules.tnorms import TNormKind, unit_score
 
 
@@ -146,8 +146,7 @@ class Case:
                        self.case_type))
 
 
-_SET_ID, _SET_DESCRIPTION, _SET_SCORES, _SET_LABEL, _SET_TYPE = (
-    getattr(Case, name).__set__ for name in Case.__slots__)
+_SET_ID, _SET_DESCRIPTION, _SET_SCORES, _SET_LABEL, _SET_TYPE = _setters(Case)
 
 
 @dataclass(frozen=True)
@@ -365,11 +364,24 @@ def load_case(path, vocabulary: Iterable[str] | None = None) -> Case:
 _MASK64 = (1 << 64) - 1
 
 
+def _check_int(name: str, value) -> None:
+    """Reject ``value`` unless it is an ``int`` and not a ``bool``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 class SplitMix64:
-    """splitmix64 sequence generator (Steele, Lea & Flood's mixing constants)."""
+    """splitmix64 sequence generator (Steele, Lea & Flood's mixing constants).
+
+    ``seed`` is a 64-bit unsigned ``int``; anything else, a ``bool``
+    included, raises ValueError naming it.
+    """
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK64
+        _check_int("seed", seed)
+        if not 0 <= seed <= _MASK64:
+            raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+        self._state = seed
 
     def next_uint64(self) -> int:
         self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
@@ -497,15 +509,15 @@ def generate_synthetic(n: int, seed: int, ruleset: RuleSet | None = None) -> Dat
     ``seed`` are ``int``s (not ``bool``s), ``seed`` is a 64-bit unsigned
     integer, and ``ruleset`` is a :class:`RuleSet` or None (the default
     rules). Each case draws scores for exactly one target rule; expert
-    labels come from :func:`reference_label`.
+    labels come from :func:`reference_label`. ValueError names, in order,
+    an ``n`` or ``seed`` that is not an ``int``, an ``n`` below 4, a
+    ``seed`` out of range (:class:`SplitMix64`'s check), then ``ruleset``.
     """
-    for name, value in (("n", n), ("seed", seed)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an int, got {value!r}")
+    _check_int("n", n)
+    _check_int("seed", seed)
     if n < 4:
         raise ValueError(f"need at least 4 cases, got {n}")
-    if not 0 <= seed <= _MASK64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    rng = SplitMix64(seed)
     if ruleset is None:
         ruleset = default_ruleset()
     _require(ruleset, RuleSet, "ruleset")
@@ -519,7 +531,6 @@ def generate_synthetic(n: int, seed: int, ruleset: RuleSet | None = None) -> Dat
     pools[None] = ruleset.rules
 
     slots = _slots(counts)
-    rng = SplitMix64(seed)
     rng.shuffle(slots)
 
     # One description string per (archetype text, rule), shared by the

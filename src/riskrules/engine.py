@@ -39,18 +39,38 @@ STANDARD_OPERATORS = {
 }
 
 
-@dataclass(frozen=True)
+# The trail records are frozen dataclasses over declared slots, built as
+# benchmark.Case is: __init__ sets each slot through its member
+# descriptor, past the frozen __setattr__, and __reduce__ rebuilds a
+# record through its constructor for pickle and copy. One classify builds
+# a step per condition and a rule score per rule.
+
+@dataclass(frozen=True, init=False)
 class ProofStep:
     """One condition evaluation; its index, rule and operator are its RuleScore's."""
+
+    __slots__ = ("condition_id", "condition_score", "accumulated", "missing_condition")
 
     condition_id: str
     condition_score: float
     accumulated: float
     missing_condition: bool
 
+    def __init__(self, condition_id, condition_score, accumulated, missing_condition):
+        _SET_CONDITION(self, condition_id)
+        _SET_CONDITION_SCORE(self, condition_score)
+        _SET_ACCUMULATED(self, accumulated)
+        _SET_MISSING(self, missing_condition)
 
-@dataclass(frozen=True)
+    def __reduce__(self):
+        return (ProofStep, (self.condition_id, self.condition_score, self.accumulated,
+                            self.missing_condition))
+
+
+@dataclass(frozen=True, init=False)
 class RuleScore:
+    __slots__ = ("rule_id", "category", "operator", "score", "fired", "steps")
+
     rule_id: str
     category: RiskCategory
     operator: TNormKind
@@ -58,15 +78,53 @@ class RuleScore:
     fired: bool
     steps: tuple[ProofStep, ...]
 
+    def __init__(self, rule_id, category, operator, score, fired, steps):
+        _SET_RULE_ID(self, rule_id)
+        _SET_CATEGORY(self, category)
+        _SET_OPERATOR(self, operator)
+        _SET_SCORE(self, score)
+        _SET_FIRED(self, fired)
+        _SET_STEPS(self, steps)
 
-@dataclass(frozen=True)
+    def __reduce__(self):
+        return (RuleScore, (self.rule_id, self.category, self.operator, self.score,
+                            self.fired, self.steps))
+
+
+@dataclass(frozen=True, init=False)
 class ClassificationOutcome:
+    __slots__ = ("case_id", "predicted", "tnorm", "theta_used", "rule_scores", "winning_rule")
+
     case_id: str
     predicted: RiskCategory
     tnorm: str  # operator name, or "mixed"
     theta_used: float | None
     rule_scores: tuple[RuleScore, ...]
     winning_rule: str | None
+
+    def __init__(self, case_id, predicted, tnorm, theta_used, rule_scores, winning_rule):
+        _SET_CASE_ID(self, case_id)
+        _SET_PREDICTED(self, predicted)
+        _SET_TNORM(self, tnorm)
+        _SET_THETA(self, theta_used)
+        _SET_RULE_SCORES(self, rule_scores)
+        _SET_WINNER(self, winning_rule)
+
+    def __reduce__(self):
+        return (ClassificationOutcome, (self.case_id, self.predicted, self.tnorm,
+                                        self.theta_used, self.rule_scores, self.winning_rule))
+
+
+def _setters(cls):
+    """The ``__set__`` of each of ``cls``'s slots, in ``__slots__`` order."""
+    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+
+_SET_CONDITION, _SET_CONDITION_SCORE, _SET_ACCUMULATED, _SET_MISSING = _setters(ProofStep)
+_SET_RULE_ID, _SET_CATEGORY, _SET_OPERATOR, _SET_SCORE, _SET_FIRED, _SET_STEPS = (
+    _setters(RuleScore))
+_SET_CASE_ID, _SET_PREDICTED, _SET_TNORM, _SET_THETA, _SET_RULE_SCORES, _SET_WINNER = (
+    _setters(ClassificationOutcome))
 
 
 def check_theta(theta_override: float | None) -> None:

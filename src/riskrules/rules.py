@@ -236,7 +236,8 @@ CONDITION_VOCABULARY: tuple[str, ...] = (
 )
 
 
-_DEFAULT_RULES = (
+#: The built-in rule set, checked once; :func:`default_ruleset` hands out copies.
+_DEFAULT_RULESET = RuleSet(frozenset(CONDITION_VOCABULARY), (
     Rule("prohibited_rt_biometric", RiskCategory.PROHIBITED,
          ("real_time_processing", "public_space", "biometric_identification"),
          article="Art. 5(1)(h)"),
@@ -279,7 +280,7 @@ _DEFAULT_RULES = (
     Rule("limited_profiling_notice", RiskCategory.LIMITED_RISK,
          ("individual_assessment", "evaluates_social_behavior", "not_clearly_disclosed"),
          article="Art. 50", synthetic=True),
-)
+))
 
 
 def default_ruleset() -> RuleSet:
@@ -289,9 +290,22 @@ def default_ruleset() -> RuleSet:
     follow the same three-condition ALL-conjunction pattern to cover the
     remaining category mass and are labelled as reconstructions, not as
     authoritative readings of the Act. Every rule uses theta = 0.5. Each call
-    returns a new ``RuleSet`` over the same ``Rule`` objects, built at import.
+    returns a shallow copy of one ``RuleSet`` built and checked at import:
+    the same vocabulary and ``Rule`` objects, and a fresh, empty live-rule memo.
     """
-    return RuleSet(frozenset(CONDITION_VOCABULARY), _DEFAULT_RULES)
+    # Set field by field, as RuleSet(...) sets them. copy.copy would fill
+    # the copy's __dict__ in one update; CPython then keeps the attributes
+    # in a separate dict, and the per-case loops read them (ranked, rules,
+    # _live) about three times slower.
+    ruleset = object.__new__(RuleSet)
+    for name in _SHARED_FIELDS:
+        object.__setattr__(ruleset, name, getattr(_DEFAULT_RULESET, name))
+    object.__setattr__(ruleset, "_live", {})
+    return ruleset
+
+
+#: Every field of a rule set but its live-rule memo.
+_SHARED_FIELDS = tuple(f.name for f in fields(RuleSet) if f.name != "_live")
 
 
 # ---------------------------------------------------------------------------
@@ -398,13 +412,18 @@ def load_ruleset(path) -> RuleSet:
 
 
 def read_json(name: str, error: type[ValueError], build):
-    """``build(value)`` for the one JSON value a whole file holds: the one
-    reader of rule and case files. The file is read by :func:`read_lines`
-    and decoded by :func:`decode_json`; an ``error`` from the decoder or
-    from ``build`` gets ``name: `` in front (a bad byte's error already
-    names the file and line). ``name`` is a loader's checked path, from
-    :func:`_file_name`."""
-    text = "".join(read_lines(name, error))
+    """``build(value)`` for the one JSON value a whole file holds: the
+    reader of rule and case files, as :func:`read_lines` is of datasets.
+    The file is read whole as UTF-8 text, with LF, CRLF and CR read as LF,
+    and decoded by :func:`decode_json`. A byte that is not UTF-8 raises
+    ``error`` naming the file, line and column, as :func:`read_lines`
+    names it; an ``error`` from the decoder or from ``build`` gets
+    ``name: `` in front. ``name`` is a loader's checked path, from
+    :func:`_file_name`; an unreadable file raises the ``OSError`` itself."""
+    with open(name, encoding="utf-8", errors="surrogateescape") as file:
+        text = file.read()
+    if not text.isascii():
+        _check_utf8(text, name, 1, error)
     try:
         return build(decode_json(text, error))
     except error as exc:
@@ -463,13 +482,25 @@ def _file_name(path, error: type[ValueError]) -> str:
 def read_lines(path, error: type[ValueError]):
     """Each line of a UTF-8 text file with its terminator, as a text-mode
     ``open`` yields it: LF, CRLF and CR each end a line and read as LF.
-    The only reader of input files: :func:`read_json` joins the lines of a
-    rule or case file, and the dataset loader takes one line at a time.
-    A byte that is not UTF-8 raises ``error`` naming the file, line and
-    column; an unreadable file raises the ``OSError`` itself."""
+    The reader of dataset files, which the loader takes one line at a
+    time; :func:`read_json` reads rule and case files whole. A byte that
+    is not UTF-8 raises ``error`` naming the file, line and column; an
+    unreadable file raises the ``OSError`` itself."""
     with open(path, encoding="utf-8", errors="surrogateescape") as lines:
         for lineno, line in enumerate(lines, start=1):
-            if not line.isascii() and (bad := _ESCAPED_BYTE.search(line)):
-                raise error(f"{path}:{lineno}: not valid UTF-8: byte "
-                            f"0x{ord(bad.group()) - 0xDC00:02x} at column {bad.start() + 1}")
+            if not line.isascii():
+                _check_utf8(line, path, lineno, error)
             yield line
+
+
+def _check_utf8(text: str, path, lineno: int, error: type[ValueError]) -> None:
+    """Raise ``error`` at the first byte of ``text`` that is not UTF-8, if
+    any: ``path:line: not valid UTF-8: byte 0x.. at column N``. ``text``
+    was read under ``surrogateescape`` with its line ends as LF, and its
+    first line is line ``lineno`` of the file; the column counts characters."""
+    if bad := _ESCAPED_BYTE.search(text):
+        at = bad.start()
+        line_start = text.rfind("\n", 0, at) + 1
+        lineno += text.count("\n", 0, line_start)
+        raise error(f"{path}:{lineno}: not valid UTF-8: byte "
+                    f"0x{ord(bad.group()) - 0xDC00:02x} at column {at - line_start + 1}")

@@ -5,13 +5,13 @@ points that take user data.
 ``parse_ruleset``, the three loaders, ``dataset_to_jsonl``,
 ``generate_synthetic``, ``validate_case_types``, ``evaluate``,
 ``evaluate_mixed``, ``compare_operators``, ``threshold_sweep``,
-``mcnemar_exact``, ``build_report``, ``classify`` and ``classify_mixed``
-each end a call in a result or in a ``ValueError`` (or subclass) that
+``mcnemar_exact``, ``build_report``, ``classify``, ``classify_mixed``
+and ``SplitMix64`` each end a call in a result or in a ``ValueError`` (or subclass) that
 names the argument or the value at fault. A loader's ``path`` may also
 end in the ``OSError`` that names it, as a file that does not exist
 does. What they return is usable: a case or dataset evaluates, a rule
 or rule set classifies, a report, comparison, sweep, warning list or
-proof trail is written as the CLI writes it.
+proof trail is written as the CLI writes it, and a generator draws a number.
 Each of 14 hostile values goes into each argument in turn; hypothesis then
 draws several arguments at once from those values and from any JSON-like
 value.
@@ -29,7 +29,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import DATA_DIR
-from riskrules.benchmark import (Case, CaseType, Dataset, DatasetValidationError,
+from riskrules.benchmark import (Case, CaseType, Dataset, DatasetValidationError, SplitMix64,
                                  dataset_to_jsonl, generate_synthetic, load_case, load_dataset,
                                  parse_case, validate_case_types)
 from riskrules.engine import ClassificationOutcome, classify, classify_mixed, outcome_to_json
@@ -92,6 +92,7 @@ ENTRIES = {
                             "kind": _GOEDEL, "theta_override": None, "case_id": "c"}),
     "classify_mixed": (classify_mixed, {"case_scores": {"public_space": 0.9}, "ruleset": _MIXED,
                                         "theta_override": None, "case_id": "c"}),
+    "SplitMix64": (SplitMix64, {"seed": 1}),
 }
 
 #: Arguments that get no hostile value: ``classify`` takes its scores
@@ -135,6 +136,9 @@ def _names(message: str, name: str, value) -> bool:
 def _use(result):
     """Use what an entry returned the way the program does."""
     if isinstance(result, (str, McNemarResult)):  # a dataset file's text, or a McNemar test
+        return
+    if isinstance(result, SplitMix64):
+        result.random()
         return
     if isinstance(result, ClassificationOutcome):
         outcome_to_json(result)
@@ -253,6 +257,13 @@ def test_several_arguments_at_once(drawn):
     (lambda: classify({"public_space": 0.9}, _MIXED, _GOEDEL, case_id=5),
      "case_id must be a str, got int"),
     (lambda: validate_case_types(None), "dataset must be a Dataset, got NoneType"),
+    (lambda: SplitMix64(0.5), "seed must be an int, got 0.5"),
+    (lambda: SplitMix64(True), "seed must be an int, got True"),
+    (lambda: SplitMix64(-1), "seed must be in [0, 2**64), got -1"),
+    (lambda: SplitMix64(2 ** 64), f"seed must be in [0, 2**64), got {2 ** 64}"),
+    (lambda: generate_synthetic(3, 0.5), "seed must be an int, got 0.5"),
+    (lambda: generate_synthetic(3, -1), "need at least 4 cases, got 3"),
+    (lambda: generate_synthetic(10, -1, 5), "seed must be in [0, 2**64), got -1"),
 ], ids=["case-motivation", "case-type", "case-score", "case-key", "case-empty-scores",
         "dataset-element", "dataset-container", "ruleset-str-vocabulary", "ruleset-int-term",
         "ruleset-list-with-int", "ruleset-str-rule", "ruleset-int-rules", "ruleset-not-text",
@@ -261,7 +272,9 @@ def test_several_arguments_at_once(drawn):
         "load-ruleset-int", "load-case-nul", "load-dataset-bytes-nul", "mcnemar-int",
         "mcnemar-none", "report-float-types", "report-int-labels", "report-name-label",
         "report-name-type", "classify-none-ruleset", "mixed-none-ruleset", "classify-int-case-id",
-        "validate-none"])
+        "validate-none", "seed-float", "seed-bool", "seed-negative", "seed-too-large",
+        "generate-seed-type-before-n", "generate-n-before-seed-range",
+        "generate-seed-range-before-ruleset"])
 def test_messages(call, message):
     with pytest.raises(ValueError) as err:
         call()

@@ -1,9 +1,11 @@
 """Engine behaviour: scoring, priority selection, proof trails, exports."""
 
+import copy
 import dataclasses
 import hashlib
 import json
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -117,6 +119,108 @@ class TestScoreRule:
             "condition_id", "condition_score", "accumulated", "missing_condition"]
         assert [f.name for f in dataclasses.fields(RuleScore)] == [
             "rule_id", "category", "operator", "score", "fired", "steps"]
+
+
+def _trail_records():
+    """One of each trail record, each given a distinct value per field,
+    so a record that mixes two fields up compares unequal."""
+    step = ProofStep("safety_component", 0.88, 0.8184, True)
+    rule_score = RuleScore("high_risk_credit", RiskCategory.HIGH_RISK, TNormKind.PRODUCT,
+                           0.25, True, (step, ProofStep("c", 0.5, 0.125, False)))
+    outcome = ClassificationOutcome("HRM04", RiskCategory.LIMITED_RISK, "mixed", 0.75,
+                                    (rule_score,), "limited_chatbot")
+    return step, rule_score, outcome
+
+
+_RECORD_FIELDS = {
+    ProofStep: ("condition_id", "condition_score", "accumulated", "missing_condition"),
+    RuleScore: ("rule_id", "category", "operator", "score", "fired", "steps"),
+    ClassificationOutcome: ("case_id", "predicted", "tnorm", "theta_used", "rule_scores",
+                            "winning_rule"),
+}
+
+
+class TestTrailRecords:
+    """ProofStep, RuleScore and ClassificationOutcome behave as frozen
+    dataclasses: fields, replace, asdict, equality, hash, pickle and copy."""
+
+    def test_each_field_holds_what_it_was_given(self):
+        step, rule_score, outcome = _trail_records()
+        for record in (step, rule_score, outcome):
+            assert tuple(f.name for f in dataclasses.fields(record)) == \
+                _RECORD_FIELDS[type(record)]
+        assert dataclasses.asdict(step) == {
+            "condition_id": "safety_component", "condition_score": 0.88,
+            "accumulated": 0.8184, "missing_condition": True}
+        assert [getattr(rule_score, name) for name in _RECORD_FIELDS[RuleScore]] == [
+            "high_risk_credit", RiskCategory.HIGH_RISK, TNormKind.PRODUCT, 0.25, True,
+            rule_score.steps]
+        assert [getattr(outcome, name) for name in _RECORD_FIELDS[ClassificationOutcome]] == [
+            "HRM04", RiskCategory.LIMITED_RISK, "mixed", 0.75, (rule_score,), "limited_chatbot"]
+        as_dict = dataclasses.asdict(outcome)
+        assert as_dict["rule_scores"][0]["steps"][0] == dataclasses.asdict(step)
+        assert list(as_dict) == list(_RECORD_FIELDS[ClassificationOutcome])
+
+    @pytest.mark.parametrize("index", range(3))
+    @pytest.mark.parametrize("round_trip", [
+        lambda r: pickle.loads(pickle.dumps(r)),
+        lambda r: pickle.loads(pickle.dumps(r, protocol=0)),
+        copy.copy,
+        copy.deepcopy,
+    ], ids=["pickle", "pickle-0", "copy", "deepcopy"])
+    def test_round_trips_compare_equal(self, index, round_trip):
+        record = _trail_records()[index]
+        again = round_trip(record)
+        assert type(again) is type(record)
+        assert again == record
+        assert hash(again) == hash(record)
+        assert [getattr(again, f) for f in _RECORD_FIELDS[type(record)]] == \
+            [getattr(record, f) for f in _RECORD_FIELDS[type(record)]]
+
+    def test_a_classified_outcome_round_trips(self, ruleset):
+        outcome = classify(HRM04, ruleset, TNormKind.PRODUCT, case_id="HRM04")
+        again = pickle.loads(pickle.dumps(outcome))
+        assert again == outcome
+        assert outcome_to_json(again) == outcome_to_json(outcome)
+        assert copy.deepcopy(outcome) == outcome
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_replace_changes_one_field(self, index):
+        record = _trail_records()[index]
+        names = _RECORD_FIELDS[type(record)]
+        changed = dataclasses.replace(record, **{names[0]: "other"})
+        assert type(changed) is type(record)
+        assert getattr(changed, names[0]) == "other"
+        assert [getattr(changed, n) for n in names[1:]] == [getattr(record, n) for n in names[1:]]
+        assert changed != record
+        assert dataclasses.replace(record) == record
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_equal_records_have_equal_hashes(self, index):
+        record = _trail_records()[index]
+        twin = _trail_records()[index]
+        assert twin is not record
+        assert twin == record and hash(twin) == hash(record)
+        assert record != dataclasses.astuple(record)
+        assert len({record, twin}) == 1
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_frozen(self, index):
+        record = _trail_records()[index]
+        name = _RECORD_FIELDS[type(record)][0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, "x")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.extra = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, name)
+        assert getattr(record, name) == getattr(_trail_records()[index], name)
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_slotted_without_instance_dict(self, index):
+        record = _trail_records()[index]
+        assert not hasattr(record, "__dict__")
+        assert type(record).__slots__ == _RECORD_FIELDS[type(record)]
 
 
 class TestClassify:

@@ -473,6 +473,50 @@ class TestReadLines:
             f"{path}:{line}: not valid UTF-8: byte 0x{byte:02x} at column {column}"
 
 
+class TestReadJson:
+    """``read_json``, which reads a rule or case file whole, against
+    whole-file decoding: valid UTF-8 decodes as ``json.loads`` decodes
+    ``read_text``'s text, and both loaders place the first bad byte as
+    :func:`reference_utf8_fault` places it."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.binary() | st.text().map(str.encode))
+    @example(b"\xef\xbb\xbf{}\n")  # a BOM
+    @example(b"a\rb\r\xff")  # a lone CR
+    @example(b"x" * 8191 + b"\r\ny")  # a CRLF split across the 8192-byte decode chunk
+    @example(b"x" * 8191 + b"\r\ny\xc3(")
+    @example(b"x" * 9000 + b"\n")  # a line longer than one chunk
+    @example(b"x" * 9000 + b"\xe9\n")
+    @example(b"ok\n\xe2")  # a bad last byte
+    @example(b'{"a": [1, 2.5, "\xc3\xa9"]}\r\n')  # valid JSON, a non-ASCII string
+    @example(b'{\r\n "a":\r "\xc3\xa9\xe9"}')  # a bad byte after a valid one, on line 3
+    def test_matches_whole_file_decoding(self, tmp_path, data):
+        path = tmp_path / "any.json"
+        path.write_bytes(data)
+        fault = reference_utf8_fault(data)
+        if fault is None:
+            text = path.read_text(encoding="utf-8")
+            try:
+                want = "value", json.loads(text)
+            except ValueError as exc:
+                want = "error", f"{path}: not valid JSON: {exc}"
+            try:
+                got = "value", rules.read_json(str(path), ValueError, lambda value: value)
+            except ValueError as exc:
+                got = "error", str(exc)
+            assert got[0] == want[0]
+            assert _same_value(got[1], want[1]) if got[0] == "value" else got == want
+            return
+        line, column, byte = fault
+        message = f"{path}:{line}: not valid UTF-8: byte 0x{byte:02x} at column {column}"
+        for load, error in ((load_ruleset, rules.RuleValidationError),
+                            (load_case, DatasetValidationError)):
+            with pytest.raises(error) as exc:
+                load(path)
+            assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # The case model.
 

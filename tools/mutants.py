@@ -141,8 +141,7 @@ MUTANTS = (
            "a dataset line's JSON error gives the column on that line, not on the next",
            ("tests/test_load_dataset.py",)),
     Mutant("bad-utf8-byte-read", _RULES,
-           "if not line.isascii() and (bad := _ESCAPED_BYTE.search(line)):",
-           "if False and (bad := _ESCAPED_BYTE.search(line)):",
+           "    if bad := _ESCAPED_BYTE.search(text):\n", "    if False:\n",
            "a byte that is not UTF-8 is an error naming the file, line and column",
            ("tests/test_load_dataset.py",)),
     Mutant("whitespace-line-not-blank", _BENCHMARK,
@@ -154,7 +153,7 @@ MUTANTS = (
            "a case's scores cannot be changed through case.scores",
            ("tests/test_load_dataset.py", "tests/test_record_parsing.py::TestCaseModel")),
     Mutant("strict-utf8-decoding", _RULES,
-           'errors="surrogateescape"', 'errors="strict"',
+           'errors="surrogateescape") as lines:', 'errors="strict") as lines:',
            "a bad byte is reported with its file, line and column, not as a UnicodeDecodeError",
            ("tests/test_load_dataset.py",)),
     Mutant("trail-writes-non-ascii", _ENGINE,
@@ -280,8 +279,8 @@ MUTANTS = (
            "a sweep bound or step that is not a number is named, not a bare TypeError",
            ("tests/test_evaluation.py::TestThresholdSweep",)),
     Mutant("generator-takes-a-float-seed", _BENCHMARK,
-           "        if not isinstance(value, int) or isinstance(value, bool):\n",
-           "        if False:\n",
+           "    if not isinstance(value, int) or isinstance(value, bool):\n",
+           "    if False:\n",
            "generate_synthetic names an n or seed that is not an int",
            ("tests/test_benchmark.py::TestGenerateSynthetic::test_n_and_seed_must_be_ints",)),
     Mutant("batch-entry-inputs-unchecked", _EVALUATION,
@@ -363,6 +362,44 @@ MUTANTS = (
     Mutant("classify-case-id-unchecked", _ENGINE,
            '    _require(case_id, str, "case_id")\n', "",
            "classify names a case_id that is not a str, which the trail could not write",
+           (_CONTRACT,)),
+    # Slotted trail records, the default rule set checked once, whole-file reads.
+    Mutant("proof-step-reduce-swaps-scores", _ENGINE,
+           "(ProofStep, (self.condition_id, self.condition_score, self.accumulated,",
+           "(ProofStep, (self.condition_id, self.accumulated, self.condition_score,",
+           "a pickled or copied proof step keeps each score in its own field",
+           ("tests/test_engine.py::TestTrailRecords",)),
+    Mutant("rule-score-setters-swapped", _ENGINE,
+           "        _SET_SCORE(self, score)\n        _SET_FIRED(self, fired)\n",
+           "        _SET_SCORE(self, fired)\n        _SET_FIRED(self, score)\n",
+           "RuleScore(...) stores each argument in its own field",
+           ("tests/test_engine.py::TestTrailRecords",)),
+    Mutant("outcome-reduce-swaps-theta-and-winner", _ENGINE,
+           "self.theta_used, self.rule_scores, self.winning_rule))",
+           "self.winning_rule, self.rule_scores, self.theta_used))",
+           "a pickled or copied outcome keeps its theta and winning rule apart",
+           ("tests/test_engine.py::TestTrailRecords",)),
+    Mutant("default-ruleset-shares-its-memo", _RULES,
+           'object.__setattr__(ruleset, "_live", {})',
+           'object.__setattr__(ruleset, "_live", _DEFAULT_RULESET._live)',
+           "each default rule set gets its own, empty live-rule memo",
+           ("tests/test_rules.py",)),
+    Mutant("whole-file-read-strict", _RULES,
+           'errors="surrogateescape") as file:', 'errors="strict") as file:',
+           "a rule or case file's bad byte is placed, not raised as a UnicodeDecodeError",
+           ("tests/test_record_parsing.py::TestReadJson",)),
+    Mutant("whole-file-fault-line-off-by-one", _RULES,
+           "_check_utf8(text, name, 1, error)", "_check_utf8(text, name, 0, error)",
+           "a rule or case file's bad byte is placed on its own line",
+           ("tests/test_record_parsing.py::TestReadJson",)),
+    Mutant("utf8-fault-column-off-by-one", _RULES,
+           "at column {at - line_start + 1}", "at column {at - line_start}",
+           "a bad byte's column counts from 1",
+           ("tests/test_record_parsing.py::TestReadJson",)),
+    Mutant("splitmix-seed-unchecked", _BENCHMARK,
+           '        _check_int("seed", seed)\n        if not 0 <= seed <= _MASK64:\n',
+           "        if False:\n",
+           "SplitMix64 names a seed that is not a 64-bit unsigned int",
            (_CONTRACT,)),
 )
 
