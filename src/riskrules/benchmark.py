@@ -20,11 +20,12 @@ theta just below 0.55, so a rule counts when every condition scores
 above 0.55 is "present enough" for an expert.
 
 Generation is single-threaded on purpose; loaded datasets are immutable
-and shareable across workers. Each case is a :class:`Case`, a frozen
-dataclass over declared slots, built only by ``Case(...)``: it keeps its
-own copy of the scores in a plain dict, and ``case.scores`` is a
-read-only view of it. The batch pass in :mod:`riskrules.evaluation` reads the dict behind
-the view, where the fold's dict fast paths apply.
+and shareable across workers. Each case is a :class:`Case`, a slotted
+record (see :class:`~riskrules.engine._Record`) built only by
+``Case(...)``: it keeps its own copy of the scores in a plain dict, and
+``case.scores`` is a read-only view of it. The batch pass in
+:mod:`riskrules.evaluation` reads the dict behind the view, where the
+fold's dict fast paths apply.
 
 Loading (:func:`load_dataset`) takes one JSON-Lines record at a time from
 :func:`~riskrules.rules.read_lines`, the reader of dataset files:
@@ -58,7 +59,7 @@ from types import MappingProxyType
 from riskrules.rules import (CATEGORY_BY_NAME, CATEGORY_ORDER, CONDITION_VOCABULARY, RiskCategory,
                              RuleSet, _file_name, _require, _vocabulary, check_fields,
                              decode_json, default_ruleset, read_json, read_lines)
-from riskrules.engine import _setters, _str, predicted_category, rule_chain_scores
+from riskrules.engine import _Record, _setters, _str, predicted_category, rule_chain_scores
 from riskrules.tnorms import TNormKind, unit_score
 
 
@@ -73,7 +74,7 @@ class CaseType(Enum):
 
 
 @dataclass(frozen=True, init=False, repr=False)
-class Case:
+class Case(_Record):
     """One annotated case, immutable; ``Case(...)`` is the only way to build
     one: ``__init__`` takes ``scores`` for the field ``_scores``, so
     ``dataclasses.replace`` raises TypeError. ``scores`` is a read-only view
@@ -87,9 +88,8 @@ class Case:
     :func:`~riskrules.tnorms.unit_score` takes (stored as its float).
     Which conditions exist, :func:`parse_case` checks.
 
-    A frozen dataclass over declared slots, with no ``__dict__``: unlike
-    ``slots=True``, it raises FrozenInstanceError for an unknown name too.
-    It has no hash, since its scores are a mapping.
+    A slotted record (see :class:`~riskrules.engine._Record`), with no
+    hash, since its scores are a mapping.
     """
 
     __slots__ = ("case_id", "description", "_scores", "expert_label", "case_type")
@@ -140,10 +140,6 @@ class Case:
         return (f"Case(case_id={self.case_id!r}, description={self.description!r}, "
                 f"scores={self._scores!r}, expert_label={self.expert_label!r}, "
                 f"case_type={self.case_type!r})")
-
-    def __reduce__(self):
-        return (Case, (self.case_id, self.description, self._scores, self.expert_label,
-                       self.case_type))
 
 
 _SET_ID, _SET_DESCRIPTION, _SET_SCORES, _SET_LABEL, _SET_TYPE = _setters(Case)

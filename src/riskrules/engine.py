@@ -39,14 +39,39 @@ STANDARD_OPERATORS = {
 }
 
 
-# The trail records are frozen dataclasses over declared slots, built as
-# benchmark.Case is: __init__ sets each slot through its member
-# descriptor, past the frozen __setattr__, and __reduce__ rebuilds a
-# record through its constructor for pickle and copy. One classify builds
-# a step per condition and a rule score per rule.
+class _Record:
+    """Base of the slotted records: the trail's :class:`ProofStep`,
+    :class:`RuleScore` and :class:`ClassificationOutcome`, and
+    :class:`~riskrules.benchmark.Case`.
+
+    Each is a frozen dataclass over slots it declares itself, with no
+    ``__dict__``. Unlike ``slots=True``, which builds a second class whose
+    frozen ``__setattr__`` raises TypeError for an unknown name, setting
+    any name raises FrozenInstanceError. ``__init__`` sets each slot
+    through its member descriptor's setter (see :func:`_setters`): past
+    the frozen ``__setattr__``, and cheaper than ``object.__setattr__``,
+    which matters because one classify builds a step per condition and a
+    rule score per rule.
+
+    Each constructor takes its slots in ``__slots__`` order (``Case``
+    takes ``scores`` for ``_scores``), so ``__reduce__`` rebuilds a record
+    through its constructor, for pickle and copy alike. Unpickling a
+    ``Case`` runs its checks again.
+    """
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return type(self), tuple(map(self.__getattribute__, self.__slots__))
+
+
+def _setters(cls):
+    """The ``__set__`` of each of ``cls``'s slots, in ``__slots__`` order."""
+    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
 
 @dataclass(frozen=True, init=False)
-class ProofStep:
+class ProofStep(_Record):
     """One condition evaluation; its index, rule and operator are its RuleScore's."""
 
     __slots__ = ("condition_id", "condition_score", "accumulated", "missing_condition")
@@ -62,13 +87,9 @@ class ProofStep:
         _SET_ACCUMULATED(self, accumulated)
         _SET_MISSING(self, missing_condition)
 
-    def __reduce__(self):
-        return (ProofStep, (self.condition_id, self.condition_score, self.accumulated,
-                            self.missing_condition))
-
 
 @dataclass(frozen=True, init=False)
-class RuleScore:
+class RuleScore(_Record):
     __slots__ = ("rule_id", "category", "operator", "score", "fired", "steps")
 
     rule_id: str
@@ -86,13 +107,9 @@ class RuleScore:
         _SET_FIRED(self, fired)
         _SET_STEPS(self, steps)
 
-    def __reduce__(self):
-        return (RuleScore, (self.rule_id, self.category, self.operator, self.score,
-                            self.fired, self.steps))
-
 
 @dataclass(frozen=True, init=False)
-class ClassificationOutcome:
+class ClassificationOutcome(_Record):
     __slots__ = ("case_id", "predicted", "tnorm", "theta_used", "rule_scores", "winning_rule")
 
     case_id: str
@@ -110,15 +127,6 @@ class ClassificationOutcome:
         _SET_RULE_SCORES(self, rule_scores)
         _SET_WINNER(self, winning_rule)
 
-    def __reduce__(self):
-        return (ClassificationOutcome, (self.case_id, self.predicted, self.tnorm,
-                                        self.theta_used, self.rule_scores, self.winning_rule))
-
-
-def _setters(cls):
-    """The ``__set__`` of each of ``cls``'s slots, in ``__slots__`` order."""
-    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
-
 
 _SET_CONDITION, _SET_CONDITION_SCORE, _SET_ACCUMULATED, _SET_MISSING = _setters(ProofStep)
 _SET_RULE_ID, _SET_CATEGORY, _SET_OPERATOR, _SET_SCORE, _SET_FIRED, _SET_STEPS = (
@@ -128,11 +136,11 @@ _SET_CASE_ID, _SET_PREDICTED, _SET_TNORM, _SET_THETA, _SET_RULE_SCORES, _SET_WIN
 
 
 def check_theta(theta_override: float | None) -> None:
-    """Reject a global threshold override that is not an int or float, or
-    lies outside (0, 1), NaN included."""
+    """Reject a global threshold override that is not an int or float (a
+    bool too), or lies outside (0, 1), NaN included."""
     if theta_override is None:
         return
-    if not isinstance(theta_override, (int, float)):
+    if not isinstance(theta_override, (int, float)) or isinstance(theta_override, bool):
         raise ValueError(f"theta must be a number, got {theta_override!r}")
     if not 0.0 < theta_override < 1.0:
         raise ValueError(f"theta out of range (0, 1): {theta_override}")
@@ -197,18 +205,19 @@ def classify_mixed(case_scores: Mapping[str, float], ruleset: RuleSet,
     """:func:`classify` with the plan :func:`mixed_operators` reads from
     each rule's conjunction standard (strong -> lukasiewicz, bottleneck ->
     goedel). Every rule needs a standard; standards are never inferred.
-    A ``ruleset`` that is not a :class:`RuleSet` is named before that.
+    A bad theta override is named first, then a bad ``ruleset``.
     """
     check_theta(theta_override)
-    _require(ruleset, RuleSet, "ruleset")
     return classify(case_scores, ruleset, mixed_operators(ruleset), theta_override, case_id)
 
 
 def mixed_operators(ruleset: RuleSet) -> tuple[TNormKind, ...]:
     """Each rule's mixed-mode operator, from its conjunction standard.
 
-    Raises ValueError naming the first rule without a standard.
+    Raises ValueError naming a ``ruleset`` that is not a
+    :class:`RuleSet`, else the first rule without a standard.
     """
+    _require(ruleset, RuleSet, "ruleset")
     for rule in ruleset.rules:
         if rule.standard is None:
             raise ValueError(f"mixed mode requires a conjunction standard on every rule; "

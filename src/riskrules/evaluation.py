@@ -271,10 +271,10 @@ def _theta_grid(theta_min: float, theta_max: float, step: float) -> tuple[float,
     A point up to ``1e-9 * step`` past ``theta_max`` is float drift and
     becomes ``theta_max``; anything further is not part of the grid. A
     grid with two points the CSV would print alike is rejected, and so is
-    a bound or step that is not an int or float.
+    a bound or step that is not an int or float (a bool too).
     """
     for name, value in (("theta_min", theta_min), ("theta_max", theta_max), ("step", step)):
-        if not isinstance(value, (int, float)):
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ValueError(f"{name} must be a number, got {value!r}")
     if not (0.0 < theta_min <= theta_max < 1.0):
         raise ValueError(f"invalid theta range [{theta_min}, {theta_max}]; "

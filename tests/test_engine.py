@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import pickle
@@ -10,11 +11,12 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from riskrules.benchmark import SplitMix64, load_case
+from riskrules.benchmark import Case, CaseType, SplitMix64, load_case
 from riskrules.engine import (
     ClassificationOutcome,
     ProofStep,
     RuleScore,
+    _Record,
     check_theta,
     classify,
     classify_mixed,
@@ -221,6 +223,43 @@ class TestTrailRecords:
         record = _trail_records()[index]
         assert not hasattr(record, "__dict__")
         assert type(record).__slots__ == _RECORD_FIELDS[type(record)]
+
+
+#: Each round trip a record must survive: pickle at every protocol, and copy.
+_ROUND_TRIPS = {
+    **{f"pickle-{protocol}": lambda r, protocol=protocol: pickle.loads(pickle.dumps(r, protocol))
+       for protocol in range(pickle.HIGHEST_PROTOCOL + 1)},
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+def _records():
+    """One of each slotted record, by class."""
+    case = Case("HRM04", "traffic management", HRM04, RiskCategory.HIGH_RISK, CaseType.MARGINAL)
+    return {type(r): r for r in (*_trail_records(), case)}
+
+
+class TestRecords:
+    """Every subclass of ``_Record`` is rebuilt through its constructor,
+    which takes the record's slots in ``__slots__`` order."""
+
+    def test_the_records_are_these_four(self):
+        assert set(_Record.__subclasses__()) == {ProofStep, RuleScore, ClassificationOutcome,
+                                                 Case}
+
+    @pytest.mark.parametrize("cls", _Record.__subclasses__(), ids=lambda cls: cls.__name__)
+    def test_constructor_takes_the_slots_in_order(self, cls):
+        assert tuple(inspect.signature(cls).parameters) == \
+            tuple(name.removeprefix("_") for name in cls.__slots__)
+
+    @pytest.mark.parametrize("how", _ROUND_TRIPS)
+    @pytest.mark.parametrize("cls", _Record.__subclasses__(), ids=lambda cls: cls.__name__)
+    def test_round_trips_compare_equal(self, cls, how):
+        record = _records()[cls]
+        again = _ROUND_TRIPS[how](record)
+        assert type(again) is cls
+        assert again == record
 
 
 class TestClassify:
@@ -436,7 +475,7 @@ class TestThetaOverrideRange:
         with pytest.raises(ValueError, match=r"^theta out of range \(0, 1\): "):
             classify_mixed({"public_space": 0.4}, _annotated(ruleset), theta)
 
-    @pytest.mark.parametrize("theta", ["0.5", "x", b"0.5", [0.5], 0.5j])
+    @pytest.mark.parametrize("theta", ["0.5", "x", b"0.5", [0.5], 0.5j, True, False])
     def test_what_is_not_a_number_is_named(self, ruleset, theta):
         # Each used to be a bare TypeError from the range comparison.
         calls = (
@@ -491,6 +530,11 @@ class TestClassifyMixed:
         broken = RuleSet(ruleset.vocabulary, tuple(rules))
         with pytest.raises(ValueError, match=rules[3].rule_id):
             classify_mixed(HRM04, broken)
+
+    def test_mixed_operators_names_a_ruleset_of_the_wrong_type(self):
+        with pytest.raises(ValueError) as exc:
+            mixed_operators(None)
+        assert str(exc.value) == "ruleset must be a RuleSet, got NoneType"
 
     def test_step_operators_follow_annotation(self, ruleset):
         mixed = _annotated(ruleset, bottleneck={"high_risk_education"})

@@ -244,7 +244,7 @@ class TestEvaluate:
             with pytest.raises(ValueError, match=r"theta out of range \(0, 1\)"):
                 call()
 
-    @pytest.mark.parametrize("theta", ["0.5", b"0.5", [0.5]])
+    @pytest.mark.parametrize("theta", ["0.5", b"0.5", [0.5], True, False])
     def test_theta_override_not_a_number_named(self, appendix_dataset, ruleset, theta):
         calls = (
             lambda: evaluate(appendix_dataset, ruleset, TNormKind.GOEDEL, theta),
@@ -621,6 +621,9 @@ class TestThresholdSweep:
         ((0.2, [0.5], 0.1), "theta_max must be a number, got [0.5]"),
         ((0.2, 0.5, "0.1"), "step must be a number, got '0.1'"),
         ((0.2, 0.5, None), "step must be a number, got None"),
+        ((0.2, 0.5, True), "step must be a number, got True"),
+        ((False, 0.5, 0.1), "theta_min must be a number, got False"),
+        ((0.2, True, 0.1), "theta_max must be a number, got True"),
     ])
     def test_bound_or_step_not_a_number(self, hrm04_singleton, ruleset, grid, named):
         # Each used to be a bare TypeError from a comparison.

@@ -271,11 +271,13 @@ MUTANTS = (
            "a bare str of kinds is named whole, not one operator per character",
            ("tests/test_evaluation.py::TestOperatorEntries",)),
     Mutant("theta-type-unchecked", _ENGINE,
-           "    if not isinstance(theta_override, (int, float)):\n", "    if False:\n",
+           "    if not isinstance(theta_override, (int, float)) or isinstance(theta_override, bool):\n",
+           "    if False:\n",
            "a theta override that is not a number is named, not a bare TypeError",
            ("tests/test_engine.py::TestThetaOverrideRange",)),
     Mutant("theta-grid-type-unchecked", _EVALUATION,
-           "        if not isinstance(value, (int, float)):\n", "        if False:\n",
+           "        if not isinstance(value, (int, float)) or isinstance(value, bool):\n",
+           "        if False:\n",
            "a sweep bound or step that is not a number is named, not a bare TypeError",
            ("tests/test_evaluation.py::TestThresholdSweep",)),
     Mutant("generator-takes-a-float-seed", _BENCHMARK,
@@ -355,29 +357,21 @@ MUTANTS = (
            "classify names a rule set of the wrong type",
            (_CONTRACT,)),
     Mutant("classify-mixed-ruleset-unchecked", _ENGINE,
-           '    _require(ruleset, RuleSet, "ruleset")\n    return classify(',
-           "    return classify(",
-           "classify_mixed names a rule set of the wrong type before reading its standards",
-           (_CONTRACT,)),
+           '    _require(ruleset, RuleSet, "ruleset")\n    for rule in ruleset.rules:',
+           "    for rule in ruleset.rules:",
+           "mixed_operators, and so classify_mixed, names a rule set of the wrong type "
+           "before reading its standards",
+           (_CONTRACT, "tests/test_engine.py::TestClassifyMixed"
+                       "::test_mixed_operators_names_a_ruleset_of_the_wrong_type")),
     Mutant("classify-case-id-unchecked", _ENGINE,
            '    _require(case_id, str, "case_id")\n', "",
            "classify names a case_id that is not a str, which the trail could not write",
            (_CONTRACT,)),
     # Slotted trail records, the default rule set checked once, whole-file reads.
-    Mutant("proof-step-reduce-swaps-scores", _ENGINE,
-           "(ProofStep, (self.condition_id, self.condition_score, self.accumulated,",
-           "(ProofStep, (self.condition_id, self.accumulated, self.condition_score,",
-           "a pickled or copied proof step keeps each score in its own field",
-           ("tests/test_engine.py::TestTrailRecords",)),
     Mutant("rule-score-setters-swapped", _ENGINE,
            "        _SET_SCORE(self, score)\n        _SET_FIRED(self, fired)\n",
            "        _SET_SCORE(self, fired)\n        _SET_FIRED(self, score)\n",
            "RuleScore(...) stores each argument in its own field",
-           ("tests/test_engine.py::TestTrailRecords",)),
-    Mutant("outcome-reduce-swaps-theta-and-winner", _ENGINE,
-           "self.theta_used, self.rule_scores, self.winning_rule))",
-           "self.winning_rule, self.rule_scores, self.theta_used))",
-           "a pickled or copied outcome keeps its theta and winning rule apart",
            ("tests/test_engine.py::TestTrailRecords",)),
     Mutant("default-ruleset-shares-its-memo", _RULES,
            'object.__setattr__(ruleset, "_live", {})',
@@ -401,6 +395,21 @@ MUTANTS = (
            "        if False:\n",
            "SplitMix64 names a seed that is not a 64-bit unsigned int",
            (_CONTRACT,)),
+    # One rebuild recipe for the slotted records; a bool is not a number.
+    Mutant("record-reduce-reverses-slots", _ENGINE,
+           "map(self.__getattribute__, self.__slots__)",
+           "map(self.__getattribute__, self.__slots__[::-1])",
+           "a pickled or copied record gets each slot back in its own field",
+           ("tests/test_engine.py::TestRecords",)),
+    Mutant("theta-takes-a-bool", _ENGINE,
+           " or isinstance(theta_override, bool):", ":",
+           "a bool theta override is named, not read as 0 or 1",
+           ("tests/test_engine.py::TestThetaOverrideRange::test_what_is_not_a_number_is_named",
+            "tests/test_evaluation.py::TestEvaluate::test_theta_override_not_a_number_named")),
+    Mutant("theta-grid-takes-a-bool", _EVALUATION,
+           "(int, float)) or isinstance(value, bool):", "(int, float)):",
+           "a bool sweep bound or step is named, not read as 0 or 1",
+           ("tests/test_evaluation.py::TestThresholdSweep::test_bound_or_step_not_a_number",)),
 )
 
 
