@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from riskrules.rules import RiskCategory, Rule, RuleSet, ConjunctionStandard, _require
+from riskrules.rules import RiskCategory, Rule, RuleSet, ConjunctionStandard, _number, _require
 from riskrules.tnorms import TNormKind, apply, fold_chain
 
 #: Sequences named whole where operators are read, never one per item.
@@ -136,13 +136,13 @@ _SET_CASE_ID, _SET_PREDICTED, _SET_TNORM, _SET_THETA, _SET_RULE_SCORES, _SET_WIN
 
 
 def check_theta(theta_override: float | None) -> None:
-    """Reject a global threshold override that is not an int or float (a
-    bool too), or lies outside (0, 1), NaN included."""
+    """Reject a global threshold override that :func:`~riskrules.rules._number`
+    does not read as a number, or reads outside (0, 1), NaN included."""
     if theta_override is None:
         return
-    if not isinstance(theta_override, (int, float)) or isinstance(theta_override, bool):
+    if (theta := _number(theta_override)) is None:
         raise ValueError(f"theta must be a number, got {theta_override!r}")
-    if not 0.0 < theta_override < 1.0:
+    if not 0.0 < theta < 1.0:
         raise ValueError(f"theta out of range (0, 1): {theta_override}")
 
 
@@ -253,18 +253,26 @@ def rule_chain_scores(case_scores: Mapping[str, float], ruleset: RuleSet,
     return out
 
 
+def _check_sequence(value) -> None:
+    """The one rule for a list of operators, a plan's or the several that
+    ``compare_operators`` and ``threshold_sweep`` take: raise ValueError
+    naming ``value`` whole unless it is an ordered :class:`Sequence` that
+    is not a ``str`` or bytes-like (see ``_TEXT``). Nothing is copied, so a
+    plan is named by its length before any of it is read."""
+    if isinstance(value, _TEXT) or not isinstance(value, Sequence):
+        raise ValueError(f"unknown t-norm {value!r}")
+
+
 def check_plan(kind: TNormKind | Sequence[TNormKind],
                ruleset: RuleSet) -> TNormKind | tuple[TNormKind, ...]:
     """The one reader of an operator argument: a :class:`TNormKind` comes
     back unchanged, and a per-rule plan as a tuple. Raises ValueError for
-    anything else: a value that is not a sequence, or is a ``str`` or
-    bytes-like (see ``_TEXT``), is named whole; a plan without one entry
-    per rule is named by its length; else the first entry that is not a
-    member is named."""
+    anything else: what :func:`_check_sequence` refuses is named whole; a
+    plan without one entry per rule is named by its length; else the first
+    entry that is not a member is named."""
     if type(kind) is TNormKind:
         return kind
-    if isinstance(kind, _TEXT) or not isinstance(kind, Sequence):
-        raise ValueError(f"unknown t-norm {kind!r}")
+    _check_sequence(kind)
     if len(kind) != len(ruleset.rules):
         raise ValueError(f"operator plan has {len(kind)} entries; "
                          f"the rule set has {len(ruleset.rules)} rules")

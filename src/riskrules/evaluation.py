@@ -21,17 +21,16 @@ integer counts of cases per cell, so reports are reproducible.
 from __future__ import annotations
 
 import json
-import math
 from collections.abc import Sized
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from riskrules.benchmark import Case, CaseType, Dataset
-from riskrules.engine import (_TEXT, check_plan, check_theta, mixed_operators,
+from riskrules.engine import (_check_sequence, check_plan, check_theta, mixed_operators,
                               predicted_category, rule_chain_scores)
 # Not called here; perfbench's traced run patches the name on this module.
 from riskrules.engine import classify_mixed  # noqa: F401
-from riskrules.rules import CATEGORY_ORDER, RiskCategory, RuleSet, _require
+from riskrules.rules import CATEGORY_ORDER, RiskCategory, RuleSet, _number, _require
 from riskrules.tnorms import TNormKind
 
 
@@ -225,14 +224,13 @@ def mcnemar_exact(pred_a: Sequence[RiskCategory], pred_b: Sequence[RiskCategory]
 def _plans(kinds, ruleset: RuleSet) -> list:
     """``kinds`` as a list of operators, each read by
     :func:`~riskrules.engine.check_plan` (a plan as a tuple, so it can be
-    hashed). A bare member is one operator. Otherwise ``kinds`` is read by
-    ``check_plan``'s rule for a plan: an ordered sequence that is not a
-    ``str`` or bytes-like value. Anything else (a set, a dict, a generator)
-    is named whole, so the operators' order is always the caller's."""
+    hashed). A bare member is one operator. Otherwise ``kinds`` must pass
+    :func:`~riskrules.engine._check_sequence`, the rule ``check_plan`` reads
+    a plan by; anything else (a set, a dict, a generator) is named whole,
+    so the operators' order is always the caller's."""
     if isinstance(kinds, TNormKind):
         return [kinds]
-    if isinstance(kinds, _TEXT) or not isinstance(kinds, Sequence):
-        raise ValueError(f"unknown t-norm {kinds!r}")
+    _check_sequence(kinds)
     return [check_plan(kind, ruleset) for kind in kinds]
 
 
@@ -271,15 +269,15 @@ def _theta_grid(theta_min: float, theta_max: float, step: float) -> tuple[float,
     A point up to ``1e-9 * step`` past ``theta_max`` is float drift and
     becomes ``theta_max``; anything further is not part of the grid. A
     grid with two points the CSV would print alike is rejected, and so is
-    a bound or step that is not an int or float (a bool too).
+    a bound or step that :func:`~riskrules.rules._number` does not read.
     """
     for name, value in (("theta_min", theta_min), ("theta_max", theta_max), ("step", step)):
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
+        if _number(value) is None:
             raise ValueError(f"{name} must be a number, got {value!r}")
     if not (0.0 < theta_min <= theta_max < 1.0):
         raise ValueError(f"invalid theta range [{theta_min}, {theta_max}]; "
                          "need 0 < theta_min <= theta_max < 1")
-    if not (0.0 < step < math.inf):
+    if not (0.0 < _number(step) < float("inf")):  # an int too large for a double reads as inf
         raise ValueError(f"invalid step {step}; must be positive and finite")
     span = (theta_max - theta_min) / step + 1e-9
     if not span < MAX_SWEEP_POINTS:

@@ -65,6 +65,19 @@ _IDENT_RE = re.compile("[a-z][a-z_]*")
 _STANDARDS = {s.value: s for s in ConjunctionStandard}
 
 
+def _number(value) -> float | None:
+    """``value`` as a float if it is an ``int`` or ``float`` but not a
+    ``bool``, else None: the one reading of a number argument (a score, a
+    rule's theta, a theta override, a sweep's bounds and step). An int too
+    large for a double reads as an infinity of its sign."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return float("inf") if value > 0 else float("-inf")
+
+
 @dataclass(frozen=True)
 class Rule:
     """Conjunctive rule: fires when the t-norm chain over its conditions
@@ -73,10 +86,10 @@ class Rule:
     The constructor checks every field and raises RuleValidationError
     with the rule file's message. In order: a non-empty str ``rule_id``;
     a :class:`RiskCategory`; a list or tuple of str ``conditions``,
-    stored as a tuple; an int or float ``theta``, not a bool, stored as a
-    float (an int too large for a double reads as inf); ``standard`` None
-    or a :class:`ConjunctionStandard`; a bool ``synthetic``; a str
-    ``article``; then non-empty, distinct conditions and theta in (0, 1).
+    stored as a tuple; a number ``theta`` (see :func:`_number`), stored as
+    its float; ``standard`` None or a :class:`ConjunctionStandard`; a bool
+    ``synthetic``; a str ``article``; then non-empty, distinct conditions
+    and theta in (0, 1).
     """
 
     rule_id: str
@@ -99,12 +112,8 @@ class Rule:
                 f"rule {self.rule_id!r}: conditions must be an array of strings")
         object.__setattr__(self, "conditions", conditions := tuple(self.conditions))
         if type(theta := self.theta) is not float:
-            if not isinstance(theta, (int, float)) or isinstance(theta, bool):
+            if (theta := _number(theta)) is None:
                 raise RuleValidationError(f"rule {self.rule_id!r}: theta must be a number")
-            try:
-                theta = float(theta)
-            except OverflowError:  # an int too large for a double is out of range too
-                theta = float("inf")
             object.__setattr__(self, "theta", theta)
         if self.standard is not None and type(self.standard) is not ConjunctionStandard:
             raise RuleValidationError(f"rule {self.rule_id!r}: unknown standard {self.standard!r}")

@@ -31,6 +31,8 @@ import enum
 import math
 from typing import Iterable
 
+from riskrules.rules import _number
+
 BACKEND = "pure-python"
 
 LOG_ZERO = float("-inf")
@@ -55,16 +57,17 @@ _LUKASIEWICZ, _PRODUCT, _GOEDEL, _LOGPRODUCT = TNormKind
 def unit_score(value: float) -> float:
     """Validate a confidence value and return it as a float in [0, 1].
 
-    Raises ValueError for anything but an int or float (a bool too), or
-    outside the closed interval. Dataset and case scores enter the system
-    through this check; the operators below then assume validated inputs.
+    Raises ValueError for anything :func:`~riskrules.rules._number` does
+    not read as a number, or reads outside the closed interval. Dataset
+    and case scores enter the system through this check; the operators
+    below then assume validated inputs.
     """
-    if type(value) is not float and (
-            not isinstance(value, (int, float)) or isinstance(value, bool)):
+    score = value if type(value) is float else _number(value)
+    if score is None:
         raise ValueError("score must be a number")
-    if not 0.0 <= value <= 1.0:  # NaN too; an int compares exactly, before float()
+    if not 0.0 <= score <= 1.0:  # NaN too
         raise ValueError(f"score must be a finite number in [0, 1], got {value!r}")
-    return float(value)
+    return score
 
 
 def apply(kind: TNormKind, a: float, b: float) -> float:

@@ -22,13 +22,16 @@ per-case kernels ``fold_chain``, ``apply``, ``rule_chain_scores`` and
 ``classify_mixed`` (see ``UNCHECKED``).
 """
 
+import ast
 import math
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import DATA_DIR
+import riskrules
 from riskrules.benchmark import (Case, CaseType, Dataset, DatasetValidationError, SplitMix64,
                                  dataset_to_jsonl, generate_synthetic, load_case, load_dataset,
                                  parse_case, validate_case_types)
@@ -52,6 +55,8 @@ _DATASET = Dataset((_CASE,))
 _MIXED = RuleSet(frozenset({"public_space"}),
                  (Rule("r", _HIGH, ("public_space",), standard=ConjunctionStandard.STRONG),))
 _GOEDEL, _PRODUCT = TNormKind.GOEDEL, TNormKind.PRODUCT
+#: An int too large for a double.
+_HUGE = 10 ** 400
 
 #: Entry point -> (callable, a valid value for each argument, by name).
 ENTRIES = {
@@ -264,6 +269,10 @@ def test_several_arguments_at_once(drawn):
     (lambda: generate_synthetic(3, 0.5), "seed must be an int, got 0.5"),
     (lambda: generate_synthetic(3, -1), "need at least 4 cases, got 3"),
     (lambda: generate_synthetic(10, -1, 5), "seed must be in [0, 2**64), got -1"),
+    (lambda: threshold_sweep(_DATASET, _MIXED, [_GOEDEL], 0.4, 0.6, _HUGE),
+     f"invalid step {_HUGE}; must be positive and finite"),
+    (lambda: Rule("r", _HIGH, ("a",), -_HUGE), "rule 'r': theta out of range (0, 1): -inf"),
+    (lambda: evaluate(_DATASET, _MIXED, _GOEDEL, _HUGE), f"theta out of range (0, 1): {_HUGE}"),
 ], ids=["case-motivation", "case-type", "case-score", "case-key", "case-empty-scores",
         "dataset-element", "dataset-container", "ruleset-str-vocabulary", "ruleset-int-term",
         "ruleset-list-with-int", "ruleset-str-rule", "ruleset-int-rules", "ruleset-not-text",
@@ -274,11 +283,37 @@ def test_several_arguments_at_once(drawn):
         "report-name-type", "classify-none-ruleset", "mixed-none-ruleset", "classify-int-case-id",
         "validate-none", "seed-float", "seed-bool", "seed-negative", "seed-too-large",
         "generate-seed-type-before-n", "generate-n-before-seed-range",
-        "generate-seed-range-before-ruleset"])
+        "generate-seed-range-before-ruleset", "sweep-huge-step", "rule-huge-negative-theta",
+        "evaluate-huge-theta"])
 def test_messages(call, message):
     with pytest.raises(ValueError) as err:
         call()
     assert str(err.value) == message
+
+
+def _is_bool_check(node) -> bool:
+    """Whether ``node`` is ``isinstance(x, bool)``, or an isinstance with
+    ``bool`` in its tuple of types."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2):
+        return False
+    types = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+    return any(isinstance(t, ast.Name) and t.id == "bool" for t in types)
+
+
+def test_a_number_is_read_by_one_rule():
+    # A bool is an int, so each number check must also refuse it: one
+    # definition, rules._number, holds that rule for every float argument,
+    # and benchmark._check_int for the int arguments n and seed.
+    where = []
+    for path in sorted(Path(riskrules.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in filter(_is_bool_check, ast.walk(tree)):
+            while node in parents and not isinstance(node, ast.FunctionDef):
+                node = parents[node]
+            where.append(f"{path.stem}.{getattr(node, 'name', '<module>')}")
+    assert sorted(where) == ["benchmark._check_int", "rules._number"]
 
 
 @pytest.mark.parametrize("load, error", [

@@ -208,11 +208,6 @@ MUTANTS = (
            "        if type(self.category) is not RiskCategory:\n", "        if False:\n",
            "Rule(...) names a category that is not a RiskCategory",
            ("tests/test_rules.py",)),
-    Mutant("unit-score-takes-bools", _TNORMS,
-           "not isinstance(value, (int, float)) or isinstance(value, bool)):",
-           "not isinstance(value, (int, float))):",
-           "a bool is not a score",
-           ("tests/test_tnorms.py",)),
     Mutant("unknown-field-not-sorted", _RULES,
            "sorted(unknown)[0]", "next(iter(unknown))",
            "of several unknown fields, the first in sorted order is named",
@@ -265,18 +260,13 @@ MUTANTS = (
            "    except ZeroDivisionError:\n",
            "parse_ruleset of a value that is not text names it",
            (_CONTRACT,)),
-    Mutant("plans-read-a-str-as-a-sequence", _EVALUATION,
-           "if isinstance(kinds, _TEXT) or not isinstance(kinds, Sequence):",
-           "if not isinstance(kinds, Sequence):",
-           "a bare str of kinds is named whole, not one operator per character",
-           ("tests/test_evaluation.py::TestOperatorEntries",)),
     Mutant("theta-type-unchecked", _ENGINE,
-           "    if not isinstance(theta_override, (int, float)) or isinstance(theta_override, bool):\n",
-           "    if False:\n",
+           "    if (theta := _number(theta_override)) is None:\n",
+           "    if (theta := theta_override) is None:\n",
            "a theta override that is not a number is named, not a bare TypeError",
            ("tests/test_engine.py::TestThetaOverrideRange",)),
     Mutant("theta-grid-type-unchecked", _EVALUATION,
-           "        if not isinstance(value, (int, float)) or isinstance(value, bool):\n",
+           "        if _number(value) is None:\n",
            "        if False:\n",
            "a sweep bound or step that is not a number is named, not a bare TypeError",
            ("tests/test_evaluation.py::TestThresholdSweep",)),
@@ -295,11 +285,6 @@ MUTANTS = (
            "generate_synthetic names a rule set of the wrong type",
            (_CONTRACT,)),
     # check_plan is the one reader of an operator argument.
-    Mutant("plan-reads-bytes-as-a-sequence", _ENGINE,
-           "if isinstance(kind, _TEXT) or not isinstance(kind, Sequence):",
-           "if isinstance(kind, str) or not isinstance(kind, Sequence):",
-           "a bytes or bytearray plan is named whole, not read as a plan of ints",
-           ("tests/test_evaluation.py::TestOperatorEntries",)),
     Mutant("classify-reads-kind-unchecked", _ENGINE,
            "    kind = check_plan(kind, ruleset)\n", "",
            "classify reads its operator through check_plan, as evaluate does",
@@ -331,10 +316,10 @@ MUTANTS = (
            "build_report names a case type that is not a CaseType",
            (_CONTRACT,)),
     # One reading per input shape: whole files through read_json, operator
-    # lists by check_plan's rule; the last entry points under the contract.
-    Mutant("plans-read-any-iterable", _EVALUATION,
-           "if isinstance(kinds, _TEXT) or not isinstance(kinds, Sequence):",
-           "if isinstance(kinds, _TEXT) or not isinstance(kinds, Iterable):",
+    # lists by engine._check_sequence; the last entry points under the contract.
+    Mutant("plans-read-any-iterable", _ENGINE,
+           " or not isinstance(value, Sequence):",
+           " or not hasattr(value, \"__iter__\"):",
            "a set, dict or generator of kinds is named whole, so no report order "
            "follows the hash seed",
            ("tests/test_evaluation.py::TestOperatorEntries",)),
@@ -395,21 +380,32 @@ MUTANTS = (
            "        if False:\n",
            "SplitMix64 names a seed that is not a 64-bit unsigned int",
            (_CONTRACT,)),
-    # One rebuild recipe for the slotted records; a bool is not a number.
+    # One rebuild recipe for the slotted records.
     Mutant("record-reduce-reverses-slots", _ENGINE,
            "map(self.__getattribute__, self.__slots__)",
            "map(self.__getattribute__, self.__slots__[::-1])",
            "a pickled or copied record gets each slot back in its own field",
            ("tests/test_engine.py::TestRecords",)),
-    Mutant("theta-takes-a-bool", _ENGINE,
-           " or isinstance(theta_override, bool):", ":",
-           "a bool theta override is named, not read as 0 or 1",
-           ("tests/test_engine.py::TestThetaOverrideRange::test_what_is_not_a_number_is_named",
-            "tests/test_evaluation.py::TestEvaluate::test_theta_override_not_a_number_named")),
-    Mutant("theta-grid-takes-a-bool", _EVALUATION,
-           "(int, float)) or isinstance(value, bool):", "(int, float)):",
-           "a bool sweep bound or step is named, not read as 0 or 1",
-           ("tests/test_evaluation.py::TestThresholdSweep::test_bound_or_step_not_a_number",)),
+    # One rule per argument shape: rules._number reads every number, and
+    # engine._check_sequence every list of operators.
+    Mutant("number-takes-bools", _RULES,
+           " or isinstance(value, bool):\n        return None\n", ":\n        return None\n",
+           "a bool is not a score, a rule's theta, a theta override or a sweep bound or step",
+           ("tests/test_tnorms.py",
+            "tests/test_rules.py::TestRuleChecksEveryField::test_names_the_field",
+            "tests/test_engine.py::TestThetaOverrideRange::test_what_is_not_a_number_is_named",
+            "tests/test_evaluation.py::TestEvaluate::test_theta_override_not_a_number_named",
+            "tests/test_evaluation.py::TestThresholdSweep::test_bound_or_step_not_a_number")),
+    Mutant("number-overflow-raises", _RULES,
+           "    except OverflowError:\n", "    except ZeroDivisionError:\n",
+           "an int too large for a double is named as out of range, not a bare OverflowError",
+           (_CONTRACT + "::test_messages", "tests/test_rules.py::TestRuleChecksEveryField")),
+    Mutant("sequence-reads-text", _ENGINE,
+           "if isinstance(value, _TEXT) or not isinstance(value, Sequence):",
+           "if not isinstance(value, Sequence):",
+           "a str or bytes-like list of operators or plan is named whole, not read one "
+           "operator per character or byte",
+           ("tests/test_evaluation.py::TestOperatorEntries",)),
 )
 
 
