@@ -57,7 +57,7 @@ from enum import Enum
 from types import MappingProxyType
 
 from riskrules.rules import (CATEGORY_BY_NAME, CATEGORY_ORDER, CONDITION_VOCABULARY, RiskCategory,
-                             RuleSet, _file_name, _require, _vocabulary, check_fields,
+                             RuleSet, _file_name, _require, _shown, _vocabulary, check_fields,
                              decode_json, default_ruleset, read_json, read_lines)
 from riskrules.engine import _Record, _setters, _str, predicted_category, rule_chain_scores
 from riskrules.tnorms import TNormKind, unit_score
@@ -376,7 +376,7 @@ class SplitMix64:
     def __init__(self, seed: int):
         _check_int("seed", seed)
         if not 0 <= seed <= _MASK64:
-            raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+            raise ValueError(f"seed must be in [0, 2**64), got {_shown(seed)}")
         self._state = seed
 
     def next_uint64(self) -> int:
@@ -512,7 +512,7 @@ def generate_synthetic(n: int, seed: int, ruleset: RuleSet | None = None) -> Dat
     _check_int("n", n)
     _check_int("seed", seed)
     if n < 4:
-        raise ValueError(f"need at least 4 cases, got {n}")
+        raise ValueError(f"need at least 4 cases, got {_shown(n)}")
     rng = SplitMix64(seed)
     if ruleset is None:
         ruleset = default_ruleset()

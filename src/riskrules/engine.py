@@ -24,10 +24,12 @@ All functions are pure; cases may be classified concurrently.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from riskrules.rules import RiskCategory, Rule, RuleSet, ConjunctionStandard, _number, _require
+from riskrules.rules import (RiskCategory, Rule, RuleSet, ConjunctionStandard, _number,
+                             _require, _shown)
 from riskrules.tnorms import TNormKind, apply, fold_chain
 
 #: Sequences named whole where operators are read, never one per item.
@@ -143,7 +145,7 @@ def check_theta(theta_override: float | None) -> None:
     if (theta := _number(theta_override)) is None:
         raise ValueError(f"theta must be a number, got {theta_override!r}")
     if not 0.0 < theta < 1.0:
-        raise ValueError(f"theta out of range (0, 1): {theta_override}")
+        raise ValueError(f"theta out of range (0, 1): {_shown(theta_override)}")
 
 
 def score_rule(rule: Rule, case_scores: Mapping[str, float], kind: TNormKind,
@@ -268,13 +270,18 @@ def check_plan(kind: TNormKind | Sequence[TNormKind],
     """The one reader of an operator argument: a :class:`TNormKind` comes
     back unchanged, and a per-rule plan as a tuple. Raises ValueError for
     anything else: what :func:`_check_sequence` refuses is named whole; a
-    plan without one entry per rule is named by its length; else the first
-    entry that is not a member is named."""
+    plan without one entry per rule is named by its length, or as longer
+    than ``sys.maxsize`` where ``len`` cannot give it; else the first entry
+    that is not a member is named."""
     if type(kind) is TNormKind:
         return kind
     _check_sequence(kind)
-    if len(kind) != len(ruleset.rules):
-        raise ValueError(f"operator plan has {len(kind)} entries; "
+    try:
+        size = len(kind)
+    except OverflowError:
+        size = f"more than {sys.maxsize}"
+    if size != len(ruleset.rules):
+        raise ValueError(f"operator plan has {size} entries; "
                          f"the rule set has {len(ruleset.rules)} rules")
     for entry in kind:  # checked here: a dead rule's entry is never folded
         if type(entry) is not TNormKind:
@@ -282,14 +289,26 @@ def check_plan(kind: TNormKind | Sequence[TNormKind],
     return tuple(kind)
 
 
+#: The floor a decision returns when no rule fires, read once: on Python
+#: 3.11 reading a member through its enum class costs about 0.12 us.
+_MINIMAL_RISK = RiskCategory.MINIMAL_RISK
+
+
 def predicted_category(ruleset: RuleSet, chain_scores: Sequence[float],
-                       theta_override: float | None = None) -> RiskCategory:
+                       theta_override: float | None = None,
+                       ranked: Sequence[tuple] | None = None) -> RiskCategory:
     """Final category implied by per-rule chain scores at the given threshold:
-    the category of the most severe rule whose score exceeds its theta."""
-    for i, theta, category in ruleset.ranked:
+    the category of the most severe rule whose score exceeds its theta.
+
+    The walk runs over ``ranked``, by default all of ``ruleset.ranked``. The
+    batch path passes a case's live entries (:meth:`RuleSet.live_ranked`),
+    which decide exactly as all of them do: a rule that is not live scores
+    0.0, and every theta, a rule's or an override, is in (0, 1), so such a
+    rule never fires."""
+    for i, theta, category in ruleset.ranked if ranked is None else ranked:
         if chain_scores[i] > (theta if theta_override is None else theta_override):
             return category
-    return RiskCategory.MINIMAL_RISK
+    return _MINIMAL_RISK
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from riskrules.engine import (_check_sequence, check_plan, check_theta, mixed_op
                               predicted_category, rule_chain_scores)
 # Not called here; perfbench's traced run patches the name on this module.
 from riskrules.engine import classify_mixed  # noqa: F401
-from riskrules.rules import CATEGORY_ORDER, RiskCategory, RuleSet, _number, _require
+from riskrules.rules import CATEGORY_ORDER, RiskCategory, RuleSet, _number, _require, _shown
 from riskrules.tnorms import TNormKind
 
 
@@ -130,8 +130,11 @@ def _report(tally: Sequence[int]) -> EvalReport:
 # ---------------------------------------------------------------------------
 # Batch path: one walk over the cases serves every operator plan and
 # threshold. Each case's chain scores are folded once per plan, for its
-# live rules only (see rule_chain_scores), and decided at every threshold;
-# each decision is counted into that threshold's tally, read by _report.
+# live rules only (see rule_chain_scores), and decided at every threshold
+# over its live ranked entries only (RuleSet.live_ranked), looked up once
+# per case: a rule that is not live scores 0.0 and every theta is in
+# (0, 1), so it never fires, and the walk skips it with the same decision.
+# Each decision is counted into that threshold's tally, read by _report.
 
 def _check_inputs(dataset: Dataset, ruleset: RuleSet) -> None:
     """Reject a ``dataset`` that is not a :class:`Dataset` or a ``ruleset``
@@ -159,10 +162,11 @@ def _tallies(cases: Iterable[Case], ruleset: RuleSet,
         label = case.expert_label.severity
         expert.append(label)
         cell = (label * _TYPES + _TYPE_INDEX[case.case_type]) * 4
+        live = ruleset.live_ranked(frozenset(scores))
         for plan, plan_tallies, plan_predicted in zip(plans, tallies, predicted):
             chains = rule_chain_scores(scores, ruleset, plan)
             for tally, theta in zip(plan_tallies, thetas):
-                severity = predicted_category(ruleset, chains, theta).severity
+                severity = predicted_category(ruleset, chains, theta, live).severity
                 tally[cell + severity] += 1
             plan_predicted.append(severity)
     return tallies, predicted, expert
@@ -275,10 +279,10 @@ def _theta_grid(theta_min: float, theta_max: float, step: float) -> tuple[float,
         if _number(value) is None:
             raise ValueError(f"{name} must be a number, got {value!r}")
     if not (0.0 < theta_min <= theta_max < 1.0):
-        raise ValueError(f"invalid theta range [{theta_min}, {theta_max}]; "
+        raise ValueError(f"invalid theta range [{_shown(theta_min)}, {_shown(theta_max)}]; "
                          "need 0 < theta_min <= theta_max < 1")
     if not (0.0 < _number(step) < float("inf")):  # an int too large for a double reads as inf
-        raise ValueError(f"invalid step {step}; must be positive and finite")
+        raise ValueError(f"invalid step {_shown(step)}; must be positive and finite")
     span = (theta_max - theta_min) / step + 1e-9
     if not span < MAX_SWEEP_POINTS:
         raise ValueError(f"theta grid [{theta_min}, {theta_max}] by {step} has more than "

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import functools
 import json
+import math
 import os
 import re
 from dataclasses import dataclass, field, fields
@@ -78,6 +79,24 @@ def _number(value) -> float | None:
         return float("inf") if value > 0 else float("-inf")
 
 
+def _shown(value) -> str:
+    """``str(value)``, as a message prints a number argument, except for an
+    int past the interpreter's limit on int-to-str conversion (4300 digits
+    by default), which ``str`` refuses: that is written by its sign and
+    digit count, ``an int of 5001 digits``. The count comes from the int's
+    base-10 log; only next to a power of ten is it settled against that
+    power."""
+    try:
+        return str(value)
+    except ValueError:
+        pass
+    log = math.log10(abs(value))
+    digits = math.floor(log) + 1
+    if abs(log - round(log)) < 1e-9 * log:
+        digits = round(log) + (abs(value) >= 10 ** round(log))
+    return f"{'a negative' if value < 0 else 'an'} int of {digits} digits"
+
+
 @dataclass(frozen=True)
 class Rule:
     """Conjunctive rule: fires when the t-norm chain over its conditions
@@ -129,7 +148,8 @@ class Rule:
             raise RuleValidationError(f"rule {self.rule_id!r}: theta out of range (0, 1): {theta}")
 
 
-#: Most condition sets one rule set memoises in :meth:`RuleSet.live_rules`.
+#: Most condition sets one rule set memoises in :meth:`RuleSet.live_rules`
+#: and :meth:`RuleSet.live_ranked`, which share one memo.
 LIVE_MEMO_SIZE = 4096
 
 
@@ -197,17 +217,36 @@ class RuleSet:
     def live_rules(self, scored: frozenset[str]) -> tuple[int, ...]:
         """Indices of the rules whose conditions all appear in ``scored``.
 
-        Only these rules can fire on a case that scores exactly ``scored``
-        (see :func:`riskrules.engine.rule_chain_scores`). Memoised for the
-        first :data:`LIVE_MEMO_SIZE` sets: a dataset repeats a few condition
+        Only these rules can fire on a case that scores exactly ``scored``:
+        any other rule's chain is 0.0 (see
+        :func:`riskrules.engine.rule_chain_scores`), and every theta is in
+        (0, 1). Memoised, with :meth:`live_ranked`, for the first
+        :data:`LIVE_MEMO_SIZE` sets: a dataset repeats a few condition
         patterns many times, and the cap bounds what the rule set keeps.
         """
-        live = self._live.get(scored)
-        if live is None:
-            live = tuple(i for i, r in enumerate(self.rules) if scored.issuperset(r.conditions))
-            if len(self._live) < LIVE_MEMO_SIZE:
-                self._live[scored] = live
-        return live
+        entry = self._live.get(scored)
+        return entry[0] if entry else self._miss(scored, 0)
+
+    def live_ranked(self, scored: frozenset[str]) -> tuple:
+        """The entries of :attr:`ranked` whose rules are live on ``scored``
+        (see :meth:`live_rules`), in ranked order: a case that scores exactly
+        ``scored`` is decided over these alone, with the same category as over
+        all of ``ranked``, since no other rule can fire on it."""
+        entry = self._live.get(scored)
+        return entry[1] if entry else self._miss(scored, 1)
+
+    def _miss(self, scored: frozenset[str], part: int) -> tuple:
+        """Part ``part`` (0: the live rules, 1: their ranked entries) of the
+        memo entry for ``scored``, remembered while the memo holds fewer
+        than :data:`LIVE_MEMO_SIZE` sets. Past the cap, the live rules alone
+        cost one pass over the rules, and their ranked entries one filter more."""
+        live = tuple(i for i, r in enumerate(self.rules) if scored.issuperset(r.conditions))
+        if part == 0 and len(self._live) >= LIVE_MEMO_SIZE:
+            return live
+        entry = live, tuple(ranked for ranked in self.ranked if ranked[0] in live)
+        if len(self._live) < LIVE_MEMO_SIZE:
+            self._live[scored] = entry
+        return entry[part]
 
     def rule(self, rule_id: str) -> Rule:
         for rule in self.rules:

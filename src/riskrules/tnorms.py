@@ -31,7 +31,7 @@ import enum
 import math
 from typing import Iterable
 
-from riskrules.rules import _number
+from riskrules.rules import _number, _shown
 
 BACKEND = "pure-python"
 
@@ -66,7 +66,7 @@ def unit_score(value: float) -> float:
     if score is None:
         raise ValueError("score must be a number")
     if not 0.0 <= score <= 1.0:  # NaN too
-        raise ValueError(f"score must be a finite number in [0, 1], got {value!r}")
+        raise ValueError(f"score must be a finite number in [0, 1], got {_shown(value)}")
     return score
 
 

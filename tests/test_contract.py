@@ -25,6 +25,7 @@ per-case kernels ``fold_chain``, ``apply``, ``rule_chain_scores`` and
 import ast
 import math
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,6 +58,8 @@ _MIXED = RuleSet(frozenset({"public_space"}),
 _GOEDEL, _PRODUCT = TNormKind.GOEDEL, TNormKind.PRODUCT
 #: An int too large for a double.
 _HUGE = 10 ** 400
+#: An int too long for str (past the default 4300-digit limit on int-to-str conversion).
+_LONG = 10 ** 5000
 
 #: Entry point -> (callable, a valid value for each argument, by name).
 ENTRIES = {
@@ -273,6 +276,28 @@ def test_several_arguments_at_once(drawn):
      f"invalid step {_HUGE}; must be positive and finite"),
     (lambda: Rule("r", _HIGH, ("a",), -_HUGE), "rule 'r': theta out of range (0, 1): -inf"),
     (lambda: evaluate(_DATASET, _MIXED, _GOEDEL, _HUGE), f"theta out of range (0, 1): {_HUGE}"),
+    (lambda: evaluate(_DATASET, _MIXED, range(10 ** 20)),
+     f"operator plan has more than {sys.maxsize} entries; the rule set has 1 rules"),
+    (lambda: classify({"public_space": 0.9}, _MIXED, range(sys.maxsize + 1)),
+     f"operator plan has more than {sys.maxsize} entries; the rule set has 1 rules"),
+    (lambda: Case("c", "", {"public_space": _LONG}, _HIGH, CaseType.CLEAR),
+     "case 'c': score for 'public_space' must be a finite number in [0, 1], "
+     "got an int of 5001 digits"),
+    (lambda: evaluate(_DATASET, _MIXED, _GOEDEL, _LONG),
+     "theta out of range (0, 1): an int of 5001 digits"),
+    (lambda: evaluate(_DATASET, _MIXED, _GOEDEL, -_LONG),
+     "theta out of range (0, 1): a negative int of 5001 digits"),
+    (lambda: evaluate(_DATASET, _MIXED, _GOEDEL, _LONG - 1),
+     "theta out of range (0, 1): an int of 5000 digits"),
+    (lambda: evaluate(_DATASET, _MIXED, _GOEDEL, 1 << 20000),
+     "theta out of range (0, 1): an int of 6021 digits"),
+    (lambda: SplitMix64(_LONG), "seed must be in [0, 2**64), got an int of 5001 digits"),
+    (lambda: generate_synthetic(-_LONG, 1),
+     "need at least 4 cases, got a negative int of 5001 digits"),
+    (lambda: threshold_sweep(_DATASET, _MIXED, [_GOEDEL], 0.4, _LONG, 0.1),
+     "invalid theta range [0.4, an int of 5001 digits]; need 0 < theta_min <= theta_max < 1"),
+    (lambda: threshold_sweep(_DATASET, _MIXED, [_GOEDEL], 0.4, 0.6, -_LONG),
+     "invalid step a negative int of 5001 digits; must be positive and finite"),
 ], ids=["case-motivation", "case-type", "case-score", "case-key", "case-empty-scores",
         "dataset-element", "dataset-container", "ruleset-str-vocabulary", "ruleset-int-term",
         "ruleset-list-with-int", "ruleset-str-rule", "ruleset-int-rules", "ruleset-not-text",
@@ -284,7 +309,10 @@ def test_several_arguments_at_once(drawn):
         "validate-none", "seed-float", "seed-bool", "seed-negative", "seed-too-large",
         "generate-seed-type-before-n", "generate-n-before-seed-range",
         "generate-seed-range-before-ruleset", "sweep-huge-step", "rule-huge-negative-theta",
-        "evaluate-huge-theta"])
+        "evaluate-huge-theta", "evaluate-plan-past-maxsize", "classify-plan-past-maxsize",
+        "case-score-long-int", "evaluate-long-theta", "evaluate-long-negative-theta",
+        "evaluate-long-theta-below-a-power-of-ten", "evaluate-long-power-of-two-theta",
+        "seed-long", "generate-long-negative-n", "sweep-long-bound", "sweep-long-negative-step"])
 def test_messages(call, message):
     with pytest.raises(ValueError) as err:
         call()

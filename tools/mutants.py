@@ -406,6 +406,31 @@ MUTANTS = (
            "a str or bytes-like list of operators or plan is named whole, not read one "
            "operator per character or byte",
            ("tests/test_evaluation.py::TestOperatorEntries",)),
+    # Decisions over a case's live ranked entries; messages that print a
+    # long int or a plan past sys.maxsize.
+    Mutant("live-ranked-drops-a-rule", _RULES,
+           "if ranked[0] in live)", "if ranked[0] in live[1:])",
+           "a case's live entries hold every live ranked rule, so the live walk "
+           "decides as the full walk",
+           ("tests/test_live_walk.py", *_BATCH_TESTS)),
+    Mutant("live-ranked-in-declared-order", _RULES,
+           "tuple(ranked for ranked in self.ranked if ranked[0] in live)",
+           "tuple(sorted(ranked for ranked in self.ranked if ranked[0] in live))",
+           "a case's live entries keep the ranking, most severe first, not the declared order",
+           ("tests/test_live_walk.py", *_BATCH_TESTS)),
+    Mutant("live-memo-uncapped", _RULES,
+           "if len(self._live) < LIVE_MEMO_SIZE:", "if True:",
+           "the live-rule memo keeps at most LIVE_MEMO_SIZE condition sets",
+           ("tests/test_live_walk.py", "tests/test_rules.py")),
+    Mutant("long-int-digits-not-settled", _RULES,
+           "    if abs(log - round(log)) < 1e-9 * log:\n", "    if False:\n",
+           "an int just below a power of ten has one digit fewer than the power",
+           (_CONTRACT + "::test_messages",)),
+    Mutant("plan-length-overflow-escapes", _ENGINE,
+           "    except OverflowError:\n        size = ",
+           "    except ZeroDivisionError:\n        size = ",
+           "a plan longer than sys.maxsize is named, not a bare OverflowError",
+           (_CONTRACT + "::test_messages",)),
 )
 
 
